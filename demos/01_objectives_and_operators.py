@@ -39,7 +39,7 @@ report = combined_objective(inst, swapped, sigma0, cfg)
 print("\nafter swap(1, 3):", swapped)
 print(f"  delta_f1={report.delta_f1:+.4f}  delta_f2={report.delta_f2:+.1f}  fc={report.fc:+.4f}")
 
-# The O(W) incremental deltas agree with recomputing the objectives.
+# The O(1) table-lookup deltas agree with recomputing the objectives.
 action = (0, 4)
 fast = operators.f2_swap_delta(inst, sigma0, action)
 full = objective_f2(inst, operators.swap(sigma0, action)) - objective_f2(inst, sigma0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport,
+from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
                         check_permutation, combined_objective, edd_sort)
 
 __all__ = ["edd_sort", "SHConfig", "sh_schedule", "SAConfig", "SAResult",
@@ -138,10 +138,11 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
         ref_perm = start
     rng = np.random.default_rng(cfg.seed)
     n = inst.n_jobs
+    swap_delta = ObjectiveTables(inst, obj_cfg, ref_perm).swap_delta
 
-    current = start.copy()
-    current_fc = combined_objective(inst, current, ref_perm, obj_cfg).fc
-    best = current.copy()
+    current = start.tolist()  # validated once; list indexing keeps the loop cheap
+    current_fc = combined_objective(inst, start, ref_perm, obj_cfg).fc
+    best = start.copy()
     best_fc = current_fc
     trace = []
     accepted_count = 0
@@ -151,7 +152,7 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
         k = int(rng.integers(n - 1))
         if k >= i:
             k += 1
-        delta_fc = operators.fc_swap_delta(inst, current, (i, k), obj_cfg)
+        delta_fc = swap_delta(current, i, k)
         accepted = sa_accept(-delta_fc, sa_temperature(step, cfg), rng)
         if accepted:
             operators.swap_inplace(current, i, k)
@@ -162,7 +163,7 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
                 # into the reported optimum
                 exact = combined_objective(inst, current, ref_perm, obj_cfg).fc
                 if exact > best_fc:
-                    best = current.copy()
+                    best = np.array(current, dtype=np.int64)
                     best_fc = exact
                 current_fc = exact
         if trace_stride > 0 and step % trace_stride == 0:

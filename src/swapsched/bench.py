@@ -6,6 +6,11 @@ anchored to the completion times of a hidden random permutation plus slack and
 noise, guaranteeing a mix of tight and slack due dates. Every generated file
 passes validation and is byte-identical for a fixed seed.
 
+The brute-force oracle enumerates permutations in lexicographic order and
+scores them in blocks of ``ORACLE_CHUNK`` with the lookup tables of
+:class:`swapsched.schedcore.ObjectiveTables`, one fancy-indexing pass per
+block instead of a Python loop per permutation.
+
 The harness runs configured methods over instance splits and aggregates the
 evaluation protocol: mean combined objective, mean raw objectives, and the
 count of instances where nothing beat the due-date sort. Result files are
@@ -29,9 +34,8 @@ import numpy as np
 
 from . import inference, policynet
 from .baselines import SAConfig, SHConfig, sa_optimize, sh_schedule
-from .schedcore import (Instance, Job, ObjectiveConfig, _weighted_tardiness_from_raw,
-                        combined_objective, completion_times, edd_sort,
-                        load_instance, save_instance)
+from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables,
+                        combined_objective, edd_sort, load_instance, save_instance)
 
 log = logging.getLogger(__name__)
 
@@ -120,6 +124,9 @@ def pool_digest(dir_or_paths) -> str:
 # brute force
 
 BRUTE_FORCE_MAX_JOBS = 9
+# permutations per batched evaluation; larger blocks buy little speed and
+# raise peak memory
+ORACLE_CHUNK = 1024
 
 
 def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = "fc",
@@ -128,6 +135,10 @@ def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = 
 
     Maximizes ``fc`` or ``f2``, minimizes ``f1``; ties keep the
     lexicographically smallest permutation. Returns ``(perm, value)``.
+    Permutations are enumerated in lexicographic order and evaluated in
+    blocks of ``ORACLE_CHUNK`` through :class:`ObjectiveTables`; the first
+    optimum of a block is taken, and a later block replaces the incumbent
+    only when strictly better.
     """
     n = inst.n_jobs
     if n > BRUTE_FORCE_MAX_JOBS:
@@ -137,35 +148,22 @@ def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = 
     if objective not in ("fc", "f1", "f2"):
         raise ValueError(f"objective must be fc, f1 or f2, got {objective!r}")
 
-    # precomputed lookups keep the factorial loop cheap; the exp/abs values
-    # are identical to the objective functions' (same inputs, same order)
-    gt_matrix = _weighted_tardiness_from_raw(
-        completion_times(inst)[:, None] - inst.due[None, :], obj_cfg)
-    dist = np.abs(inst.proc[:, None, :] - inst.proc[None, :, :]).sum(axis=2)
-
-    if ref_perm is None:
-        ref_perm = edd_sort(inst)
-    ref_perm = np.asarray(ref_perm, dtype=np.int64)
-    idx = np.arange(n)
-    f1_ref = float(gt_matrix[idx, ref_perm].sum())
-    f2_ref = float(dist[ref_perm[:-1], ref_perm[1:]].sum())
-
+    tables = ObjectiveTables(inst, obj_cfg, ref_perm)
+    column = ("fc", "f1", "f2").index(objective)
     minimize = objective == "f1"
+    perms = itertools.permutations(range(n))
     best_perm, best_val = None, None
-    for perm in itertools.permutations(range(n)):
-        p = np.array(perm, dtype=np.int64)
-        if objective == "f1":
-            val = float(gt_matrix[idx, p].sum())
-        elif objective == "f2":
-            val = float(dist[p[:-1], p[1:]].sum())
-        else:
-            f1 = float(gt_matrix[idx, p].sum())
-            f2 = float(dist[p[:-1], p[1:]].sum())
-            val = obj_cfg.alpha1 * (f1_ref - f1) + obj_cfg.alpha2 * (f2 - f2_ref)
+    while True:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(perms, ORACLE_CHUNK)),
+                            dtype=np.int64).reshape(-1, n)
+        if not len(block):
+            return best_perm, best_val
+        vals = tables.evaluate(block)[column]
+        j = int(np.argmin(vals) if minimize else np.argmax(vals))
+        val = float(vals[j])
         if best_val is None or (val < best_val if minimize else val > best_val):
             best_val = val
-            best_perm = p
-    return best_perm, best_val
+            best_perm = block[j].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +428,7 @@ def read_heatmap_csv(path) -> np.ndarray:
 
 __all__ = [
     "GeneratorConfig", "generate_instance", "generate_instances", "load_pool",
-    "pool_digest", "BRUTE_FORCE_MAX_JOBS", "brute_force_best", "BenchmarkRow",
+    "pool_digest", "BRUTE_FORCE_MAX_JOBS", "ORACLE_CHUNK", "brute_force_best", "BenchmarkRow",
     "TABLE_COLUMNS", "method_name", "run_benchmark", "buffer_matrix",
     "export_heatmap", "read_heatmap_csv",
 ]

@@ -4,9 +4,13 @@ All operators are pure: they return a fresh array and leave the input alone.
 ``swap_inplace`` exists for hot loops (simulated annealing) and mutates its
 argument. Positions are 0-based.
 
-``f1_swap_delta`` / ``f2_swap_delta`` evaluate the objective change of a swap
-without recomputing the whole objective: a swap touches two positions of f1
-and at most four adjacencies of f2, so both run in O(W).
+``f1_swap_delta`` / ``f2_swap_delta`` / ``fc_swap_delta`` evaluate the
+objective change of a swap without recomputing the whole objective: a swap
+touches two positions of f1 and at most four adjacencies of f2, so with the
+lookup tables of :class:`swapsched.schedcore.ObjectiveTables` a delta is
+O(1). These functions validate their input and build the tables per call;
+loops (simulated annealing) build the tables once and call
+``ObjectiveTables.swap_delta`` directly.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schedcore import Instance, ObjectiveConfig, check_permutation, completion_time, _weighted_tardiness_from_raw
+from .schedcore import Instance, ObjectiveConfig, ObjectiveTables, check_permutation
 
 
 class PairAction(NamedTuple):
@@ -71,48 +75,29 @@ def insert(perm, src: int, dst: int) -> np.ndarray:
     return np.insert(rest, dst, job)
 
 
-def f1_swap_delta(inst: Instance, perm, action, cfg: ObjectiveConfig) -> float:
-    """f1(swap(perm, action)) - f1(perm), touching only the two positions."""
+def _checked_tables(inst: Instance, perm, action, cfg: ObjectiveConfig):
     i, k = action
     perm = check_permutation(perm, inst.n_jobs)
     _check_pair(inst.n_jobs, i, k)
-    c = np.array([completion_time(inst, i), completion_time(inst, k)])
-    d_before = inst.due[perm[[i, k]]]
-    d_after = d_before[::-1]
-    gt_before = _weighted_tardiness_from_raw(c - d_before, cfg)
-    gt_after = _weighted_tardiness_from_raw(c - d_after, cfg)
-    return float(np.sum(gt_after) - np.sum(gt_before))
+    return ObjectiveTables(inst, cfg), perm.tolist(), i, k
+
+
+def f1_swap_delta(inst: Instance, perm, action, cfg: ObjectiveConfig) -> float:
+    """f1(swap(perm, action)) - f1(perm), touching only the two positions."""
+    tables, perm, i, k = _checked_tables(inst, perm, action, cfg)
+    return tables.f1_swap_delta(perm, i, k)
 
 
 def f2_swap_delta(inst: Instance, perm, action) -> float:
     """f2(swap(perm, action)) - f2(perm), touching only affected adjacencies."""
-    i, k = action
-    perm = check_permutation(perm, inst.n_jobs)
-    _check_pair(inst.n_jobs, i, k)
-    n = inst.n_jobs
-    pairs = set()
-    for pos in (i, k):
-        if pos > 0:
-            pairs.add((pos - 1, pos))
-        if pos < n - 1:
-            pairs.add((pos, pos + 1))
-
-    def adjacency_sum(p):
-        total = 0.0
-        for a, b in pairs:
-            total += float(np.sum(np.abs(inst.proc[p[a]] - inst.proc[p[b]])))
-        return total
-
-    before = adjacency_sum(perm)
-    swapped = perm.copy()
-    swapped[i], swapped[k] = swapped[k], swapped[i]
-    return adjacency_sum(swapped) - before
+    tables, perm, i, k = _checked_tables(inst, perm, action, ObjectiveConfig())
+    return tables.f2_swap_delta(perm, i, k)
 
 
 def fc_swap_delta(inst: Instance, perm, action, cfg: ObjectiveConfig) -> float:
     """Change of the combined objective caused by a swap (reference cancels)."""
-    return (-cfg.alpha1 * f1_swap_delta(inst, perm, action, cfg)
-            + cfg.alpha2 * f2_swap_delta(inst, perm, action))
+    tables, perm, i, k = _checked_tables(inst, perm, action, cfg)
+    return tables.swap_delta(perm, i, k)
 
 
 __all__ = ["PairAction", "swap", "swap_inplace", "shift", "insert",

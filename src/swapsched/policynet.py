@@ -536,11 +536,6 @@ def sample_action(out: NetOutput, rng: np.random.Generator, greedy: bool = False
     return PairAction(i, k), float(np.log(flat[idx]))
 
 
-def action_log_prob(out: NetOutput, action) -> float:
-    i, k = action
-    return float(np.log(np.asarray(out.prob_matrix, dtype=np.float64)[i, k]))
-
-
 def prob_entropy(prob: np.ndarray) -> float | np.ndarray:
     """Shannon entropy of the pair distribution; zero entries contribute 0."""
     p = np.asarray(prob, dtype=np.float64)
@@ -616,6 +611,6 @@ __all__ = [
     "zero_params", "param_count", "flatten_params", "unflatten_params",
     "positional_encoding", "embed_jobs", "encoder_layer", "pool_and_integrate",
     "compatibility", "critic_value", "forward", "backward", "sample_action",
-    "action_log_prob", "prob_entropy", "digest_rng_state", "save_checkpoint",
+    "prob_entropy", "digest_rng_state", "save_checkpoint",
     "load_checkpoint", "checkpoint_digest",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -522,6 +521,20 @@ def _load_trainer_state(path_base, optimizer: Adam, workers, update_rng):
             state.get("actor_resets", 0))
 
 
+def _truncate_metrics(path: Path, env_step: int) -> None:
+    """Drop metrics rows logged after ``env_step``, the step being resumed.
+
+    Without this, resuming into the directory of the original run would log
+    the updates after the checkpoint a second time. A torn last line (no
+    newline) is dropped too.
+    """
+    if not path.exists():
+        return
+    rows = [line for line in path.read_text().splitlines(keepends=True)
+            if line.endswith("\n") and json.loads(line)["env_step"] <= env_step]
+    path.write_text("".join(rows))
+
+
 def _actor_alive(params, net_cfg, probe_states) -> bool:
     """True if any probed state has a pair score above the ReLU dead zone.
 
@@ -576,6 +589,7 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
     probe_states = [state_features(inst, edd_sort(inst), obj_cfg, 0, ep_cfg.step_budget)
                     for inst in pool[:3]]
 
+    metrics_path = out_dir / "metrics.jsonl"
     if resume_from is not None:
         params, loaded_cfg, _ = policynet.load_checkpoint(resume_from)
         if loaded_cfg != net_cfg:
@@ -584,6 +598,7 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
         env_step, grad_step, next_checkpoint_at, actor_resets = _load_trainer_state(
             str(resume_from)[: -len(".ckpt")] if str(resume_from).endswith(".ckpt") else resume_from,
             optimizer, workers, update_rng)
+        _truncate_metrics(metrics_path, env_step)
         metrics_mode = "a"
     else:
         params = policynet.init_params(net_cfg, seed=ppo_cfg.seed)
@@ -600,7 +615,6 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
         if actor_resets:
             log.info("redrew dead action head %d time(s) at init", actor_resets)
 
-    metrics_path = out_dir / "metrics.jsonl"
     checkpoint_paths = []
     quota = ppo_cfg.train_batch_size // ppo_cfg.n_rollout_workers
 

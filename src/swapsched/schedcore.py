@@ -246,6 +246,83 @@ def combined_objective(inst: Instance, perm, ref_perm, cfg: ObjectiveConfig) -> 
                            fc=cfg.alpha1 * d1 + cfg.alpha2 * d2)
 
 
+class ObjectiveTables:
+    """Lookup tables of the objectives for one (instance, config, reference).
+
+    Position alone fixes completion time, so the weighted tardiness of every
+    (position, job) pair and the processing-time distance of every job pair
+    can be computed once:
+
+    * ``gt[pos, job]`` -- exp(tardiness / scale) of ``job`` at ``pos``,
+    * ``dist[a, b]`` -- sum over stations of |p_a - p_b| (symmetric),
+    * ``f1_ref`` / ``f2_ref`` -- the objectives of the reference permutation
+      (the due-date sort unless ``ref_perm`` is given).
+
+    A swap delta is then a handful of scalar lookups and a full evaluation is
+    fancy indexing. The kernels do not validate their inputs; callers check
+    permutations and positions once, outside their loops.
+    ``combined_objective`` stays the independent reference implementation.
+    """
+
+    def __init__(self, inst: Instance, cfg: ObjectiveConfig, ref_perm=None):
+        ref = check_permutation(edd_sort(inst) if ref_perm is None else ref_perm, inst.n_jobs)
+        self.alpha1, self.alpha2 = cfg.alpha1, cfg.alpha2
+        self.gt = _weighted_tardiness_from_raw(
+            completion_times(inst)[:, None] - inst.due[None, :], cfg)
+        self.dist = np.abs(inst.proc[:, None, :] - inst.proc[None, :, :]).sum(axis=2)
+        self._pos = np.arange(inst.n_jobs)
+        self.f1_ref = float(self.gt[self._pos, ref].sum())
+        self.f2_ref = float(self.dist[ref[:-1], ref[1:]].sum())
+        # nested lists: scalar indexing is several times cheaper than numpy's
+        self._gt_rows = self.gt.tolist()
+        self._dist_rows = self.dist.tolist()
+
+    def f1_swap_delta(self, perm, i: int, k: int) -> float:
+        """f1 after swapping positions i and k minus f1 before."""
+        a, b = perm[i], perm[k]
+        gi, gk = self._gt_rows[i], self._gt_rows[k]
+        return (gi[b] + gk[a]) - (gi[a] + gk[b])
+
+    def f2_swap_delta(self, perm, i: int, k: int) -> float:
+        """f2 after swapping positions i and k minus f2 before.
+
+        Only the adjacencies of the outer neighbours change; the adjacency
+        between two neighbouring swapped jobs keeps its (symmetric) distance.
+        """
+        if i > k:
+            i, k = k, i
+        a, b = perm[i], perm[k]
+        before = after = 0.0
+        if i > 0:
+            row = self._dist_rows[perm[i - 1]]
+            before += row[a]
+            after += row[b]
+        if k < len(perm) - 1:
+            row = self._dist_rows[perm[k + 1]]
+            before += row[b]
+            after += row[a]
+        if k - i > 1:
+            row = self._dist_rows[perm[i + 1]]
+            before += row[a]
+            after += row[b]
+            row = self._dist_rows[perm[k - 1]]
+            before += row[b]
+            after += row[a]
+        return after - before
+
+    def swap_delta(self, perm, i: int, k: int) -> float:
+        """fc after swapping positions i and k minus fc before (reference cancels)."""
+        return (-self.alpha1 * self.f1_swap_delta(perm, i, k)
+                + self.alpha2 * self.f2_swap_delta(perm, i, k))
+
+    def evaluate(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(fc, f1, f2)`` vectors for a ``(B, N)`` block of permutations."""
+        f1 = self.gt[self._pos, perms].sum(axis=1)
+        f2 = self.dist[perms[:, :-1], perms[:, 1:]].sum(axis=1)
+        fc = self.alpha1 * (self.f1_ref - f1) + self.alpha2 * (f2 - self.f2_ref)
+        return fc, f1, f2
+
+
 # ---------------------------------------------------------------------------
 # features
 
@@ -336,12 +413,6 @@ def edd_sort(inst: Instance) -> np.ndarray:
     return np.argsort(inst.due, kind="stable").astype(np.int64)
 
 
-def sigma0_report(inst: Instance, cfg: ObjectiveConfig) -> ObjectiveReport:
-    """Convenience: objectives of the due-date sort relative to itself."""
-    s0 = edd_sort(inst)
-    return combined_objective(inst, s0, s0, cfg)
-
-
 __all__ = [
     "EXP_CLAMP", "Job", "Instance", "ObjectiveConfig", "ObjectiveReport",
     "FeatureMatrix", "Violation", "validate_instance", "is_permutation",
@@ -349,5 +420,5 @@ __all__ = [
     "weighted_tardiness", "weighted_tardiness_values", "objective_f1",
     "objective_f2", "combined_objective", "job_features", "general_feature",
     "state_features", "instance_to_dict", "instance_from_dict",
-    "save_instance", "load_instance", "edd_sort", "sigma0_report",
+    "save_instance", "load_instance", "edd_sort", "ObjectiveTables",
 ]

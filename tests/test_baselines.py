@@ -154,6 +154,29 @@ def test_sa_reproducible(inst6, obj_cfg):
     assert a.accepted == b.accepted
 
 
+# (instance seed = SA seed, best_perm, accepted, best fc) of 3000-step runs on
+# N=20, W=12 generator instances, recorded with the per-call O(W) deltas that
+# preceded the lookup tables; the search must not change with its engine
+SA_GOLDEN = [
+    (21, [14, 19, 6, 5, 7, 12, 9, 18, 11, 15, 4, 17, 8, 16, 1, 10, 3, 0, 13, 2],
+     104, 22.062529384851594),
+    (22, [11, 6, 3, 14, 9, 10, 18, 1, 2, 16, 8, 15, 4, 17, 0, 19, 7, 13, 5, 12],
+     88, 16.332700193984827),
+    (23, [19, 4, 12, 1, 0, 5, 16, 10, 8, 2, 7, 14, 18, 9, 6, 17, 11, 15, 13, 3],
+     93, 28.900685470589142),
+]
+
+
+@pytest.mark.parametrize("seed, best_perm, accepted, fc", SA_GOLDEN)
+def test_sa_fixed_seed_regression(seed, best_perm, accepted, fc, obj_cfg):
+    inst = generate_instance(GeneratorConfig(seed=seed, count=1), 0)
+    res = bl.sa_optimize(inst, bl.edd_sort(inst), bl.SAConfig(steps=3000, seed=seed), obj_cfg)
+    assert res.best_perm.tolist() == best_perm
+    assert res.best_perm.dtype == np.int64
+    assert res.accepted == accepted
+    assert res.best_report.fc == fc
+
+
 def test_sa_temperature_schedule_endpoints():
     cfg = bl.SAConfig(t_max=72.0, t_min=2.2e-61, steps=1000, seed=0)
     assert bl.sa_temperature(0, cfg) == 72.0

@@ -110,6 +110,40 @@ def test_brute_force_matches_direct_enumeration(inst6, obj_cfg):
     assert combined_objective(inst6, perm, s0, obj_cfg).fc == pytest.approx(want_val, abs=1e-12)
 
 
+def _tied_instance():
+    # jobs 0/4 and 2/5 are duplicates (same processing times and due date), so
+    # every optimum is tied with its duplicate-swapped twin; integer times keep
+    # f2 exact under any summation order
+    from tests.conftest import make_instance
+    proc = [(7, 1, 4), (2, 9, 3), (5, 5, 8), (9, 0, 6), (7, 1, 4), (5, 5, 8), (1, 8, 2)]
+    due = [40.0, 60.0, 50.0, 95.0, 40.0, 50.0, 70.0]
+    return make_instance(proc, due, 10)
+
+
+@pytest.mark.parametrize("objective", ["fc", "f1", "f2"])
+def test_brute_force_ties_keep_lexicographically_smallest(objective, monkeypatch):
+    obj_cfg = ObjectiveConfig(tardiness_scale=20.0)
+    inst = _tied_instance()
+    s0 = edd_sort(inst)
+    minimize = objective == "f1"
+    want_perm, want_val, n_opt = None, None, 0
+    for p in itertools.permutations(range(inst.n_jobs)):  # 5040: several chunks
+        val = getattr(combined_objective(inst, np.array(p), s0, obj_cfg), objective)
+        if want_val is None or (val < want_val if minimize else val > want_val):
+            want_perm, want_val, n_opt = p, val, 1
+        elif val == want_val:
+            n_opt += 1
+    assert n_opt >= 2  # the instance really has tied optima
+
+    # chunks of 1 and 7 put every tied optimum in a chunk of its own; the
+    # default chunk also holds two tied optima in its first block
+    for chunk in (1, 7, bench.ORACLE_CHUNK):
+        monkeypatch.setattr(bench, "ORACLE_CHUNK", chunk)
+        perm, val = bench.brute_force_best(inst, obj_cfg, objective=objective)
+        assert perm.tolist() == list(want_perm)
+        assert val == want_val
+
+
 # ---------------------------------------------------------------------------
 # benchmark harness
 

@@ -363,6 +363,19 @@ def test_train_resume_reproduces_next_row(tmp_path, obj_cfg):
     assert open(resumed.final_checkpoint, "rb").read() == open(full.final_checkpoint, "rb").read()
 
 
+def test_train_resume_in_place_rewrites_later_rows(tmp_path, obj_cfg):
+    pcfg = ppo.PPOConfig(total_env_steps=400, train_batch_size=100, minibatch_size=50,
+                         epochs_per_batch=1, checkpoint_every=100, seed=8)
+    args = (small_pool(), tiny_net(), pcfg, ppo.EpisodeConfig(step_budget=5), obj_cfg)
+    run = ppo.train(*args, tmp_path / "run")
+    uninterrupted = open(run.metrics_path).read()
+
+    ppo.train(*args, tmp_path / "run", resume_from=tmp_path / "run" / "ckpt_0000000200.ckpt")
+    resumed = open(run.metrics_path).read()
+    assert [json.loads(l)["env_step"] for l in resumed.splitlines()] == [100, 200, 300, 400]
+    assert resumed == uninterrupted
+
+
 def test_train_parallel_workers_match_sequential(tmp_path, obj_cfg):
     net_cfg = tiny_net()
     ep_cfg = ppo.EpisodeConfig(step_budget=5)

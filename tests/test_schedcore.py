@@ -213,6 +213,56 @@ def test_delta_f1_nonpositive_from_edd(inst6, obj_cfg, rng):
 
 
 # ---------------------------------------------------------------------------
+# objective tables
+
+
+def _random_instance(rng, n):
+    w = int(rng.integers(1, 13))
+    tw = float(rng.uniform(50, 300))
+    proc = rng.uniform(0, tw, size=(n, w))
+    due = rng.uniform(1, tw * (w + n) * 1.2, size=n)
+    return make_instance(proc, due, tw)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tables_swap_delta_matches_full_recompute_every_pair(seed):
+    rng = np.random.default_rng(seed)
+    cfg = sc.ObjectiveConfig(alpha1=float(rng.uniform(0.1, 2)), alpha2=float(rng.uniform(0, 0.1)))
+    # N=2 and N=20 always; the rest random in [2, 20]
+    for n in (2, 20, *rng.integers(2, 21, size=2)):
+        inst = _random_instance(rng, int(n))
+        ref = rng.permutation(inst.n_jobs)
+        tables = sc.ObjectiveTables(inst, cfg, ref)
+        perm = rng.permutation(inst.n_jobs)
+        before = sc.combined_objective(inst, perm, ref, cfg)
+        for i, k in itertools.permutations(range(inst.n_jobs), 2):
+            swapped = perm.copy()
+            swapped[i], swapped[k] = swapped[k], swapped[i]
+            after = sc.combined_objective(inst, swapped, ref, cfg)
+            assert tables.swap_delta(perm, i, k) == pytest.approx(after.fc - before.fc, abs=1e-9)
+            assert tables.f1_swap_delta(perm, i, k) == pytest.approx(after.f1 - before.f1, abs=1e-9)
+            assert tables.f2_swap_delta(perm, i, k) == pytest.approx(after.f2 - before.f2, abs=1e-9)
+
+
+def test_tables_evaluate_matches_combined_objective(inst20, rng):
+    cfg = sc.ObjectiveConfig()
+    ref = sc.edd_sort(inst20)
+    tables = sc.ObjectiveTables(inst20, cfg)  # the due-date sort by default
+    perms = np.array([rng.permutation(inst20.n_jobs) for _ in range(16)] + [ref])
+    fc, f1, f2 = tables.evaluate(perms)
+    assert (tables.f1_ref, tables.f2_ref) == (f1[-1], f2[-1])
+    assert fc[-1] == 0.0
+    for p, got in zip(perms, zip(fc, f1, f2)):
+        rep = sc.combined_objective(inst20, p, ref, cfg)
+        assert got == pytest.approx((rep.fc, rep.f1, rep.f2), abs=1e-9)
+
+
+def test_tables_reject_invalid_reference(inst6, obj_cfg):
+    with pytest.raises(ValueError, match="permutation"):
+        sc.ObjectiveTables(inst6, obj_cfg, [0, 0, 1, 2, 3, 4])
+
+
+# ---------------------------------------------------------------------------
 # EDD
 
 
