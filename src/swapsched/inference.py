@@ -11,6 +11,14 @@ which policy is being evaluated, so the multipolicy runs of the final
 checkpoint coincide exactly with plain multirun -- making "multipolicy never
 loses to multirun on the same instance" a hard guarantee instead of a
 statistical tendency.
+
+All runs of one policy step in lockstep as lanes of one engine
+(:func:`run_lanes`): each step builds the features of every lane at once,
+evaluates the network once on the whole batch, draws each lane's swap from
+that lane's own generator and scores all lanes with one objective call.
+Every layer is batch-invariant -- row r of a batch is bitwise equal to the
+same state evaluated alone -- so a lane reproduces exactly the rollout it
+would make on its own. :func:`run_episode` is the one-lane case.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policynet
-from .operators import swap
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport,
                         combined_objective, edd_sort, state_features)
 
@@ -85,30 +92,46 @@ def _check_width(inst: Instance, net_cfg: policynet.NetConfig) -> None:
             f"{inst.id!r} with W={inst.n_stations} produces {want}")
 
 
+def run_lanes(inst: Instance, params: dict, net_cfg: policynet.NetConfig,
+              obj_cfg: ObjectiveConfig, step_budget: int, rngs,
+              greedy: bool = False) -> list[EpisodeResult]:
+    """One rollout of ``step_budget`` policy swaps per generator, in lockstep.
+
+    Returns one result per generator. Lane r draws only from ``rngs[r]``
+    and its result does not depend on the other lanes.
+    """
+    _check_width(inst, net_cfg)
+    sigma0 = edd_sort(inst)
+    n_lanes = len(rngs)
+    lanes = np.arange(n_lanes)
+    perms = np.tile(sigma0, (n_lanes, 1))
+    best_perms = perms.copy()
+    best_fc = np.zeros(n_lanes)
+    actions = np.empty((n_lanes, step_budget, 2), dtype=np.int64)
+    fc_log = np.empty((n_lanes, step_budget))
+    for t in range(step_budget):
+        fm = state_features(inst, perms, obj_cfg, t, step_budget)
+        out = policynet.forward(params, net_cfg, fm.per_job, np.full(n_lanes, fm.general))
+        i, k, _ = policynet.sample_actions(out.prob_matrix, rngs, greedy=greedy)
+        perms[lanes, i], perms[lanes, k] = perms[lanes, k], perms[lanes, i]
+        fc = combined_objective(inst, perms, sigma0, obj_cfg).fc
+        actions[:, t, 0], actions[:, t, 1] = i, k
+        fc_log[:, t] = fc
+        better = fc > best_fc
+        best_fc[better] = fc[better]
+        best_perms[better] = perms[better]
+    return [EpisodeResult(best_perm=best_perms[r].copy(),
+                          best_report=combined_objective(inst, best_perms[r], sigma0, obj_cfg),
+                          actions=[tuple(a) for a in actions[r].tolist()],
+                          fc_log=fc_log[r].tolist())
+            for r in range(n_lanes)]
+
+
 def run_episode(inst: Instance, params: dict, net_cfg: policynet.NetConfig,
                 obj_cfg: ObjectiveConfig, step_budget: int,
                 rng: np.random.Generator, greedy: bool = False) -> EpisodeResult:
     """One rollout of ``step_budget`` policy swaps from the due-date sort."""
-    _check_width(inst, net_cfg)
-    sigma0 = edd_sort(inst)
-    perm = sigma0.copy()
-    best_perm = perm.copy()
-    best_fc = 0.0
-    actions, fc_log = [], []
-    for t in range(step_budget):
-        fm = state_features(inst, perm, obj_cfg, t, step_budget)
-        out = policynet.forward(params, net_cfg, fm.per_job, fm.general)
-        action, _ = policynet.sample_action(out, rng, greedy=greedy)
-        perm = swap(perm, action)
-        fc = combined_objective(inst, perm, sigma0, obj_cfg).fc
-        actions.append((int(action.i), int(action.k)))
-        fc_log.append(fc)
-        if fc > best_fc:
-            best_fc = fc
-            best_perm = perm.copy()
-    return EpisodeResult(best_perm=best_perm,
-                         best_report=combined_objective(inst, best_perm, sigma0, obj_cfg),
-                         actions=actions, fc_log=fc_log)
+    return run_lanes(inst, params, net_cfg, obj_cfg, step_budget, [rng], greedy=greedy)[0]
 
 
 def _run_rng(seed: int, run_index: int) -> np.random.Generator:
@@ -119,30 +142,31 @@ def _run_rng(seed: int, run_index: int) -> np.random.Generator:
 def multirun(inst: Instance, params: dict, net_cfg: policynet.NetConfig,
              cfg: InferenceConfig, obj_cfg: ObjectiveConfig,
              strategy_name: str = "RL-MR", checkpoint_digest: str = "") -> InferenceResult:
-    """Best of ``runs_per_policy`` stochastic rollouts with one policy."""
-    per_run = []
-    best: EpisodeResult | None = None
-    for r in range(cfg.runs_per_policy):
-        ep = run_episode(inst, params, net_cfg, obj_cfg, cfg.step_budget,
-                         _run_rng(cfg.seed, r), greedy=cfg.greedy)
-        per_run.append(ep.best_report.fc)
-        if best is None or ep.best_report.fc > best.best_report.fc:
-            best = ep
+    """Best of ``runs_per_policy`` stochastic rollouts with one policy.
+
+    The runs are the lanes of one :func:`run_lanes` call; ties keep the
+    lowest run index.
+    """
+    episodes = run_lanes(inst, params, net_cfg, obj_cfg, cfg.step_budget,
+                         [_run_rng(cfg.seed, r) for r in range(cfg.runs_per_policy)],
+                         greedy=cfg.greedy)
+    best = max(episodes, key=lambda ep: ep.best_report.fc)  # first of equals
     return InferenceResult(
-        instance_id=inst.id, strategy=strategy_name, per_run_fc=per_run,
+        instance_id=inst.id, strategy=strategy_name,
+        per_run_fc=[ep.best_report.fc for ep in episodes],
         best_perm=best.best_perm, best_report=best.best_report,
         steps=cfg.runs_per_policy * cfg.step_budget,
         checkpoint_digests=[checkpoint_digest] if checkpoint_digest else [],
         seed=cfg.seed)
 
 
-def multipolicy(inst: Instance, checkpoint_paths=None, cfg: InferenceConfig = None,
-                obj_cfg: ObjectiveConfig = None, strategy_name: str = "RL-MPMR") -> InferenceResult:
+def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
+                obj_cfg: ObjectiveConfig, strategy_name: str = "RL-MPMR") -> InferenceResult:
     """Multirun over several checkpoints; global best wins.
 
     ``checkpoint_paths`` is ordered with the final policy last, matching the
-    convention of the training output directory; when omitted, the config's
-    ``checkpoint_paths`` field is used.
+    convention of the training output directory; when it is None, the
+    config's ``checkpoint_paths`` field is used.
     """
     if checkpoint_paths is None:
         checkpoint_paths = cfg.checkpoint_paths
@@ -179,5 +203,5 @@ def select_checkpoints(paths, n_earlier: int = 5) -> list:
     return earlier + [final]
 
 
-__all__ = ["InferenceConfig", "EpisodeResult", "InferenceResult",
+__all__ = ["InferenceConfig", "EpisodeResult", "InferenceResult", "run_lanes",
            "run_episode", "multirun", "multipolicy", "select_checkpoints"]

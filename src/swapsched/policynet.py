@@ -167,6 +167,13 @@ def unflatten_params(vec: np.ndarray, cfg: NetConfig, dtype=None) -> dict:
 
 # ---------------------------------------------------------------------------
 # forward
+#
+# Every block below has one private core working on a batch ``(B, N, d)`` and
+# written so that row b of a batched call is bitwise equal to the same state
+# evaluated alone (B = 1). The public blocks and ``forward`` share the cores.
+# Cores that get a ``cache`` dict store what ``backward`` needs in it. Bias,
+# ReLU and softmax run in place on the cores' own temporaries; layer norm does
+# so only without a cache, since backward needs its normalised rows.
 
 
 def positional_encoding(n: int, d_h: int, dtype=np.float32) -> np.ndarray:
@@ -180,42 +187,63 @@ def positional_encoding(n: int, d_h: int, dtype=np.float32) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def _as_batch(per_job, general, dtype):
-    x = np.asarray(per_job, dtype=dtype)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    g = np.atleast_1d(np.asarray(general, dtype=dtype))
-    if g.shape != (x.shape[0],):
-        raise ValueError(f"general feature shape {g.shape} does not match batch {x.shape[0]}")
-    return x, g, single
+def _linear(x, w, b=None):
+    """``x @ w (+ b)`` for every row of ``x`` as one 2-D GEMM over ``(B*N, d)``.
+
+    Batch invariance rests here: row r of a GEMM comes out bitwise the same
+    whatever the number of rows around it. That is a property of the installed
+    BLAS (OpenBLAS 0.3.31 has it), not of numpy, and
+    ``test_forward_rows_match_single_state`` checks it. On a BLAS without it
+    results stay deterministic, but batched rows stop matching the B = 1 path.
+    A stacked ``(B, N, d) @ w`` would instead loop one GEMM per state, twice
+    as slow at the paper's feed-forward shape.
+    """
+    out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+    if b is not None:
+        out += b
+    return out
 
 
-def embed_jobs(per_job, params, cfg: NetConfig):
-    """Linear projection into d_h plus positional encodings. Batched."""
-    x = np.asarray(per_job, dtype=params["input.w"].dtype)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    if x.shape[-1] != cfg.d_in:
-        raise ValueError(f"feature width {x.shape[-1]} != d_in {cfg.d_in}")
-    pe = positional_encoding(x.shape[1], cfg.d_h, dtype=x.dtype)
-    h0 = x @ params["input.w"] + params["input.b"] + pe
-    return h0[0] if single else h0
+def _linear_per_state(v, w, b):
+    """``v @ w + b`` for a ``(B, d)`` block of one-row inputs.
+
+    A 2-D ``(B, d) @ w`` rounds differently from the one-row product of a
+    single state, so each state runs as its own ``(1, d) @ w``.
+    """
+    out = (v[:, None, :] @ w)[:, 0]
+    out += b
+    return out
 
 
-def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + np.asarray(LN_EPS, dtype=x.dtype))
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+def _relu_(x):
+    return np.maximum(x, 0, out=x)
 
 
-def _softmax_lastaxis(z):
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_lastaxis_(z):
+    """Softmax over the last axis, in place."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _layer_norm_(x, g, b, cache=None, key=None):
+    """Layer norm of ``x``, which the caller owns and this overwrites.
+
+    With a ``cache`` the normalised rows and inverse deviations are stored
+    under ``key`` for the backward pass and the output is a new array.
+    """
+    x -= x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + np.asarray(LN_EPS, dtype=x.dtype))
+    x *= inv
+    if cache is None:
+        x *= g
+        x += b
+        return x
+    cache[key] = (x, inv)
+    out = x * g
+    out += b
+    return out
 
 
 def _split_heads(x, n_heads):
@@ -228,50 +256,103 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
 
 
-def _encoder_layer_forward(h_in, params, cfg: NetConfig, prefix: str):
+def _promote(a, dtype):
+    """``(batch, single)``: ``a`` as a batch of ``dtype``, and whether it was one state."""
+    a = np.asarray(a, dtype=dtype)
+    return (a[None], True) if a.ndim == 2 else (a, False)
+
+
+def _embed(x, params, cfg: NetConfig):
+    if x.shape[-1] != cfg.d_in:
+        raise ValueError(f"feature width {x.shape[-1]} != d_in {cfg.d_in}")
+    h = _linear(x, params["input.w"], params["input.b"])
+    h += positional_encoding(x.shape[1], cfg.d_h, dtype=x.dtype)
+    return h
+
+
+def _attention(h_in, params, cfg: NetConfig, prefix: str, cache=None):
+    """Multi-head self-attention plus its output projection (no residual)."""
     p = params
-    q = _split_heads(h_in @ p[f"{prefix}.attn.wq"] + p[f"{prefix}.attn.bq"], cfg.n_heads)
-    k = _split_heads(h_in @ p[f"{prefix}.attn.wk"] + p[f"{prefix}.attn.bk"], cfg.n_heads)
-    v = _split_heads(h_in @ p[f"{prefix}.attn.wv"] + p[f"{prefix}.attn.bv"], cfg.n_heads)
+    q = _split_heads(_linear(h_in, p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.bq"]), cfg.n_heads)
+    k = _split_heads(_linear(h_in, p[f"{prefix}.attn.wk"], p[f"{prefix}.attn.bk"]), cfg.n_heads)
+    v = _split_heads(_linear(h_in, p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.bv"]), cfg.n_heads)
     scale = np.asarray(1.0 / np.sqrt(cfg.d_h // cfg.n_heads), dtype=h_in.dtype)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    attn = _softmax_lastaxis(scores)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
+    attn = _softmax_lastaxis_(scores)
     ctx = _merge_heads(attn @ v)
-    mha = ctx @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
+    if cache is not None:
+        cache.update(h_in=h_in, q=q, k=k, v=v, attn=attn, ctx=ctx, scale=scale)
+    return _linear(ctx, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.bo"])
 
-    h1, ln1_cache = _layer_norm(h_in + mha, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    z_ff = h1 @ p[f"{prefix}.ff.w1"] + p[f"{prefix}.ff.b1"]
-    a_ff = np.maximum(z_ff, 0)
-    ff = a_ff @ p[f"{prefix}.ff.w2"] + p[f"{prefix}.ff.b2"]
-    h_out, ln2_cache = _layer_norm(h1 + ff, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
 
-    cache = {"h_in": h_in, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
-             "scale": scale, "ln1": ln1_cache, "h1": h1, "z_ff": z_ff,
-             "a_ff": a_ff, "ln2": ln2_cache}
-    return h_out, cache
+def _encoder_layer_forward(h_in, params, cfg: NetConfig, prefix: str, cache=None):
+    p = params
+    res1 = _attention(h_in, params, cfg, prefix, cache)
+    res1 += h_in
+    h1 = _layer_norm_(res1, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"], cache, "ln1")
+    a_ff = _relu_(_linear(h1, p[f"{prefix}.ff.w1"], p[f"{prefix}.ff.b1"]))
+    res2 = _linear(a_ff, p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"])
+    res2 += h1
+    if cache is not None:
+        cache.update(h1=h1, a_ff=a_ff)
+    h_out = _layer_norm_(res2, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], cache, "ln2")
+    if not np.all(np.isfinite(h_out)):
+        raise FloatingPointError(f"non-finite encoder output in layer {prefix}")
+    return h_out
+
+
+def _pool(h, params, cache=None):
+    hmax = h.max(axis=1)
+    hc = _linear(h, params["pool.w_self"], params["pool.b_self"])
+    hc += _linear_per_state(hmax, params["pool.w_max"], params["pool.b_max"])[:, None, :]
+    if cache is not None:
+        # argmax routes the max-pool gradient
+        cache.update(h_enc=h, hmax=hmax, argmax_idx=h.argmax(axis=1), hc=hc)
+    return hc
+
+
+def _compat(hc, params, cache=None):
+    n = hc.shape[1]
+    if n < 2:
+        raise ValueError("compatibility needs at least 2 jobs (no valid swap otherwise)")
+    qc = _linear(hc, params["compat.wq"])
+    kc = _linear(hc, params["compat.wk"])
+    logits = _relu_(kc @ qc.transpose(0, 2, 1))
+    logits.reshape(hc.shape[0], -1)[:, ::n + 1] = -np.inf  # the diagonal
+    prob = _softmax_lastaxis_(logits.reshape(hc.shape[0], -1).copy()).reshape(logits.shape)
+    if cache is not None:
+        cache.update(qc=qc, kc=kc, logits=logits, prob=prob)
+    return prob, logits
+
+
+def _critic(hc, g, params, cache=None):
+    cin = np.concatenate([hc.mean(axis=1), g[:, None]], axis=1)
+    a1 = _relu_(_linear_per_state(cin, params["critic.w1"], params["critic.b1"]))
+    a2 = _relu_(_linear_per_state(a1, params["critic.w2"], params["critic.b2"]))
+    if cache is not None:
+        cache.update(cin=cin, a1=a1, a2=a2)
+    return _linear_per_state(a2, params["critic.w3"], params["critic.b3"])[:, 0]
+
+
+def embed_jobs(per_job, params, cfg: NetConfig):
+    """Linear projection into d_h plus positional encodings. Batched."""
+    x, single = _promote(per_job, params["input.w"].dtype)
+    h0 = _embed(x, params, cfg)
+    return h0[0] if single else h0
 
 
 def encoder_layer(h_in, layer_params, cfg: NetConfig, prefix: str = "enc0"):
     """One post-norm encoder layer; see module docstring for the wiring."""
-    h = np.asarray(h_in, dtype=layer_params[f"{prefix}.attn.wq"].dtype)
-    single = h.ndim == 2
-    if single:
-        h = h[None]
-    out, _ = _encoder_layer_forward(h, layer_params, cfg, prefix)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"non-finite encoder output in layer {prefix}")
+    h, single = _promote(h_in, layer_params[f"{prefix}.attn.wq"].dtype)
+    out = _encoder_layer_forward(h, layer_params, cfg, prefix)
     return out[0] if single else out
 
 
 def pool_and_integrate(h, params, cfg: NetConfig = None):
     """Max-pool over positions, fold the pooled vector back into every row."""
-    h = np.asarray(h, dtype=params["pool.w_self"].dtype)
-    single = h.ndim == 2
-    if single:
-        h = h[None]
-    hmax = h.max(axis=1)
-    hc = (h @ params["pool.w_self"] + params["pool.b_self"]
-          + (hmax @ params["pool.w_max"] + params["pool.b_max"])[:, None, :])
+    h, single = _promote(h, params["pool.w_self"].dtype)
+    hc = _pool(h, params)
     return hc[0] if single else hc
 
 
@@ -281,22 +362,8 @@ def compatibility(hc, params, cfg: NetConfig = None):
     Returns ``(prob, logits)``. ``logits[i, k] = relu(k_i . q_k)`` off the
     diagonal and -inf on it, so the probability of i == k is exactly zero.
     """
-    hc = np.asarray(hc, dtype=params["compat.wq"].dtype)
-    single = hc.ndim == 2
-    if single:
-        hc = hc[None]
-    n = hc.shape[1]
-    if n < 2:
-        raise ValueError("compatibility needs at least 2 jobs (no valid swap otherwise)")
-    q = hc @ params["compat.wq"]
-    k = hc @ params["compat.wk"]
-    y = k @ q.transpose(0, 2, 1)
-    diag = np.eye(n, dtype=bool)
-    logits = np.where(diag, np.asarray(-np.inf, dtype=hc.dtype), np.maximum(y, 0))
-    flat = logits.reshape(hc.shape[0], -1)
-    m = flat.max(axis=-1, keepdims=True)
-    e = np.exp(flat - m)
-    prob = (e / e.sum(axis=-1, keepdims=True)).reshape(logits.shape)
+    hc, single = _promote(hc, params["compat.wq"].dtype)
+    prob, logits = _compat(hc, params)
     if single:
         return prob[0], logits[0]
     return prob, logits
@@ -304,85 +371,58 @@ def compatibility(hc, params, cfg: NetConfig = None):
 
 def critic_value(hc, general, params, cfg: NetConfig = None):
     """Mean-pool rows, append the progress scalar, run the value MLP."""
-    hc = np.asarray(hc, dtype=params["critic.w1"].dtype)
-    single = hc.ndim == 2
-    if single:
-        hc = hc[None]
-    g = np.atleast_1d(np.asarray(general, dtype=hc.dtype))
-    hmean = hc.mean(axis=1)
-    cin = np.concatenate([hmean, g[:, None]], axis=1)
-    z1 = cin @ params["critic.w1"] + params["critic.b1"]
-    a1 = np.maximum(z1, 0)
-    z2 = a1 @ params["critic.w2"] + params["critic.b2"]
-    a2 = np.maximum(z2, 0)
-    v = (a2 @ params["critic.w3"] + params["critic.b3"])[:, 0]
+    hc, single = _promote(hc, params["critic.w1"].dtype)
+    v = _critic(hc, np.atleast_1d(np.asarray(general, dtype=hc.dtype)), params)
     return float(v[0]) if single else v
 
 
 def forward(params, cfg: NetConfig, per_job, general, want_cache: bool = False):
     """Full forward pass; accepts (N, d_in) or (B, N, d_in) features.
 
+    Batch-invariant: row b of a batched call is bitwise equal to the call on
+    state b alone, for the probabilities, the logits and the value. Linear
+    maps over rows run as one GEMM over all B*N rows (see ``_linear``); the
+    one-row products (pooled max term, critic) run per state. Inference steps
+    all runs of a policy through one call this way and still reproduces the
+    single-state results exactly.
+
     With ``want_cache=True`` additionally returns the intermediate tensors
     needed by :func:`backward`.
     """
     if isinstance(per_job, FeatureMatrix):
         per_job, general = per_job.per_job, per_job.general
-    dtype = params["input.w"].dtype
-    x, g, single = _as_batch(per_job, general, dtype)
-    if x.shape[-1] != cfg.d_in:
-        raise ValueError(f"feature width {x.shape[-1]} != d_in {cfg.d_in}")
-    n = x.shape[1]
-    if n < 2:
+    x, single = _promote(per_job, params["input.w"].dtype)
+    g = np.atleast_1d(np.asarray(general, dtype=x.dtype))
+    if g.shape != (x.shape[0],):
+        raise ValueError(f"general feature shape {g.shape} does not match batch {x.shape[0]}")
+    if x.shape[1] < 2:
         raise ValueError("need at least 2 jobs")
 
-    pe = positional_encoding(n, cfg.d_h, dtype=dtype)
-    h = x @ params["input.w"] + params["input.b"] + pe
-    layer_caches = []
+    cache = {"x": x, "g": g, "layers": [], "single": single} if want_cache else None
+    h = _embed(x, params, cfg)
     for l in range(cfg.n_layers):
-        h, c = _encoder_layer_forward(h, params, cfg, f"enc{l}")
-        if not np.all(np.isfinite(h)):
-            raise FloatingPointError(f"non-finite encoder output in layer enc{l}")
-        layer_caches.append(c)
-
-    h_enc = h
-    hmax = h_enc.max(axis=1)
-    argmax_idx = h_enc.argmax(axis=1)  # (B, d_h), routes the max-pool gradient
-    hc = (h_enc @ params["pool.w_self"] + params["pool.b_self"]
-          + (hmax @ params["pool.w_max"] + params["pool.b_max"])[:, None, :])
-
-    qc = hc @ params["compat.wq"]
-    kc = hc @ params["compat.wk"]
-    y = kc @ qc.transpose(0, 2, 1)
-    diag = np.eye(n, dtype=bool)
-    logits = np.where(diag, np.asarray(-np.inf, dtype=dtype), np.maximum(y, 0))
-    flat = logits.reshape(x.shape[0], -1)
-    e = np.exp(flat - flat.max(axis=-1, keepdims=True))
-    prob = (e / e.sum(axis=-1, keepdims=True)).reshape(logits.shape)
-
-    hmean = hc.mean(axis=1)
-    cin = np.concatenate([hmean, g[:, None]], axis=1)
-    z1 = cin @ params["critic.w1"] + params["critic.b1"]
-    a1 = np.maximum(z1, 0)
-    z2 = a1 @ params["critic.w2"] + params["critic.b2"]
-    a2 = np.maximum(z2, 0)
-    v = (a2 @ params["critic.w3"] + params["critic.b3"])[:, 0]
+        layer_cache = None if cache is None else {}
+        h = _encoder_layer_forward(h, params, cfg, f"enc{l}", layer_cache)
+        if cache is not None:
+            cache["layers"].append(layer_cache)
+    hc = _pool(h, params, cache)
+    prob, logits = _compat(hc, params, cache)
+    v = _critic(hc, g, params, cache)
 
     if single:
         out = NetOutput(prob_matrix=prob[0], value=float(v[0]), logits=logits[0])
     else:
         out = NetOutput(prob_matrix=prob, value=v, logits=logits)
-    if not want_cache:
-        return out
-    cache = {"x": x, "g": g, "layers": layer_caches, "h_enc": h_enc,
-             "hmax": hmax, "argmax_idx": argmax_idx, "hc": hc,
-             "qc": qc, "kc": kc, "y": y, "prob": prob,
-             "cin": cin, "z1": z1, "a1": a1, "z2": z2, "a2": a2,
-             "single": single}
-    return out, cache
+    return (out, cache) if want_cache else out
 
 
 # ---------------------------------------------------------------------------
 # backward
+
+
+def _weight_grad(a, d):
+    """Sum over all rows of ``outer(a_row, d_row)``: the gradient of ``a @ w``."""
+    return a.reshape(-1, a.shape[-1]).T @ d.reshape(-1, d.shape[-1])
 
 
 def _layer_norm_backward(dy, g, ln_cache):
@@ -404,11 +444,11 @@ def _encoder_layer_backward(d_out, cache, params, cfg: NetConfig, prefix: str, g
 
     d_h1 = dres2.copy()
     d_ff_out = dres2
-    grads[f"{prefix}.ff.w2"] += np.einsum("bnf,bnd->fd", cache["a_ff"], d_ff_out)
+    grads[f"{prefix}.ff.w2"] += _weight_grad(cache["a_ff"], d_ff_out)
     grads[f"{prefix}.ff.b2"] += d_ff_out.sum(axis=(0, 1))
     d_aff = d_ff_out @ p[f"{prefix}.ff.w2"].T
-    d_zff = d_aff * (cache["z_ff"] > 0)
-    grads[f"{prefix}.ff.w1"] += np.einsum("bnd,bnf->df", cache["h1"], d_zff)
+    d_zff = d_aff * (cache["a_ff"] > 0)
+    grads[f"{prefix}.ff.w1"] += _weight_grad(cache["h1"], d_zff)
     grads[f"{prefix}.ff.b1"] += d_zff.sum(axis=(0, 1))
     d_h1 += d_zff @ p[f"{prefix}.ff.w1"].T
 
@@ -418,7 +458,7 @@ def _encoder_layer_backward(d_out, cache, params, cfg: NetConfig, prefix: str, g
 
     d_in = dres1.copy()
     d_mha = dres1
-    grads[f"{prefix}.attn.wo"] += np.einsum("bnd,bne->de", cache["ctx"], d_mha)
+    grads[f"{prefix}.attn.wo"] += _weight_grad(cache["ctx"], d_mha)
     grads[f"{prefix}.attn.bo"] += d_mha.sum(axis=(0, 1))
     d_ctx = _split_heads(d_mha @ p[f"{prefix}.attn.wo"].T, cfg.n_heads)
 
@@ -433,7 +473,7 @@ def _encoder_layer_backward(d_out, cache, params, cfg: NetConfig, prefix: str, g
     h_in = cache["h_in"]
     for name, d_head in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
         d_full = _merge_heads(d_head)
-        grads[f"{prefix}.attn.{name}"] += np.einsum("bnd,bne->de", h_in, d_full)
+        grads[f"{prefix}.attn.{name}"] += _weight_grad(h_in, d_full)
         grads[f"{prefix}.attn.{name.replace('w', 'b')}"] += d_full.sum(axis=(0, 1))
         d_in = d_in + d_full @ p[f"{prefix}.attn.{name}"].T
     return d_in
@@ -459,11 +499,11 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
     grads["critic.w3"] += cache["a2"].T @ dz3
     grads["critic.b3"] += dz3.sum(axis=0)
     da2 = dz3 @ params["critic.w3"].T
-    dz2 = da2 * (cache["z2"] > 0)
+    dz2 = da2 * (cache["a2"] > 0)
     grads["critic.w2"] += cache["a1"].T @ dz2
     grads["critic.b2"] += dz2.sum(axis=0)
     da1 = dz2 @ params["critic.w2"].T
-    dz1 = da1 * (cache["z1"] > 0)
+    dz1 = da1 * (cache["a1"] > 0)
     grads["critic.w1"] += cache["cin"].T @ dz1
     grads["critic.b1"] += dz1.sum(axis=0)
     dcin = dz1 @ params["critic.w1"].T
@@ -471,17 +511,17 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
 
     # action head: undo mask and ReLU, then the bilinear pair scores
     diag = np.eye(n, dtype=bool)
-    dy = np.where(diag, 0, d_logits * (cache["y"] > 0)).astype(dtype)
+    dy = np.where(diag, 0, d_logits * (cache["logits"] > 0)).astype(dtype)
     qc, kc, hc = cache["qc"], cache["kc"], cache["hc"]
     d_kc = dy @ qc
     d_qc = dy.transpose(0, 2, 1) @ kc
-    grads["compat.wq"] += np.einsum("bnd,bne->de", hc, d_qc)
-    grads["compat.wk"] += np.einsum("bnd,bne->de", hc, d_kc)
+    grads["compat.wq"] += _weight_grad(hc, d_qc)
+    grads["compat.wk"] += _weight_grad(hc, d_kc)
     d_hc += d_qc @ params["compat.wq"].T + d_kc @ params["compat.wk"].T
 
     # pooling
     h_enc = cache["h_enc"]
-    grads["pool.w_self"] += np.einsum("bnd,bne->de", h_enc, d_hc)
+    grads["pool.w_self"] += _weight_grad(h_enc, d_hc)
     grads["pool.b_self"] += d_hc.sum(axis=(0, 1))
     d_rows = d_hc.sum(axis=1)  # the max term feeds every row
     grads["pool.w_max"] += cache["hmax"].T @ d_rows
@@ -494,7 +534,7 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
     # encoder stack, then the input projection
     for l in reversed(range(cfg.n_layers)):
         d_h = _encoder_layer_backward(d_h, cache["layers"][l], params, cfg, f"enc{l}", grads)
-    grads["input.w"] += np.einsum("bni,bnd->id", cache["x"], d_h)
+    grads["input.w"] += _weight_grad(cache["x"], d_h)
     grads["input.b"] += d_h.sum(axis=(0, 1))
 
     for name, g in grads.items():
@@ -507,33 +547,53 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
 # sampling and distribution helpers
 
 
-def sample_action(out: NetOutput, rng: np.random.Generator, greedy: bool = False):
-    """Draw a swap pair from the probability matrix (or take the argmax).
+def sample_actions(prob, rngs, greedy: bool = False):
+    """Draw one swap pair per state of a ``(B, N, N)`` probability block.
 
-    Returns ``(PairAction, log_prob)``. Faults if the distribution lost its
-    mass to numeric underflow.
+    State b draws with ``rngs[b]``, one ``random()`` call each (none when
+    ``greedy``, which takes the argmax), so a state's draw does not depend on
+    the rest of the batch. Returns ``(i, k, log_prob)`` arrays of length B.
+    Faults if a distribution lost its mass to numeric underflow.
     """
-    p = np.asarray(out.prob_matrix, dtype=np.float64)
+    p = np.asarray(prob, dtype=np.float64)
+    if p.ndim != 3:
+        raise ValueError("sample_actions expects a (B, N, N) probability block")
+    b, n, _ = p.shape
+    if not greedy and len(rngs) != b:
+        raise ValueError(f"{len(rngs)} generators for {b} states")
+    flat = p.reshape(b, -1)
+    total = flat.sum(axis=1)
+    if not np.all(np.isfinite(total) & (total > 0)):
+        raise FloatingPointError("degenerate probability matrix: no finite mass")
+    rows = np.arange(b)
+    if greedy:
+        idx = flat.argmax(axis=1)
+    else:
+        c = np.cumsum(flat, axis=1)
+        u = np.array([rng.random() for rng in rngs]) * c[:, -1]
+        # c is non-decreasing, so counting c <= u is searchsorted(c, u, "right")
+        idx = np.minimum((c <= u[:, None]).sum(axis=1), flat.shape[1] - 1)
+        zero = flat[rows, idx] == 0.0
+        while zero.any():  # float edge: never emit a zero-mass pair
+            idx[zero] -= 1
+            zero = flat[rows, idx] == 0.0
+    i, k = np.divmod(idx, n)
+    if np.any(i == k):
+        raise FloatingPointError("sampled a diagonal pair; probability matrix corrupt")
+    return i, k, np.log(flat[rows, idx])
+
+
+def sample_action(out: NetOutput, rng: np.random.Generator, greedy: bool = False):
+    """Draw a swap pair from one ``(N, N)`` probability matrix (or take the argmax).
+
+    The one-state case of :func:`sample_actions`. Returns
+    ``(PairAction, log_prob)``.
+    """
+    p = np.asarray(out.prob_matrix)
     if p.ndim != 2:
         raise ValueError("sample_action expects a single (N, N) probability matrix")
-    n = p.shape[0]
-    flat = p.ravel()
-    total = flat.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise FloatingPointError("degenerate probability matrix: no finite mass")
-    if greedy:
-        idx = int(np.argmax(flat))
-    else:
-        c = np.cumsum(flat)
-        u = rng.random() * c[-1]
-        idx = int(np.searchsorted(c, u, side="right"))
-        idx = min(idx, flat.size - 1)
-        while flat[idx] == 0.0:  # float edge: never emit a zero-mass pair
-            idx -= 1
-    i, k = divmod(idx, n)
-    if i == k:
-        raise FloatingPointError("sampled a diagonal pair; probability matrix corrupt")
-    return PairAction(i, k), float(np.log(flat[idx]))
+    i, k, logp = sample_actions(p[None], [rng], greedy=greedy)
+    return PairAction(int(i[0]), int(k[0])), float(logp[0])
 
 
 def prob_entropy(prob: np.ndarray) -> float | np.ndarray:
@@ -610,7 +670,7 @@ __all__ = [
     "LN_EPS", "NetConfig", "NetOutput", "canonical_blocks", "init_params",
     "zero_params", "param_count", "flatten_params", "unflatten_params",
     "positional_encoding", "embed_jobs", "encoder_layer", "pool_and_integrate",
-    "compatibility", "critic_value", "forward", "backward", "sample_action",
-    "prob_entropy", "digest_rng_state", "save_checkpoint",
+    "compatibility", "critic_value", "forward", "backward", "sample_actions",
+    "sample_action", "prob_entropy", "digest_rng_state", "save_checkpoint",
     "load_checkpoint", "checkpoint_digest",
 ]

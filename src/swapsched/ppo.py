@@ -26,8 +26,8 @@ import numpy as np
 
 from . import policynet
 from .operators import PairAction, swap
-from .schedcore import (Instance, ObjectiveConfig, combined_objective,
-                        edd_sort, state_features)
+from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig,
+                        combined_objective, edd_sort, state_features)
 
 log = logging.getLogger(__name__)
 
@@ -108,14 +108,6 @@ def best_improvement_reward(best_fc: float, new_fc: float) -> float:
     return max(0.0, new_fc - best_fc)
 
 
-@dataclass
-class StateView:
-    """What the policy sees: normalized feature rows plus episode progress."""
-
-    per_job: np.ndarray
-    general: float
-
-
 class SwapEnv:
     """Improvement-search episode over a pool of instances.
 
@@ -141,7 +133,7 @@ class SwapEnv:
         self.best_fc = 0.0
         self.episode_log: list[dict] = []
 
-    def reset(self, rng: np.random.Generator) -> StateView:
+    def reset(self, rng: np.random.Generator) -> FeatureMatrix:
         self.inst_idx = int(rng.integers(len(self.pool)))
         self.inst = self.pool[self.inst_idx]
         self.sigma0 = edd_sort(self.inst)
@@ -153,12 +145,11 @@ class SwapEnv:
         self.episode_log = []
         return self._state()
 
-    def _state(self) -> StateView:
-        fm = state_features(self.inst, self.perm, self.obj_cfg,
-                            self.t, self.ep_cfg.step_budget)
-        return StateView(per_job=fm.per_job, general=fm.general)
+    def _state(self) -> FeatureMatrix:
+        return state_features(self.inst, self.perm, self.obj_cfg,
+                              self.t, self.ep_cfg.step_budget)
 
-    def step(self, action) -> tuple[StateView, float, bool, dict]:
+    def step(self, action) -> tuple[FeatureMatrix, float, bool, dict]:
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         i, k = action
@@ -250,7 +241,7 @@ class RolloutWorker:
     def __init__(self, pool, obj_cfg, ep_cfg, seed_seq: np.random.SeedSequence):
         self.env = SwapEnv(pool, obj_cfg, ep_cfg)
         self.rng = np.random.default_rng(seed_seq)
-        self.state: StateView | None = None
+        self.state: FeatureMatrix | None = None
         self.ep_rewards: list[float] = []
 
     def collect(self, params, net_cfg, n_steps: int) -> TrajectoryBatch:
@@ -720,7 +711,7 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
 
 
 __all__ = [
-    "EpisodeConfig", "PPOConfig", "StateView", "SwapEnv", "TrajectoryBatch",
+    "EpisodeConfig", "PPOConfig", "SwapEnv", "TrajectoryBatch",
     "RolloutWorker", "best_improvement_reward", "lr_schedule", "compute_gae",
     "ppo_loss_and_grads", "ppo_update", "Adam", "clip_grads_",
     "global_grad_norm", "train", "TrainResult",

@@ -121,7 +121,7 @@ class ObjectiveReport:
 class FeatureMatrix:
     """Per-job feature rows plus the scalar progress feature ``t / T``."""
 
-    per_job: np.ndarray  # (N, 2W + 2)
+    per_job: np.ndarray  # (N, 2W + 2), or (B, N, 2W + 2) for a block of states
     general: float
 
 
@@ -178,6 +178,17 @@ def check_permutation(perm, n: int) -> np.ndarray:
     return perm
 
 
+def check_permutations(perms, n: int) -> np.ndarray:
+    """Like :func:`check_permutation`, also accepting a ``(B, n)`` block."""
+    perms = np.asarray(perms, dtype=np.int64)
+    if perms.ndim == 1:
+        return check_permutation(perms, n)
+    if (perms.ndim != 2 or perms.shape[1] != n
+            or not np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), perms.shape))):
+        raise ValueError(f"not a valid (B, {n}) block of permutations: {perms!r}")
+    return perms
+
+
 # ---------------------------------------------------------------------------
 # objectives
 
@@ -214,8 +225,8 @@ def _weighted_tardiness_from_raw(raw: np.ndarray, cfg: ObjectiveConfig) -> np.nd
 
 
 def weighted_tardiness_values(inst: Instance, perm, cfg: ObjectiveConfig) -> np.ndarray:
-    """Vector of exp(T_T / scale) for every position of ``perm``."""
-    perm = check_permutation(perm, inst.n_jobs)
+    """exp(T_T / scale) for every position of ``perm`` (shape ``(N,)`` or ``(B, N)``)."""
+    perm = check_permutations(perm, inst.n_jobs)
     raw = completion_times(inst) - inst.due[perm]
     return _weighted_tardiness_from_raw(raw, cfg)
 
@@ -224,20 +235,33 @@ def weighted_tardiness(inst: Instance, perm, pos: int, cfg: ObjectiveConfig) -> 
     return float(weighted_tardiness_values(inst, perm, cfg)[pos])
 
 
-def objective_f1(inst: Instance, perm, cfg: ObjectiveConfig) -> float:
+def _per_perm(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+# The objectives take one permutation (a float result) or a (B, N) block of
+# them (a (B,) result). Each row of a block sums in the same order as the
+# permutation alone, so the results are bitwise equal.
+
+
+def objective_f1(inst: Instance, perm, cfg: ObjectiveConfig):
     """Sum of exponentially weighted tardiness over all positions (minimize)."""
-    return float(np.sum(weighted_tardiness_values(inst, perm, cfg)))
+    return _per_perm(weighted_tardiness_values(inst, perm, cfg).sum(axis=-1))
 
 
-def objective_f2(inst: Instance, perm) -> float:
+def objective_f2(inst: Instance, perm):
     """Sum over stations of |p difference| between consecutive jobs (maximize)."""
-    perm = check_permutation(perm, inst.n_jobs)
+    perm = check_permutations(perm, inst.n_jobs)
     seq = inst.proc[perm]
-    return float(np.sum(np.abs(np.diff(seq, axis=0))))
+    return _per_perm(np.abs(np.diff(seq, axis=-2)).sum(axis=(-2, -1)))
 
 
 def combined_objective(inst: Instance, perm, ref_perm, cfg: ObjectiveConfig) -> ObjectiveReport:
-    """Evaluate f1/f2 of ``perm`` and the weighted improvement over ``ref_perm``."""
+    """Evaluate f1/f2 of ``perm`` and the weighted improvement over ``ref_perm``.
+
+    For a ``(B, N)`` block of permutations the report's fields are ``(B,)``
+    arrays.
+    """
     f1 = objective_f1(inst, perm, cfg)
     f2 = objective_f2(inst, perm)
     d1 = objective_f1(inst, ref_perm, cfg) - f1
@@ -330,6 +354,9 @@ class ObjectiveTables:
 def job_features(inst: Instance, perm, cfg: ObjectiveConfig, *, normalized: bool = True) -> np.ndarray:
     """Per-job feature rows ``(N, 2W + 2)`` in permutation order.
 
+    A ``(B, N)`` block of permutations gives ``(B, N, 2W + 2)``, each state
+    bitwise equal to its own call.
+
     Row i holds the W processing times of the job at position i, the W signed
     differences to the next job's processing times (zeros for the last row),
     the due date and the weighted tardiness. With ``normalized=True`` (the
@@ -338,18 +365,18 @@ def job_features(inst: Instance, perm, cfg: ObjectiveConfig, *, normalized: bool
     tardiness is already O(1) and passes through unchanged. Raw seconds are
     returned with ``normalized=False``.
     """
-    perm = check_permutation(perm, inst.n_jobs)
-    seq = inst.proc[perm]  # (N, W)
+    perm = check_permutations(perm, inst.n_jobs)
+    seq = inst.proc[perm]  # (..., N, W)
     diffs = np.zeros_like(seq)
-    diffs[:-1] = seq[:-1] - seq[1:]
+    diffs[..., :-1, :] = seq[..., :-1, :] - seq[..., 1:, :]
     due = inst.due[perm]
-    gt = weighted_tardiness_values(inst, perm, cfg)
+    gt = _weighted_tardiness_from_raw(completion_times(inst) - due, cfg)
     if normalized:
         c_last = completion_time(inst, inst.n_jobs - 1)
         seq = seq / inst.station_time
         diffs = diffs / inst.station_time
         due = due / c_last
-    return np.concatenate([seq, diffs, due[:, None], gt[:, None]], axis=1)
+    return np.concatenate([seq, diffs, due[..., None], gt[..., None]], axis=-1)
 
 
 def general_feature(t: int, T: int) -> float:
@@ -360,7 +387,8 @@ def general_feature(t: int, T: int) -> float:
 
 
 def state_features(inst: Instance, perm, cfg: ObjectiveConfig, t: int, T: int) -> FeatureMatrix:
-    """Network input for one search state: normalized rows plus progress."""
+    """Network input for a search state (or a ``(B, N)`` block of states at
+    the same step): normalized rows plus progress."""
     return FeatureMatrix(per_job=job_features(inst, perm, cfg, normalized=True),
                          general=general_feature(t, T))
 
@@ -416,8 +444,9 @@ def edd_sort(inst: Instance) -> np.ndarray:
 __all__ = [
     "EXP_CLAMP", "Job", "Instance", "ObjectiveConfig", "ObjectiveReport",
     "FeatureMatrix", "Violation", "validate_instance", "is_permutation",
-    "check_permutation", "completion_time", "completion_times", "tardiness",
-    "weighted_tardiness", "weighted_tardiness_values", "objective_f1",
+    "check_permutation", "check_permutations", "completion_time",
+    "completion_times", "tardiness", "weighted_tardiness",
+    "weighted_tardiness_values", "objective_f1",
     "objective_f2", "combined_objective", "job_features", "general_feature",
     "state_features", "instance_to_dict", "instance_from_dict",
     "save_instance", "load_instance", "edd_sort", "ObjectiveTables",

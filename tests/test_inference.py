@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swapsched import inference as inf
 from swapsched import operators, policynet as pn
-from swapsched.schedcore import combined_objective, edd_sort, is_permutation
+from swapsched.bench import GeneratorConfig, generate_instance
+from swapsched.schedcore import ObjectiveConfig, combined_objective, edd_sort, is_permutation
 
 
 def tiny_net(inst):
@@ -138,3 +141,91 @@ def test_select_checkpoints_final_plus_five():
     assert got[-1] == paths[-1]
     assert got == paths[3:]
     assert inf.select_checkpoints(paths[:2], n_earlier=5) == paths[:2]
+
+
+def test_multipolicy_requires_configs(inst6, obj_cfg, checkpoints):
+    with pytest.raises(TypeError):
+        inf.multipolicy(inst6, checkpoints)
+    with pytest.raises(TypeError):
+        inf.multipolicy(inst6, checkpoints, inf.InferenceConfig(runs_per_policy=2))
+
+
+def test_multipolicy_paths_default_to_config(inst6, obj_cfg, checkpoints):
+    cfg = inf.InferenceConfig(runs_per_policy=3, step_budget=5, seed=53,
+                              checkpoint_paths=tuple(checkpoints))
+    a = inf.multipolicy(inst6, None, cfg, obj_cfg).to_record()
+    b = inf.multipolicy(inst6, checkpoints, cfg, obj_cfg).to_record()
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+def test_lanes_equal_single_episodes(inst6, obj_cfg, greedy):
+    net = tiny_net(inst6)
+    params = pn.init_params(net, seed=12, compat_gain=1.0)
+    lanes = inf.run_lanes(inst6, params, net, obj_cfg, 10,
+                          [inf._run_rng(61, r) for r in range(7)], greedy=greedy)
+    for r, lane in enumerate(lanes):
+        ep = inf.run_episode(inst6, params, net, obj_cfg, 10, inf._run_rng(61, r),
+                             greedy=greedy)
+        assert lane.actions == ep.actions
+        assert lane.fc_log == ep.fc_log
+        assert lane.best_perm.tolist() == ep.best_perm.tolist()
+        assert lane.best_report == ep.best_report
+
+
+def test_lanes_at_paper_scale_equal_single_episodes(inst20, obj_cfg):
+    net = pn.NetConfig(d_in=2 * inst20.n_stations + 2)
+    params = pn.init_params(net, seed=13)
+    lanes = inf.run_lanes(inst20, params, net, obj_cfg, 4,
+                          [inf._run_rng(67, r) for r in range(5)])
+    for r, lane in enumerate(lanes):
+        ep = inf.run_episode(inst20, params, net, obj_cfg, 4, inf._run_rng(67, r))
+        assert (lane.actions, lane.fc_log) == (ep.actions, ep.fc_log)
+
+
+def test_multirun_per_run_fc_is_a_prefix(inst6, obj_cfg):
+    net = tiny_net(inst6)
+    params = pn.init_params(net, seed=14)
+    res = {k: inf.multirun(inst6, params, net,
+                           inf.InferenceConfig(runs_per_policy=k, step_budget=10, seed=71),
+                           obj_cfg)
+           for k in (3, 7)}
+    assert res[3].per_run_fc == res[7].per_run_fc[:3]
+
+
+GOLDEN = Path(__file__).parent / "data" / "inference_golden_paper.json"
+
+
+def paper_scale_records(tmp_path) -> str:
+    """Multirun, multipolicy, greedy and uniform-policy records at N=20, W=12, d_h=128.
+
+    ``GOLDEN`` holds the output of this function from the per-run rollout loop
+    that the lockstep lanes replaced.
+    """
+    inst = generate_instance(GeneratorConfig(seed=11, count=1), 0)
+    net = pn.NetConfig(d_in=2 * inst.n_stations + 2)  # d_h=128, 2 heads, 2 layers
+    obj = ObjectiveConfig()
+    paths = []
+    for step, seed, gain in ((100, 21, 0.25), (200, 22, 1.0), (300, 23, 0.5)):
+        p = tmp_path / f"ckpt_{step:010d}.ckpt"
+        pn.save_checkpoint(p, pn.init_params(net, seed=seed, compat_gain=gain), net,
+                           training_step=step)
+        paths.append(str(p))
+    cfg = inf.InferenceConfig(runs_per_policy=30, step_budget=10, seed=5)
+    params, _, _ = pn.load_checkpoint(paths[-1])
+    records = {
+        "multirun": inf.multirun(inst, params, net, cfg, obj,
+                                 checkpoint_digest=pn.checkpoint_digest(paths[-1])),
+        "multipolicy": inf.multipolicy(inst, paths, cfg, obj),
+        "greedy": inf.multirun(inst, params, net, replace(cfg, greedy=True, runs_per_policy=3), obj),
+        "uniform": inf.multirun(inst, pn.zero_params(net), net, cfg, obj, strategy_name="RAND-MR"),
+    }
+    return json.dumps({k: v.to_record() for k, v in records.items()}, sort_keys=True, indent=1) + "\n"
+
+
+def test_paper_scale_records_match_golden(tmp_path):
+    assert paper_scale_records(tmp_path) == GOLDEN.read_text()

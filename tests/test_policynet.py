@@ -121,7 +121,8 @@ def test_encoder_single_position():
     assert np.all(np.isfinite(out))
     # softmax over a single position puts weight 1 on it
     from swapsched.policynet import _encoder_layer_forward
-    _, cache = _encoder_layer_forward(h[None], params, cfg, "enc0")
+    cache = {}
+    _encoder_layer_forward(h[None], params, cfg, "enc0", cache)
     assert np.all(cache["attn"] == 1.0)
 
 
@@ -476,3 +477,44 @@ def test_net_config_validation():
         pn.NetConfig(d_in=5, d_h=6, n_heads=4)
     with pytest.raises(ValueError):
         pn.NetConfig(d_in=0)
+
+
+# ---------------------------------------------------------------------------
+# batch invariance
+
+
+@pytest.mark.parametrize("net", [
+    dict(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64),  # desk scale
+    dict(d_in=26),  # paper scale: d_h=128, d_ff=512
+], ids=["desk", "paper"])
+def test_forward_rows_match_single_state(net):
+    # each row of a batched forward is bitwise the single-state forward; this
+    # rests on the BLAS computing a GEMM row the same whatever the row count
+    cfg = pn.NetConfig(**net)
+    params = pn.init_params(cfg, seed=61, compat_gain=1.0)
+    rng = np.random.default_rng(62)
+    n_jobs = 20 if cfg.d_h == 128 else 6
+    x = rng.random((100, n_jobs, cfg.d_in)).astype(np.float32)
+    g = rng.random(100)
+    alone = [pn.forward(params, cfg, x[b], g[b]) for b in range(100)]
+    for batch in (2, 7, 30, 100):
+        out = pn.forward(params, cfg, x[:batch], g[:batch])
+        for b in range(batch):
+            assert out.prob_matrix[b].tobytes() == alone[b].prob_matrix.tobytes()
+            assert out.logits[b].tobytes() == alone[b].logits.tobytes()
+            assert out.value[b] == alone[b].value
+
+
+def test_sample_actions_rows_match_sample_action():
+    rng = np.random.default_rng(63)
+    prob = rng.random((9, 5, 5)) ** 4
+    prob[:, np.arange(5), np.arange(5)] = 0.0
+    prob /= prob.sum(axis=(1, 2), keepdims=True)
+    for greedy in (False, True):
+        i, k, logp = pn.sample_actions(prob, [np.random.default_rng(s) for s in range(9)],
+                                       greedy=greedy)
+        for b in range(9):
+            out = pn.NetOutput(prob_matrix=prob[b], value=0.0, logits=prob[b])
+            action, lp = pn.sample_action(out, np.random.default_rng(b), greedy=greedy)
+            assert action == (i[b], k[b])
+            assert lp == logp[b]

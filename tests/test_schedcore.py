@@ -377,3 +377,41 @@ def test_loader_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"id": "x", "jobs": []}))
     with pytest.raises(ValueError):
         sc.load_instance(path)
+
+
+# ---------------------------------------------------------------------------
+# permutation blocks
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_rows_equal_single_permutation_calls(seed):
+    rng = np.random.default_rng(seed)
+    cfg = sc.ObjectiveConfig(alpha1=float(rng.uniform(0.1, 2)), alpha2=float(rng.uniform(0, 0.1)))
+    for n in (2, 20, int(rng.integers(3, 20))):
+        inst = _random_instance(rng, n)
+        perms = np.array([rng.permutation(n) for _ in range(40)])
+        ref = rng.permutation(n)
+        f1, f2 = sc.objective_f1(inst, perms, cfg), sc.objective_f2(inst, perms)
+        rows = sc.job_features(inst, perms, cfg)
+        raw = sc.job_features(inst, perms, cfg, normalized=False)
+        fm = sc.state_features(inst, perms, cfg, 3, 10)
+        rep = sc.combined_objective(inst, perms, ref, cfg)
+        for b, p in enumerate(perms):
+            assert f1[b] == sc.objective_f1(inst, p, cfg)
+            assert f2[b] == sc.objective_f2(inst, p)
+            assert rows[b].tobytes() == sc.job_features(inst, p, cfg).tobytes()
+            assert raw[b].tobytes() == sc.job_features(inst, p, cfg, normalized=False).tobytes()
+            assert fm.per_job[b].tobytes() == rows[b].tobytes()
+            one = sc.combined_objective(inst, p, ref, cfg)
+            assert (rep.f1[b], rep.f2[b], rep.delta_f1[b], rep.delta_f2[b], rep.fc[b]) == (
+                one.f1, one.f2, one.delta_f1, one.delta_f2, one.fc)
+
+
+def test_check_permutations_rejects_bad_blocks():
+    good = np.array([[0, 1, 2], [2, 0, 1]])
+    assert sc.check_permutations(good, 3).tolist() == good.tolist()
+    for bad in ([[0, 1, 1], [2, 0, 1]], [[0, 1], [1, 0]], np.zeros((2, 2, 3), dtype=int)):
+        with pytest.raises(ValueError):
+            sc.check_permutations(bad, 3)
+    with pytest.raises(ValueError):
+        sc.objective_f2(sc.Instance([((1.0,), 10.0)] * 3, 5.0), [[0, 1, 1]])
