@@ -238,9 +238,7 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
             params, net_cfg, _ = policynet.load_checkpoint(method["checkpoint"])
             digest = policynet.checkpoint_digest(method["checkpoint"])
         else:
-            net_cfg = policynet.NetConfig(d_in=2 * inst.n_stations + 2, d_h=8,
-                                          n_heads=1, n_layers=1, d_ff=8)
-            params = policynet.zero_params(net_cfg)  # uniform pair distribution
+            params = net_cfg = None  # uniform pair distribution
             digest = ""
         res = inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
                                  strategy_name=method_name(method), checkpoint_digest=digest)

@@ -92,17 +92,25 @@ def _check_width(inst: Instance, net_cfg: policynet.NetConfig) -> None:
             f"{inst.id!r} with W={inst.n_stations} produces {want}")
 
 
-def run_lanes(inst: Instance, params: dict, net_cfg: policynet.NetConfig,
+def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig | None,
               obj_cfg: ObjectiveConfig, step_budget: int, rngs,
               greedy: bool = False) -> list[EpisodeResult]:
     """One rollout of ``step_budget`` policy swaps per generator, in lockstep.
 
     Returns one result per generator. Lane r draws only from ``rngs[r]``
-    and its result does not depend on the other lanes.
+    and its result does not depend on the other lanes. ``params=None`` is
+    the uniform policy of the RAND-MR baseline: every step draws from
+    :func:`swapsched.policynet.uniform_pair_probs` (``net_cfg`` is unused),
+    the distribution a network with all-zero parameters outputs, so the
+    draws are the same without building features or running a network.
     """
-    _check_width(inst, net_cfg)
     sigma0 = edd_sort(inst)
     n_lanes = len(rngs)
+    if params is None:
+        uniform = np.broadcast_to(policynet.uniform_pair_probs(inst.n_jobs),
+                                  (n_lanes, inst.n_jobs, inst.n_jobs))
+    else:
+        _check_width(inst, net_cfg)
     lanes = np.arange(n_lanes)
     perms = np.tile(sigma0, (n_lanes, 1))
     best_perms = perms.copy()
@@ -110,9 +118,13 @@ def run_lanes(inst: Instance, params: dict, net_cfg: policynet.NetConfig,
     actions = np.empty((n_lanes, step_budget, 2), dtype=np.int64)
     fc_log = np.empty((n_lanes, step_budget))
     for t in range(step_budget):
-        fm = state_features(inst, perms, obj_cfg, t, step_budget)
-        out = policynet.forward(params, net_cfg, fm.per_job, np.full(n_lanes, fm.general))
-        i, k, _ = policynet.sample_actions(out.prob_matrix, rngs, greedy=greedy)
+        if params is None:
+            prob = uniform
+        else:
+            fm = state_features(inst, perms, obj_cfg, t, step_budget)
+            prob = policynet.forward(params, net_cfg, fm.per_job,
+                                     np.full(n_lanes, fm.general)).prob_matrix
+        i, k, _ = policynet.sample_actions(prob, rngs, greedy=greedy)
         perms[lanes, i], perms[lanes, k] = perms[lanes, k], perms[lanes, i]
         fc = combined_objective(inst, perms, sigma0, obj_cfg).fc
         actions[:, t, 0], actions[:, t, 1] = i, k
@@ -139,13 +151,13 @@ def _run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, run_index]))
 
 
-def multirun(inst: Instance, params: dict, net_cfg: policynet.NetConfig,
+def multirun(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig | None,
              cfg: InferenceConfig, obj_cfg: ObjectiveConfig,
              strategy_name: str = "RL-MR", checkpoint_digest: str = "") -> InferenceResult:
     """Best of ``runs_per_policy`` stochastic rollouts with one policy.
 
     The runs are the lanes of one :func:`run_lanes` call; ties keep the
-    lowest run index.
+    lowest run index. ``params=None`` samples swaps uniformly (RAND-MR).
     """
     episodes = run_lanes(inst, params, net_cfg, obj_cfg, cfg.step_budget,
                          [_run_rng(cfg.seed, r) for r in range(cfg.runs_per_policy)],

@@ -29,7 +29,8 @@ class PairAction(NamedTuple):
     k: int
 
 
-def _check_pair(n: int, i: int, k: int) -> None:
+def check_pair(n: int, i: int, k: int) -> None:
+    """Raise ValueError unless (i, k) are two distinct positions among ``n``."""
     if not (0 <= i < n and 0 <= k < n):
         raise ValueError(f"positions ({i}, {k}) out of range for {n} jobs")
     if i == k:
@@ -39,7 +40,7 @@ def _check_pair(n: int, i: int, k: int) -> None:
 def swap(perm, action) -> np.ndarray:
     i, k = action
     out = check_permutation(perm, len(perm)).copy()
-    _check_pair(len(out), i, k)
+    check_pair(len(out), i, k)
     out[i], out[k] = out[k], out[i]
     return out
 
@@ -78,7 +79,7 @@ def insert(perm, src: int, dst: int) -> np.ndarray:
 def _checked_tables(inst: Instance, perm, action, cfg: ObjectiveConfig):
     i, k = action
     perm = check_permutation(perm, inst.n_jobs)
-    _check_pair(inst.n_jobs, i, k)
+    check_pair(inst.n_jobs, i, k)
     return ObjectiveTables(inst, cfg), perm.tolist(), i, k
 
 
@@ -100,5 +101,5 @@ def fc_swap_delta(inst: Instance, perm, action, cfg: ObjectiveConfig) -> float:
     return tables.swap_delta(perm, i, k)
 
 
-__all__ = ["PairAction", "swap", "swap_inplace", "shift", "insert",
+__all__ = ["PairAction", "check_pair", "swap", "swap_inplace", "shift", "insert",
            "f1_swap_delta", "f2_swap_delta", "fc_swap_delta"]

@@ -18,8 +18,11 @@ The same parameters evaluate on any number of jobs N >= 2. Forward and
 backward are hand-written; gradients are validated against central finite
 differences in the test suite.
 
-Parameters live in a plain ``{name: ndarray}`` dict. The canonical block
-order (also the checkpoint data layout) is::
+Parameters live in a plain ``{name: ndarray}`` dict whose arrays are views
+of consecutive blocks of one contiguous vector (:func:`flat_views`), so the
+optimizer can update every parameter with a few vector operations; gradients
+come back from :func:`backward` the same way. The canonical block order (also
+the flat vector's and the checkpoint's data layout) is::
 
     input.w (d_in, d_h)         input.b (d_h,)
     enc{l}.attn.wq/.bq/.wk/.bk/.wv/.bv/.wo/.bo     for l = 0 .. n_layers-1
@@ -38,8 +41,10 @@ header; save -> load -> forward is bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -118,31 +123,71 @@ def canonical_blocks(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
     return blocks
 
 
+def _block_size(blocks) -> int:
+    return sum(math.prod(shape) for _, shape in blocks)
+
+
+def flat_views(blocks, flat: np.ndarray) -> dict:
+    """``{name: view}`` of consecutive blocks of the 1-D contiguous ``flat``.
+
+    ``blocks`` are ``(name, shape)`` pairs (:func:`canonical_blocks` for a
+    network) and must cover ``flat`` exactly. Writes through a view land in
+    ``flat`` and the other way round; :func:`flat_buffer` gives ``flat`` back.
+    """
+    out, pos = {}, 0
+    for name, shape in blocks:
+        size = math.prod(shape)
+        out[name] = flat[pos:pos + size].reshape(shape)
+        pos += size
+    if pos != flat.size:
+        raise ValueError(f"vector has {flat.size} entries, the blocks {pos}")
+    return out
+
+
+def flat_buffer(tensors: dict) -> np.ndarray | None:
+    """The vector the arrays of ``tensors`` are consecutive views of, in dict
+    order and covering it exactly (see :func:`flat_views`); None otherwise."""
+    # addresses come from .ctypes.data: reading __array_interface__ in a
+    # loop retained about 0.9 MB per process (numpy 2.4.6, CPython 3.11)
+    arrays = list(tensors.values())
+    base = arrays[0].base if arrays else None
+    if base is None or base.ndim != 1 or not base.flags.c_contiguous:
+        return None
+    addr = end = base.ctypes.data
+    end += base.nbytes
+    for a in arrays:
+        if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != addr:
+            return None
+        addr += a.nbytes
+    return base if addr == end else None
+
+
 def init_params(cfg: NetConfig, seed: int = 0, dtype=np.float32,
                 compat_gain: float | None = None) -> dict:
     """Fan-based uniform init for matrices, zeros for biases, 1/0 for norms.
 
     The compatibility projections are scaled by ``cfg.compat_init_gain``
-    (overridable via ``compat_gain``); see :class:`NetConfig`.
+    (overridable via ``compat_gain``); see :class:`NetConfig`. The blocks are
+    views of one flat vector (:func:`flat_views`).
     """
     if compat_gain is None:
         compat_gain = cfg.compat_init_gain
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in canonical_blocks(cfg):
+    blocks = canonical_blocks(cfg)
+    params = flat_views(blocks, np.zeros(_block_size(blocks), dtype=dtype))
+    for name, shape in blocks:
         if name.endswith(".g"):
-            params[name] = np.ones(shape, dtype=dtype)
-        elif len(shape) == 1:
-            params[name] = np.zeros(shape, dtype=dtype)
-        else:
+            params[name].fill(1)
+        elif len(shape) > 1:
             gain = compat_gain if name.startswith("compat.") else 1.0
             limit = gain * np.sqrt(6.0 / (shape[0] + shape[1]))
-            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            params[name][...] = rng.uniform(-limit, limit, size=shape).astype(dtype)
     return params
 
 
 def zero_params(cfg: NetConfig, dtype=np.float32) -> dict:
-    return {name: np.zeros(shape, dtype=dtype) for name, shape in canonical_blocks(cfg)}
+    blocks = canonical_blocks(cfg)
+    return flat_views(blocks, np.zeros(_block_size(blocks), dtype=dtype))
 
 
 def param_count(params: dict) -> int:
@@ -154,15 +199,10 @@ def flatten_params(params: dict, cfg: NetConfig) -> np.ndarray:
 
 
 def unflatten_params(vec: np.ndarray, cfg: NetConfig, dtype=None) -> dict:
-    out, pos = {}, 0
-    for name, shape in canonical_blocks(cfg):
-        size = int(np.prod(shape))
-        block = vec[pos:pos + size].reshape(shape)
-        out[name] = block.astype(dtype) if dtype is not None else block.copy()
-        pos += size
-    if pos != vec.size:
-        raise ValueError(f"parameter vector has {vec.size} entries, expected {pos}")
-    return out
+    """Blocks of a copy of ``vec`` (cast to ``dtype`` if given), as :func:`flat_views`."""
+    vec = np.asarray(vec)
+    flat = vec.astype(dtype) if dtype is not None else vec.copy()
+    return flat_views(canonical_blocks(cfg), flat.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +225,14 @@ def positional_encoding(n: int, d_h: int, dtype=np.float32) -> np.ndarray:
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)[:, : d_h // 2]
     return pe.astype(dtype)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_positional_encoding(n: int, d_h: int, dtype: np.dtype) -> np.ndarray:
+    """:func:`positional_encoding`, computed once per ``(n, d_h, dtype)``; read-only."""
+    pe = positional_encoding(n, d_h, dtype)
+    pe.flags.writeable = False
+    return pe
 
 
 def _linear(x, w, b=None):
@@ -227,14 +275,24 @@ def _softmax_lastaxis_(z):
     return z
 
 
+def _row_mean(x):
+    """``x.mean(axis=-1, keepdims=True)`` with the same bits, minus its Python overhead.
+
+    ``.mean`` divides the float32 sum by the count in float64 and rounds back;
+    a float32 division rounds the same (double rounding is exact for a
+    quotient of two float32 values).
+    """
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm_(x, g, b, cache=None, key=None):
     """Layer norm of ``x``, which the caller owns and this overwrites.
 
     With a ``cache`` the normalised rows and inverse deviations are stored
     under ``key`` for the backward pass and the output is a new array.
     """
-    x -= x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + np.asarray(LN_EPS, dtype=x.dtype))
+    x -= _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(x * x) + np.asarray(LN_EPS, dtype=x.dtype))
     x *= inv
     if cache is None:
         x *= g
@@ -266,7 +324,7 @@ def _embed(x, params, cfg: NetConfig):
     if x.shape[-1] != cfg.d_in:
         raise ValueError(f"feature width {x.shape[-1]} != d_in {cfg.d_in}")
     h = _linear(x, params["input.w"], params["input.b"])
-    h += positional_encoding(x.shape[1], cfg.d_h, dtype=x.dtype)
+    h += _cached_positional_encoding(x.shape[1], cfg.d_h, x.dtype)
     return h
 
 
@@ -297,7 +355,7 @@ def _encoder_layer_forward(h_in, params, cfg: NetConfig, prefix: str, cache=None
     if cache is not None:
         cache.update(h1=h1, a_ff=a_ff)
     h_out = _layer_norm_(res2, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], cache, "ln2")
-    if not np.all(np.isfinite(h_out)):
+    if not np.isfinite(h_out).all():
         raise FloatingPointError(f"non-finite encoder output in layer {prefix}")
     return h_out
 
@@ -307,8 +365,10 @@ def _pool(h, params, cache=None):
     hc = _linear(h, params["pool.w_self"], params["pool.b_self"])
     hc += _linear_per_state(hmax, params["pool.w_max"], params["pool.b_max"])[:, None, :]
     if cache is not None:
-        # argmax routes the max-pool gradient
-        cache.update(h_enc=h, hmax=hmax, argmax_idx=h.argmax(axis=1), hc=hc)
+        # argmax routes the max-pool gradient; it runs along the last axis
+        # of a (B, d, N) copy rather than along the strided position axis
+        argmax_idx = np.ascontiguousarray(h.transpose(0, 2, 1)).argmax(axis=-1)
+        cache.update(h_enc=h, hmax=hmax, argmax_idx=argmax_idx, hc=hc)
     return hc
 
 
@@ -420,46 +480,47 @@ def forward(params, cfg: NetConfig, per_job, general, want_cache: bool = False):
 # backward
 
 
-def _weight_grad(a, d):
-    """Sum over all rows of ``outer(a_row, d_row)``: the gradient of ``a @ w``."""
-    return a.reshape(-1, a.shape[-1]).T @ d.reshape(-1, d.shape[-1])
+def _weight_grad(a, d, out):
+    """Sum over all rows of ``outer(a_row, d_row)``, the gradient of ``a @ w``, into ``out``."""
+    return np.matmul(a.reshape(-1, a.shape[-1]).T, d.reshape(-1, d.shape[-1]), out=out)
 
 
-def _layer_norm_backward(dy, g, ln_cache):
+def _row_sum(d, out):
+    """Sum over every axis but the last (the gradient of a bias), into ``out``."""
+    return d.sum(axis=tuple(range(d.ndim - 1)), out=out)
+
+
+def _layer_norm_backward(dy, ln_cache, g, dg, db):
+    """Input gradient of a layer norm; writes the gain and bias gradients into ``dg``, ``db``."""
     xhat, inv = ln_cache
-    axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes)
-    db = dy.sum(axis=axes)
+    _row_sum(dy * xhat, dg)
+    _row_sum(dy, db)
     dxhat = dy * g
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return dx, dg, db
+    return inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
 
 
 def _encoder_layer_backward(d_out, cache, params, cfg: NetConfig, prefix: str, grads: dict):
-    p = params
-    dres2, dg2, db2 = _layer_norm_backward(d_out, p[f"{prefix}.ln2.g"], cache["ln2"])
-    grads[f"{prefix}.ln2.g"] += dg2
-    grads[f"{prefix}.ln2.b"] += db2
+    p, gr = params, grads
+    dres2 = _layer_norm_backward(d_out, cache["ln2"], p[f"{prefix}.ln2.g"],
+                                 gr[f"{prefix}.ln2.g"], gr[f"{prefix}.ln2.b"])
 
     d_h1 = dres2.copy()
     d_ff_out = dres2
-    grads[f"{prefix}.ff.w2"] += _weight_grad(cache["a_ff"], d_ff_out)
-    grads[f"{prefix}.ff.b2"] += d_ff_out.sum(axis=(0, 1))
+    _weight_grad(cache["a_ff"], d_ff_out, gr[f"{prefix}.ff.w2"])
+    _row_sum(d_ff_out, gr[f"{prefix}.ff.b2"])
     d_aff = d_ff_out @ p[f"{prefix}.ff.w2"].T
     d_zff = d_aff * (cache["a_ff"] > 0)
-    grads[f"{prefix}.ff.w1"] += _weight_grad(cache["h1"], d_zff)
-    grads[f"{prefix}.ff.b1"] += d_zff.sum(axis=(0, 1))
+    _weight_grad(cache["h1"], d_zff, gr[f"{prefix}.ff.w1"])
+    _row_sum(d_zff, gr[f"{prefix}.ff.b1"])
     d_h1 += d_zff @ p[f"{prefix}.ff.w1"].T
 
-    dres1, dg1, db1 = _layer_norm_backward(d_h1, p[f"{prefix}.ln1.g"], cache["ln1"])
-    grads[f"{prefix}.ln1.g"] += dg1
-    grads[f"{prefix}.ln1.b"] += db1
+    dres1 = _layer_norm_backward(d_h1, cache["ln1"], p[f"{prefix}.ln1.g"],
+                                 gr[f"{prefix}.ln1.g"], gr[f"{prefix}.ln1.b"])
 
     d_in = dres1.copy()
     d_mha = dres1
-    grads[f"{prefix}.attn.wo"] += _weight_grad(cache["ctx"], d_mha)
-    grads[f"{prefix}.attn.bo"] += d_mha.sum(axis=(0, 1))
+    _weight_grad(cache["ctx"], d_mha, gr[f"{prefix}.attn.wo"])
+    _row_sum(d_mha, gr[f"{prefix}.attn.bo"])
     d_ctx = _split_heads(d_mha @ p[f"{prefix}.attn.wo"].T, cfg.n_heads)
 
     attn, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
@@ -473,8 +534,8 @@ def _encoder_layer_backward(d_out, cache, params, cfg: NetConfig, prefix: str, g
     h_in = cache["h_in"]
     for name, d_head in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
         d_full = _merge_heads(d_head)
-        grads[f"{prefix}.attn.{name}"] += _weight_grad(h_in, d_full)
-        grads[f"{prefix}.attn.{name.replace('w', 'b')}"] += d_full.sum(axis=(0, 1))
+        _weight_grad(h_in, d_full, gr[f"{prefix}.attn.{name}"])
+        _row_sum(d_full, gr[f"{prefix}.attn.{name.replace('w', 'b')}"])
         d_in = d_in + d_full @ p[f"{prefix}.attn.{name}"].T
     return d_in
 
@@ -485,6 +546,8 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
     ``d_logits`` is the loss gradient w.r.t. the masked pair logits (diagonal
     entries are ignored), ``d_value`` w.r.t. the value output. Shapes follow
     the batched forward: (B, N, N) and (B,); single-state shapes are promoted.
+    Every block is written once into its view of one flat gradient vector
+    (:func:`flat_views`, canonical order), which is checked for finiteness.
     """
     dtype = params["input.w"].dtype
     d_logits = np.asarray(d_logits, dtype=dtype)
@@ -492,20 +555,22 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
     if d_logits.ndim == 2:
         d_logits = d_logits[None]
     b, n, _ = cache["prob"].shape
-    grads = {name: np.zeros(shape, dtype=dtype) for name, shape in canonical_blocks(cfg)}
+    blocks = canonical_blocks(cfg)
+    flat = np.empty(_block_size(blocks), dtype=dtype)
+    grads = flat_views(blocks, flat)
 
     # value head
     dz3 = d_value[:, None]
-    grads["critic.w3"] += cache["a2"].T @ dz3
-    grads["critic.b3"] += dz3.sum(axis=0)
+    np.matmul(cache["a2"].T, dz3, out=grads["critic.w3"])
+    _row_sum(dz3, grads["critic.b3"])
     da2 = dz3 @ params["critic.w3"].T
     dz2 = da2 * (cache["a2"] > 0)
-    grads["critic.w2"] += cache["a1"].T @ dz2
-    grads["critic.b2"] += dz2.sum(axis=0)
+    np.matmul(cache["a1"].T, dz2, out=grads["critic.w2"])
+    _row_sum(dz2, grads["critic.b2"])
     da1 = dz2 @ params["critic.w2"].T
     dz1 = da1 * (cache["a1"] > 0)
-    grads["critic.w1"] += cache["cin"].T @ dz1
-    grads["critic.b1"] += dz1.sum(axis=0)
+    np.matmul(cache["cin"].T, dz1, out=grads["critic.w1"])
+    _row_sum(dz1, grads["critic.b1"])
     dcin = dz1 @ params["critic.w1"].T
     d_hc = np.broadcast_to((dcin[:, : cfg.d_h] / n)[:, None, :], cache["hc"].shape).copy()
 
@@ -515,17 +580,17 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
     qc, kc, hc = cache["qc"], cache["kc"], cache["hc"]
     d_kc = dy @ qc
     d_qc = dy.transpose(0, 2, 1) @ kc
-    grads["compat.wq"] += _weight_grad(hc, d_qc)
-    grads["compat.wk"] += _weight_grad(hc, d_kc)
+    _weight_grad(hc, d_qc, grads["compat.wq"])
+    _weight_grad(hc, d_kc, grads["compat.wk"])
     d_hc += d_qc @ params["compat.wq"].T + d_kc @ params["compat.wk"].T
 
     # pooling
     h_enc = cache["h_enc"]
-    grads["pool.w_self"] += _weight_grad(h_enc, d_hc)
-    grads["pool.b_self"] += d_hc.sum(axis=(0, 1))
+    _weight_grad(h_enc, d_hc, grads["pool.w_self"])
+    _row_sum(d_hc, grads["pool.b_self"])
     d_rows = d_hc.sum(axis=1)  # the max term feeds every row
-    grads["pool.w_max"] += cache["hmax"].T @ d_rows
-    grads["pool.b_max"] += d_rows.sum(axis=0)
+    np.matmul(cache["hmax"].T, d_rows, out=grads["pool.w_max"])
+    _row_sum(d_rows, grads["pool.b_max"])
     d_hmax = d_rows @ params["pool.w_max"].T
     d_h = d_hc @ params["pool.w_self"].T
     idx = cache["argmax_idx"]
@@ -534,12 +599,12 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
     # encoder stack, then the input projection
     for l in reversed(range(cfg.n_layers)):
         d_h = _encoder_layer_backward(d_h, cache["layers"][l], params, cfg, f"enc{l}", grads)
-    grads["input.w"] += _weight_grad(cache["x"], d_h)
-    grads["input.b"] += d_h.sum(axis=(0, 1))
+    _weight_grad(cache["x"], d_h, grads["input.w"])
+    _row_sum(d_h, grads["input.b"])
 
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in block {name}")
+    if not np.isfinite(flat).all():
+        bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise FloatingPointError(f"non-finite gradient in block {bad}")
     return grads
 
 
@@ -563,7 +628,7 @@ def sample_actions(prob, rngs, greedy: bool = False):
         raise ValueError(f"{len(rngs)} generators for {b} states")
     flat = p.reshape(b, -1)
     total = flat.sum(axis=1)
-    if not np.all(np.isfinite(total) & (total > 0)):
+    if not (np.isfinite(total) & (total > 0)).all():
         raise FloatingPointError("degenerate probability matrix: no finite mass")
     rows = np.arange(b)
     if greedy:
@@ -578,7 +643,7 @@ def sample_actions(prob, rngs, greedy: bool = False):
             idx[zero] -= 1
             zero = flat[rows, idx] == 0.0
     i, k = np.divmod(idx, n)
-    if np.any(i == k):
+    if (i == k).any():
         raise FloatingPointError("sampled a diagonal pair; probability matrix corrupt")
     return i, k, np.log(flat[rows, idx])
 
@@ -594,6 +659,17 @@ def sample_action(out: NetOutput, rng: np.random.Generator, greedy: bool = False
         raise ValueError("sample_action expects a single (N, N) probability matrix")
     i, k, logp = sample_actions(p[None], [rng], greedy=greedy)
     return PairAction(int(i[0]), int(k[0])), float(logp[0])
+
+
+def uniform_pair_probs(n: int) -> np.ndarray:
+    """The ``(n, n)`` float32 pair distribution of a network with all-zero
+    parameters: every off-diagonal pair scores 0, so each gets the float32
+    quotient ``1 / (n * (n - 1))`` and the diagonal gets 0, bit for bit."""
+    if n < 2:
+        raise ValueError("need at least 2 jobs")
+    prob = np.full((n, n), np.float32(1) / np.float32(n * (n - 1)), dtype=np.float32)
+    np.fill_diagonal(prob, 0)
+    return prob
 
 
 def prob_entropy(prob: np.ndarray) -> float | np.ndarray:
@@ -638,28 +714,27 @@ def save_checkpoint(path, params: dict, cfg: NetConfig, training_step: int = 0,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(params, cfg, header)`` with float32 params."""
-    raw = Path(path).read_bytes()
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    hlen = int(np.frombuffer(raw[off:off + 4], dtype="<u4")[0])
-    off += 4
-    header = json.loads(raw[off:off + hlen].decode())
-    off += hlen
-    cfg = NetConfig.from_dict(header["net_config"])
-    expected = canonical_blocks(cfg)
-    declared = [(b["name"], tuple(b["shape"])) for b in header["blocks"]]
-    if declared != expected:
-        raise ValueError(f"{path}: checkpoint block layout does not match net config")
-    params = {}
-    for name, shape in expected:
-        size = int(np.prod(shape)) * 4
-        params[name] = np.frombuffer(raw[off:off + size], dtype="<f4").reshape(shape).copy()
-        off += size
-    if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes after parameter blocks")
-    return params, cfg, header
+    """Read a checkpoint; returns ``(params, cfg, header)`` with float32 params.
+
+    The blocks are read straight into one flat vector that the returned
+    params are views of (:func:`flat_views`).
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        hlen = int.from_bytes(fh.read(4), "little")
+        header = json.loads(fh.read(hlen).decode())
+        cfg = NetConfig.from_dict(header["net_config"])
+        expected = canonical_blocks(cfg)
+        declared = [(b["name"], tuple(b["shape"])) for b in header["blocks"]]
+        if declared != expected:
+            raise ValueError(f"{path}: checkpoint block layout does not match net config")
+        flat = np.empty(_block_size(expected), dtype="<f4")
+        if fh.readinto(flat) != flat.nbytes:
+            raise ValueError(f"{path}: truncated parameter blocks")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after parameter blocks")
+    return flat_views(expected, flat), cfg, header
 
 
 def checkpoint_digest(path) -> str:
@@ -668,9 +743,10 @@ def checkpoint_digest(path) -> str:
 
 __all__ = [
     "LN_EPS", "NetConfig", "NetOutput", "canonical_blocks", "init_params",
-    "zero_params", "param_count", "flatten_params", "unflatten_params",
+    "zero_params", "param_count", "flat_views", "flat_buffer", "flatten_params",
+    "unflatten_params",
     "positional_encoding", "embed_jobs", "encoder_layer", "pool_and_integrate",
     "compatibility", "critic_value", "forward", "backward", "sample_actions",
-    "sample_action", "prob_entropy", "digest_rng_state", "save_checkpoint",
+    "sample_action", "uniform_pair_probs", "prob_entropy", "digest_rng_state", "save_checkpoint",
     "load_checkpoint", "checkpoint_digest",
 ]

@@ -13,21 +13,32 @@ worker owns an independent environment stream, so results depend only on
 episodes cut at the slice end), normalizes advantages batch-wide and runs
 ``epochs_per_batch`` epochs of minibatch Adam steps on the clipped surrogate
 loss. Gradients come from :func:`swapsched.policynet.backward`.
+
+The per-step costs are kept out of the loop without changing a bit of the
+results. The environment builds each instance's due-date sort, reference
+objectives and weighted-tardiness table once and scores a step from them in
+the summation order of the full objective. Parameters, gradients and both
+Adam moments each live in one flat float vector whose blocks the name-keyed
+dicts are views of, so an optimizer step is a few vector operations.
+Checkpoints and their trainer-state sidecars are written to temporary names
+and moved into place, so a crash leaves no torn resume point.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import policynet
-from .operators import PairAction, swap
-from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig,
-                        combined_objective, edd_sort, state_features)
+from .operators import check_pair
+from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig, ObjectiveTables,
+                        edd_sort, objective_f1, objective_f2, sequence_f2,
+                        state_features)
 
 log = logging.getLogger(__name__)
 
@@ -108,6 +119,16 @@ def best_improvement_reward(best_fc: float, new_fc: float) -> float:
     return max(0.0, new_fc - best_fc)
 
 
+@dataclass(frozen=True)
+class _EpisodeData:
+    """What every step of an episode on one instance reuses."""
+
+    sigma0: np.ndarray  # the due-date sort, the reference of fc
+    gt: np.ndarray  # ObjectiveTables.gt: weighted tardiness of (position, job)
+    f1_ref: float
+    f2_ref: float
+
+
 class SwapEnv:
     """Improvement-search episode over a pool of instances.
 
@@ -115,6 +136,13 @@ class SwapEnv:
     (combined objective 0 by construction); ``step`` applies one swap. The
     per-episode log of (action, fc) supports replay checks and the return
     identity test.
+
+    The due-date sort, the reference objectives and the weighted-tardiness
+    table of an instance are built on its first episode and reused. A step
+    then scores its permutation without re-sorting or re-validating it: f1 is
+    a gather-and-sum over ``gt`` and f2 runs :func:`sequence_f2`, both in the
+    summation order of ``objective_f1``/``objective_f2``, so fc is bitwise
+    what :func:`combined_objective` returns.
     """
 
     def __init__(self, pool: list[Instance], obj_cfg: ObjectiveConfig, ep_cfg: EpisodeConfig):
@@ -123,6 +151,7 @@ class SwapEnv:
         self.pool = list(pool)
         self.obj_cfg = obj_cfg
         self.ep_cfg = ep_cfg
+        self._data: dict[int, _EpisodeData] = {}
         self.inst: Instance | None = None
         self.inst_idx: int | None = None
         self.sigma0 = None
@@ -133,10 +162,25 @@ class SwapEnv:
         self.best_fc = 0.0
         self.episode_log: list[dict] = []
 
+    def _episode_data(self, idx: int) -> _EpisodeData:
+        data = self._data.get(idx)
+        if data is None:
+            inst = self.pool[idx]
+            sigma0 = edd_sort(inst)
+            data = _EpisodeData(
+                sigma0=sigma0, gt=ObjectiveTables(inst, self.obj_cfg, sigma0).gt,
+                f1_ref=objective_f1(inst, sigma0, self.obj_cfg),
+                f2_ref=objective_f2(inst, sigma0))
+            self._data[idx] = data
+        return data
+
+    def _select(self, idx: int | None) -> None:
+        self.inst_idx = idx
+        self.inst = None if idx is None else self.pool[idx]
+        self.sigma0 = None if idx is None else self._episode_data(idx).sigma0
+
     def reset(self, rng: np.random.Generator) -> FeatureMatrix:
-        self.inst_idx = int(rng.integers(len(self.pool)))
-        self.inst = self.pool[self.inst_idx]
-        self.sigma0 = edd_sort(self.inst)
+        self._select(int(rng.integers(len(self.pool))))
         self.perm = self.sigma0.copy()
         self.t = 0
         self.done = False
@@ -153,15 +197,21 @@ class SwapEnv:
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         i, k = action
-        self.perm = swap(self.perm, (i, k))
-        fc = combined_objective(self.inst, self.perm, self.sigma0, self.obj_cfg).fc
+        perm = self.perm.copy()
+        check_pair(len(perm), i, k)
+        perm[i], perm[k] = perm[k], perm[i]
+        self.perm = perm
+        data, cfg = self._data[self.inst_idx], self.obj_cfg
+        f1 = float(data.gt[np.arange(len(perm)), perm].sum())
+        f2 = float(sequence_f2(self.inst.proc[perm]))
+        fc = cfg.alpha1 * (data.f1_ref - f1) + cfg.alpha2 * (f2 - data.f2_ref)
         if self.ep_cfg.reward_mode == "dense":
             reward = fc / self.ep_cfg.step_budget
         else:
             reward = best_improvement_reward(self.best_fc, fc)
         if fc > self.best_fc:
             self.best_fc = fc
-            self.best_perm = self.perm.copy()
+            self.best_perm = perm.copy()
         self.t += 1
         self.done = self.t >= self.ep_cfg.step_budget
         self.episode_log.append({"action": (int(i), int(k)), "fc": fc, "reward": reward})
@@ -179,9 +229,7 @@ class SwapEnv:
         }
 
     def set_state(self, state: dict) -> None:
-        self.inst_idx = state["inst_idx"]
-        self.inst = None if self.inst_idx is None else self.pool[self.inst_idx]
-        self.sigma0 = None if self.inst is None else edd_sort(self.inst)
+        self._select(state["inst_idx"])
         self.perm = None if state["perm"] is None else np.array(state["perm"], dtype=np.int64)
         self.t = state["t"]
         self.done = state["done"]
@@ -389,34 +437,56 @@ def clip_grads_(grads: dict, max_norm: float | None) -> float:
 
 
 class Adam:
-    """Plain first-order adaptive-moment optimizer with bias correction."""
+    """Plain first-order adaptive-moment optimizer with bias correction.
+
+    Works on one flat parameter vector: the moments are flat vectors too
+    (``m`` and ``v`` are dicts of views into them, by block name), so a step
+    is a handful of vector operations whatever the number of blocks.
+    Parameters that are not already views of one vector
+    (:func:`swapsched.policynet.flat_buffer`) are moved into one: the dict's
+    entries are replaced by views of it.
+    """
 
     def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        layout = [(k, np.shape(v)) for k, v in params.items()]
+        self._params = policynet.flat_buffer(params)
+        if self._params is None:
+            self._params = np.concatenate([np.ravel(v) for v in params.values()])
+            params.update(policynet.flat_views(layout, self._params))
+        self._names = list(params)
+        self._views = list(params.values())
+        self._m = np.zeros_like(self._params)
+        self._v = np.zeros_like(self._params)
+        self.m = policynet.flat_views(layout, self._m)
+        self.v = policynet.flat_views(layout, self._v)
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
+        if len(params) != len(self._views) or any(
+                a is not b for a, b in zip(params.values(), self._views)):
+            raise ValueError("params are not the views this optimizer was built on")
+        g = policynet.flat_buffer(grads)
+        if g is None or list(grads) != self._names:
+            g = np.concatenate([np.ravel(grads[k]) for k in self._names])
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1 ** self.t
         correct2 = 1.0 - b2 ** self.t
-        for k, p in params.items():
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / correct1
-            vhat = self.v[k] / correct2
-            p -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype)
-
-    def get_state(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def set_state(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = {k: np.asarray(v) for k, v in state["m"].items()}
-        self.v = {k: np.asarray(v) for k, v in state["v"].items()}
+        # the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # p -= lr * mhat / (sqrt(vhat) + eps), in the same order and dtype
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        update = m / correct1
+        update *= lr
+        denom = v / correct2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        self._params -= update
 
 
 def ppo_update(params, net_cfg, batch: TrajectoryBatch, adv, targets,
@@ -477,13 +547,42 @@ def _sanitize(name: str) -> str:
     return name.replace(".", "__")
 
 
-def _save_trainer_state(path_base, optimizer: Adam, workers, update_rng,
-                        env_step, grad_step, next_checkpoint_at, actor_resets):
+def _replace_atomically(writes) -> None:
+    """Write each ``(path, write)`` pair through ``write(tmp)`` to ``<path>.tmp``,
+    then move the files into place with ``os.replace``, in order.
+
+    Nothing appears under a final name before every temporary file is
+    complete, so a write that fails leaves the final names as they were; its
+    temporary files are deleted.
+    """
+    tmps = [Path(f"{path}.tmp") for path, _ in writes]
+    try:
+        for tmp, (_, write) in zip(tmps, writes):
+            write(tmp)
+        for tmp, (path, _) in zip(tmps, writes):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+
+
+def _save_resume_point(path_base, params, net_cfg, experiment_config, optimizer: Adam,
+                       workers, update_rng, env_step, grad_step, next_checkpoint_at,
+                       actor_resets) -> str:
+    """Write ``<base>.ckpt`` and its ``.state.npz``/``.state.json`` sidecars.
+
+    The sidecars are moved into place first and the checkpoint last, so a
+    checkpoint under its final name always has its sidecars beside it.
+    """
     arrays = {}
     for kind, table in (("m", optimizer.m), ("v", optimizer.v)):
         for k, arr in table.items():
             arrays[f"{kind}__{_sanitize(k)}"] = arr
-    np.savez(str(path_base) + ".state.npz", **arrays)
+
+    def write_npz(tmp):
+        with open(tmp, "wb") as fh:  # a path would get ".npz" appended
+            np.savez(fh, **arrays)
+
     state = {
         "adam_t": optimizer.t,
         "env_step": env_step,
@@ -493,14 +592,24 @@ def _save_trainer_state(path_base, optimizer: Adam, workers, update_rng,
         "update_rng": update_rng.bit_generator.state,
         "workers": [w.get_state() for w in workers],
     }
-    Path(str(path_base) + ".state.json").write_text(json.dumps(state, sort_keys=True))
+    path = str(path_base) + ".ckpt"
+    _replace_atomically([
+        (str(path_base) + ".state.npz", write_npz),
+        (str(path_base) + ".state.json",
+         lambda tmp: tmp.write_text(json.dumps(state, sort_keys=True))),
+        (path, lambda tmp: policynet.save_checkpoint(
+            tmp, params, net_cfg, training_step=env_step,
+            rng_state_digest=policynet.digest_rng_state(update_rng),
+            experiment_config=experiment_config)),
+    ])
+    return path
 
 
 def _load_trainer_state(path_base, optimizer: Adam, workers, update_rng):
     data = np.load(str(path_base) + ".state.npz")
     for kind, table in (("m", optimizer.m), ("v", optimizer.v)):
-        for k in table:
-            table[k] = data[f"{kind}__{_sanitize(k)}"]
+        for k, view in table.items():
+            view[...] = data[f"{kind}__{_sanitize(k)}"]
     state = json.loads(Path(str(path_base) + ".state.json").read_text())
     optimizer.t = int(state["adam_t"])
     update_rng.bit_generator.state = state["update_rng"]
@@ -558,7 +667,9 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
     """Run PPO until the env-step budget is exhausted, saving checkpoints.
 
     Checkpoints (plus sidecar trainer state for exact resume) are written
-    every ``checkpoint_every`` env steps and at the end; training metrics go
+    every ``checkpoint_every`` env steps and at the end, each file to a
+    temporary name first, so a crash never leaves a torn file under a
+    checkpoint's name (see :func:`_save_resume_point`); training metrics go
     to ``metrics.jsonl``, one row per update. Fixed seeds give identical
     metrics and checkpoints for a fixed worker count. ``resume_from`` points
     at a previously written checkpoint path to continue bit-exactly.
@@ -610,13 +721,9 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
     quota = ppo_cfg.train_batch_size // ppo_cfg.n_rollout_workers
 
     def save_ckpt(step):
-        base = out_dir / f"ckpt_{step:010d}"
-        path = str(base) + ".ckpt"
-        policynet.save_checkpoint(path, params, net_cfg, training_step=step,
-                                  rng_state_digest=policynet.digest_rng_state(update_rng),
-                                  experiment_config=experiment_config)
-        _save_trainer_state(base, optimizer, workers, update_rng,
-                            step, grad_step, next_checkpoint_at, actor_resets)
+        path = _save_resume_point(out_dir / f"ckpt_{step:010d}", params, net_cfg,
+                                  experiment_config, optimizer, workers, update_rng,
+                                  step, grad_step, next_checkpoint_at, actor_resets)
         checkpoint_paths.append(path)
         return path
 

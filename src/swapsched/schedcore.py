@@ -251,8 +251,15 @@ def objective_f1(inst: Instance, perm, cfg: ObjectiveConfig):
 
 def objective_f2(inst: Instance, perm):
     """Sum over stations of |p difference| between consecutive jobs (maximize)."""
-    perm = check_permutations(perm, inst.n_jobs)
-    seq = inst.proc[perm]
+    return sequence_f2(inst.proc[check_permutations(perm, inst.n_jobs)])
+
+
+def sequence_f2(seq):
+    """f2 of processing-time rows already in sequence order, ``(..., N, W)``.
+
+    :func:`objective_f2` is this after checking the permutation; a caller
+    whose permutations are valid by construction gets the same bits from it.
+    """
     return _per_perm(np.abs(np.diff(seq, axis=-2)).sum(axis=(-2, -1)))
 
 
@@ -447,7 +454,7 @@ __all__ = [
     "check_permutation", "check_permutations", "completion_time",
     "completion_times", "tardiness", "weighted_tardiness",
     "weighted_tardiness_values", "objective_f1",
-    "objective_f2", "combined_objective", "job_features", "general_feature",
+    "objective_f2", "sequence_f2", "combined_objective", "job_features", "general_feature",
     "state_features", "instance_to_dict", "instance_from_dict",
     "save_instance", "load_instance", "edd_sort", "ObjectiveTables",
 ]

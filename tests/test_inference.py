@@ -229,3 +229,24 @@ def paper_scale_records(tmp_path) -> str:
 
 def test_paper_scale_records_match_golden(tmp_path):
     assert paper_scale_records(tmp_path) == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("gen", [
+    dict(n_jobs=6, n_stations=3, due_slack_s=0.0, due_noise_s=500.0, seed=7),  # desk
+    dict(seed=11),  # paper: N=20, W=12
+], ids=["N6", "N20"])
+def test_uniform_multirun_equals_zero_param_network(gen, obj_cfg):
+    # RAND-MR draws from the uniform pair matrix without a network; the
+    # draws, and so the records, are those of an all-zero network
+    inst = generate_instance(GeneratorConfig(**gen, count=1), 0)
+    net = pn.NetConfig(d_in=2 * inst.n_stations + 2, d_h=8, n_heads=1, n_layers=1, d_ff=8)
+    cfg = inf.InferenceConfig(runs_per_policy=30, step_budget=10, seed=3)
+    direct = inf.multirun(inst, None, None, cfg, obj_cfg, strategy_name="RAND-MR")
+    network = inf.multirun(inst, pn.zero_params(net), net, cfg, obj_cfg, strategy_name="RAND-MR")
+    assert json.dumps(direct.to_record()) == json.dumps(network.to_record())
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    lanes = inf.run_lanes(inst, None, None, obj_cfg, 10, rngs)
+    for r, ep in enumerate(lanes):
+        alone = inf.run_episode(inst, pn.zero_params(net), net, obj_cfg, 10,
+                                np.random.default_rng(r))
+        assert ep.actions == alone.actions and ep.fc_log == alone.fc_log

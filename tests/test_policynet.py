@@ -518,3 +518,102 @@ def test_sample_actions_rows_match_sample_action():
             action, lp = pn.sample_action(out, np.random.default_rng(b), greedy=greedy)
             assert action == (i[b], k[b])
             assert lp == logp[b]
+
+
+# ---------------------------------------------------------------------------
+# per-call waste: cached encodings, layer-norm reductions, pool argmax
+
+
+def test_cached_positional_encoding_is_read_only_and_fresh():
+    for n, d_h, dtype in ((6, 32, np.float32), (20, 128, np.float32), (5, 4, np.float64)):
+        cached = pn._cached_positional_encoding(n, d_h, np.dtype(dtype))
+        assert not cached.flags.writeable
+        assert cached.dtype == dtype
+        assert cached.tobytes() == pn.positional_encoding(n, d_h, dtype).tobytes()
+        assert pn._cached_positional_encoding(n, d_h, np.dtype(dtype)) is cached
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(1, 6, 32), (100, 6, 32), (1, 20, 128),
+                                   (30, 20, 128), (100, 6, 64)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_mean_matches_numpy_mean_bitwise(shape, dtype):
+    x = np.random.default_rng(64).normal(size=shape).astype(dtype) * 3.0 + 0.5
+    for a in (x, x * x):
+        got = pn._row_mean(a)
+        assert got.dtype == dtype
+        assert got.tobytes() == a.mean(axis=-1, keepdims=True).tobytes()
+
+
+def test_pool_argmax_routes_first_maximum():
+    h = np.zeros((2, 4, 3), dtype=np.float32)
+    h[0, 2, 0] = h[0, 3, 0] = 1.0  # tie: the first position wins
+    h[1, :, 1] = [0.0, 5.0, 5.0, 1.0]
+    cache = {}
+    pn._pool(h, pn.init_params(tiny_cfg(d_h=3, n_heads=1)), cache)
+    assert cache["argmax_idx"].tolist() == h.argmax(axis=1).tolist()
+
+
+# ---------------------------------------------------------------------------
+# flat parameter and gradient vectors
+
+
+def test_param_dict_views_share_one_flat_vector(tmp_path):
+    cfg = tiny_cfg(d_h=8, n_heads=2)
+    path = tmp_path / "net.ckpt"
+    pn.save_checkpoint(path, pn.init_params(cfg, seed=53), cfg)
+    for params in (pn.init_params(cfg, seed=53), pn.zero_params(cfg),
+                   pn.load_checkpoint(path)[0],
+                   pn.unflatten_params(np.arange(pn.param_count(pn.zero_params(cfg)),
+                                                 dtype=np.float32), cfg)):
+        flat = pn.flat_buffer(params)
+        assert flat is not None and flat.size == pn.param_count(params)
+        assert list(params) == [name for name, _ in pn.canonical_blocks(cfg)]
+        assert flat.tobytes() == pn.flatten_params(params, cfg).tobytes()
+        params["compat.wk"][1, 2] = 7.5  # a write through a view lands in the vector
+        names = list(params)
+        offset = sum(params[name].size for name in names[:names.index("compat.wk")])
+        assert flat[offset + 1 * cfg.d_h + 2] == 7.5
+        flat[0] = -3.0  # and the other way round
+        assert params["input.w"][0, 0] == -3.0
+    assert pn.flat_buffer({"a": np.zeros(3), "b": np.zeros(2)}) is None
+    params = pn.init_params(cfg, seed=53)
+    params["input.b"] = params["input.b"].copy()  # a replaced block breaks the aliasing
+    assert pn.flat_buffer(params) is None
+
+
+def test_backward_writes_one_flat_gradient_vector():
+    cfg = tiny_cfg(d_h=8, n_heads=2)
+    params = pn.init_params(cfg, seed=54, compat_gain=1.0)
+    x = np.random.default_rng(55).random((3, 5, cfg.d_in)).astype(np.float32)
+    out, cache = pn.forward(params, cfg, x, np.full(3, 0.2), want_cache=True)
+    d_logits = np.random.default_rng(56).normal(size=out.logits.shape)
+    grads = pn.backward(cache, d_logits, np.ones(3), params, cfg)
+    flat = pn.flat_buffer(grads)
+    assert flat is not None and flat.dtype == np.float32
+    assert list(grads) == [name for name, _ in pn.canonical_blocks(cfg)]
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="non-finite gradient in block"):
+        pn.backward(cache, d_logits, np.full(3, np.inf), params, cfg)
+
+
+def test_checkpoint_rejects_truncated_and_trailing_bytes(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "net.ckpt"
+    pn.save_checkpoint(path, pn.init_params(cfg, seed=57), cfg)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4])
+    with pytest.raises(ValueError, match="truncated"):
+        pn.load_checkpoint(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        pn.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("n", [2, 6, 20])
+def test_uniform_pair_probs_equal_zero_param_forward(n):
+    cfg = pn.NetConfig(d_in=8, d_h=8, n_heads=1, n_layers=1, d_ff=8)
+    x = np.random.default_rng(58).random((n, cfg.d_in))
+    out = pn.forward(pn.zero_params(cfg), cfg, x, 0.5)
+    assert pn.uniform_pair_probs(n).tobytes() == out.prob_matrix.tobytes()

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,53 @@ def test_best_improvement_helper():
     assert ppo.best_improvement_reward(0.0, 0.7) == pytest.approx(0.7)
 
 
+def _desk_pool(count=20, seed=1001):
+    gen = GeneratorConfig(n_jobs=6, n_stations=3, due_slack_s=0.0, due_noise_s=700.0,
+                          p_min_frac=0.0, seed=seed, count=count)
+    return [generate_instance(gen, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("reward_mode", ["dense", "best_improvement"])
+def test_env_step_matches_combined_objective_bitwise(obj_cfg, reward_mode):
+    # the env scores from cached per-instance tables; combined_objective is
+    # the independent reference and every value must agree to the bit
+    pool = _desk_pool()
+    ep_cfg = ppo.EpisodeConfig(step_budget=10, reward_mode=reward_mode)
+    env = ppo.SwapEnv(pool, obj_cfg, ep_cfg)
+    rng = np.random.default_rng(65)
+    for episode in range(40):
+        env.reset(rng)
+        if episode % 4 == 3:  # continue in a fresh env restored mid-episode
+            for _ in range(int(rng.integers(1, 10))):
+                env.step(tuple(rng.choice(6, size=2, replace=False)))
+            state = json.loads(json.dumps(env.get_state()))
+            env = ppo.SwapEnv(pool, obj_cfg, ep_cfg)
+            env.set_state(state)
+        inst, sigma0 = pool[env.inst_idx], edd_sort(pool[env.inst_idx])
+        best_fc = env.best_fc
+        while not env.done:
+            i, k = rng.choice(6, size=2, replace=False)
+            _, reward, _, info = env.step((int(i), int(k)))
+            fc = combined_objective(inst, env.perm, sigma0, obj_cfg).fc
+            assert type(info["fc"]) is float and info["fc"] == fc
+            if reward_mode == "dense":
+                assert reward == fc / ep_cfg.step_budget
+            else:
+                assert reward == ppo.best_improvement_reward(best_fc, fc)
+            best_fc = max(best_fc, fc)
+            assert info["best_fc"] == env.best_fc == best_fc
+        assert combined_objective(inst, env.best_perm, sigma0, obj_cfg).fc == env.best_fc
+
+
+def test_env_step_rejects_bad_pairs_and_keeps_state(env):
+    env.reset(np.random.default_rng(0))
+    before = env.perm.copy()
+    for bad in ((1, 1), (0, 5), (-1, 2)):
+        with pytest.raises(ValueError):
+            env.step(bad)
+        assert np.array_equal(env.perm, before) and env.t == 0
+
+
 # ---------------------------------------------------------------------------
 # GAE
 
@@ -243,6 +292,48 @@ def test_adam_moves_against_gradient():
     grads = {"w": np.array([0.5, -0.5])}
     opt.step(params, grads, lr=0.1)
     assert params["w"][0] < 1.0 and params["w"][1] > -2.0
+
+
+def _adam_reference_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-block Adam loop the flat vector update replaced."""
+    state["t"] += 1
+    correct1 = 1.0 - beta1 ** state["t"]
+    correct2 = 1.0 - beta2 ** state["t"]
+    for k, p in params.items():
+        g = grads[k]
+        state["m"][k] = beta1 * state["m"][k] + (1 - beta1) * g
+        state["v"][k] = beta2 * state["v"][k] + (1 - beta2) * g * g
+        mhat = state["m"][k] / correct1
+        vhat = state["v"][k] / correct2
+        p -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_step_matches_per_block_loop(dtype):
+    cfg = pn.NetConfig(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64)
+    params = pn.init_params(cfg, seed=66, dtype=dtype)
+    ref = {k: v.copy() for k, v in params.items()}
+    state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in ref.items()},
+             "v": {k: np.zeros_like(v) for k, v in ref.items()}}
+    opt = ppo.Adam(params)
+    assert pn.flat_buffer(params) is not None
+    rng = np.random.default_rng(67)
+    for step in range(5):
+        grads = pn.unflatten_params(rng.normal(size=pn.param_count(params)) * 10.0 ** -step,
+                                    cfg, dtype=dtype)
+        if step == 2:
+            grads["critic.b3"][...] = 0.0
+        if step == 3:  # a dict that is not one flat vector takes the same path
+            grads = {k: v.copy() for k, v in grads.items()}
+        lr = 1e-3 * (step + 1)
+        opt.step(params, grads, lr)
+        _adam_reference_step(state, ref, grads, lr)
+        for k in params:
+            assert params[k].tobytes() == ref[k].tobytes(), k
+            assert opt.m[k].tobytes() == state["m"][k].tobytes(), k
+            assert opt.v[k].tobytes() == state["v"][k].tobytes(), k
+    with pytest.raises(ValueError):
+        opt.step({k: v.copy() for k, v in params.items()}, grads, 1e-3)
 
 
 def test_grad_clip_scales_norm():
@@ -374,6 +465,68 @@ def test_train_resume_in_place_rewrites_later_rows(tmp_path, obj_cfg):
     resumed = open(run.metrics_path).read()
     assert [json.loads(l)["env_step"] for l in resumed.splitlines()] == [100, 200, 300, 400]
     assert resumed == uninterrupted
+
+
+def test_failed_resume_point_write_leaves_previous_files(tmp_path, obj_cfg, monkeypatch):
+    pcfg = ppo.PPOConfig(total_env_steps=200, train_batch_size=100, minibatch_size=50,
+                         epochs_per_batch=1, checkpoint_every=100, seed=9)
+    args = (small_pool(), tiny_net(), pcfg, ppo.EpisodeConfig(step_budget=5), obj_cfg)
+    run = tmp_path / "run"
+    ppo.train(*args, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+
+    def torn_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    # the rewrite of ckpt_0000000200 fails halfway through its first file
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError, match="disk full"):
+        ppo.train(*args, run, resume_from=run / "ckpt_0000000100.ckpt")
+    after = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert set(after) == set(before)  # no temporary file left behind
+    for name, data in before.items():
+        if name != "metrics.jsonl":
+            assert after[name] == data, name
+
+    # a first write that fails leaves no file under a checkpoint's name
+    with pytest.raises(OSError, match="disk full"):
+        ppo.train(*args, tmp_path / "fresh")
+    assert not [p.name for p in (tmp_path / "fresh").iterdir() if p.name.startswith("ckpt_")]
+
+    monkeypatch.undo()
+    ppo.train(*args, run, resume_from=run / "ckpt_0000000100.ckpt")
+    for name in ("ckpt_0000000200.ckpt", "ckpt_0000000200.state.npz", "metrics.jsonl"):
+        assert (run / name).read_bytes() == before[name], name
+
+
+TRAIN_GOLDEN = Path(__file__).parent / "data" / "train_golden_desk.json"
+
+
+def desk_training_record(out) -> str:
+    """``metrics.jsonl`` and final resume-point digests of a two-update desk run.
+
+    ``TRAIN_GOLDEN`` holds the output of this function from the trainer
+    before the cached episode data and the flat parameter, gradient and
+    moment vectors.
+    """
+    net = pn.NetConfig(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64)
+    pcfg = ppo.PPOConfig(total_env_steps=400, train_batch_size=200, minibatch_size=50,
+                         epochs_per_batch=4, lr_start=5e-4, lr_end=2e-5,
+                         lr_warmup_env_steps=1000, value_coeff=0.25, grad_clip_norm=1.0,
+                         entropy_coeff=0.1, entropy_warmup_env_steps=200, seed=3)
+    res = ppo.train(_desk_pool(), net, pcfg, ppo.EpisodeConfig(step_budget=10, gamma=0.99),
+                    ObjectiveConfig(), out)
+    base = res.final_checkpoint[: -len(".ckpt")]
+    record = {"metrics_jsonl": Path(res.metrics_path).read_text(),
+              "sha256": {s: hashlib.sha256(Path(base + s).read_bytes()).hexdigest()
+                         for s in (".ckpt", ".state.npz", ".state.json")}}
+    return json.dumps(record, sort_keys=True, indent=1) + "\n"
+
+
+def test_desk_training_matches_golden(tmp_path):
+    # byte identity holds for a fixed BLAS thread count (see README)
+    assert desk_training_record(tmp_path / "run") == TRAIN_GOLDEN.read_text()
 
 
 def test_train_parallel_workers_match_sequential(tmp_path, obj_cfg):
