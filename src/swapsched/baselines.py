@@ -138,10 +138,11 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
         ref_perm = start
     rng = np.random.default_rng(cfg.seed)
     n = inst.n_jobs
-    swap_delta = ObjectiveTables(inst, obj_cfg, ref_perm).swap_delta
+    tables = ObjectiveTables(inst, obj_cfg, ref_perm)
+    swap_delta = tables.swap_delta
 
     current = start.tolist()  # validated once; list indexing keeps the loop cheap
-    current_fc = combined_objective(inst, start, ref_perm, obj_cfg).fc
+    current_fc = tables.fc(start)
     best = start.copy()
     best_fc = current_fc
     trace = []
@@ -161,7 +162,7 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
             if current_fc > best_fc:
                 # re-evaluate exactly so accumulated float drift cannot leak
                 # into the reported optimum
-                exact = combined_objective(inst, current, ref_perm, obj_cfg).fc
+                exact = tables.fc(current)
                 if exact > best_fc:
                     best = np.array(current, dtype=np.int64)
                     best_fc = exact

@@ -15,10 +15,12 @@ statistical tendency.
 All runs of one policy step in lockstep as lanes of one engine
 (:func:`run_lanes`): each step builds the features of every lane at once,
 evaluates the network once on the whole batch, draws each lane's swap from
-that lane's own generator and scores all lanes with one objective call.
-Every layer is batch-invariant -- row r of a batch is bitwise equal to the
-same state evaluated alone -- so a lane reproduces exactly the rollout it
-would make on its own. :func:`run_episode` is the one-lane case.
+that lane's own generator and scores all lanes with one
+:meth:`~swapsched.schedcore.ObjectiveTables.fc` call. Every layer is
+batch-invariant -- row r of a batch is bitwise equal to the same state
+evaluated alone -- so a lane reproduces exactly the rollout it would make on
+its own. :func:`run_episode` is the one-lane case. The final reports come
+from :func:`~swapsched.schedcore.combined_objective`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policynet
-from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport,
-                        combined_objective, edd_sort, state_features)
+from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
+                        combined_objective, state_features)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,8 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
     the distribution a network with all-zero parameters outputs, so the
     draws are the same without building features or running a network.
     """
-    sigma0 = edd_sort(inst)
+    tables = ObjectiveTables(inst, obj_cfg)  # reference: the due-date sort
+    sigma0 = tables.ref
     n_lanes = len(rngs)
     if params is None:
         uniform = np.broadcast_to(policynet.uniform_pair_probs(inst.n_jobs),
@@ -126,7 +129,7 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
                                      np.full(n_lanes, fm.general)).prob_matrix
         i, k, _ = policynet.sample_actions(prob, rngs, greedy=greedy)
         perms[lanes, i], perms[lanes, k] = perms[lanes, k], perms[lanes, i]
-        fc = combined_objective(inst, perms, sigma0, obj_cfg).fc
+        fc = tables.fc(perms)
         actions[:, t, 0], actions[:, t, 1] = i, k
         fc_log[:, t] = fc
         better = fc > best_fc

@@ -73,12 +73,14 @@ class NetConfig:
     n_heads: int = 2
     n_layers: int = 2
     d_ff: int = 512
-    d_gen: int = 1
+    d_gen: int = 1  # width of the general feature, the one scalar t/T
     compat_init_gain: float = 0.25
 
     def __post_init__(self):
-        if min(self.d_in, self.d_h, self.n_heads, self.n_layers, self.d_ff, self.d_gen) < 1:
+        if min(self.d_in, self.d_h, self.n_heads, self.n_layers, self.d_ff) < 1:
             raise ValueError("all network dimensions must be >= 1")
+        if self.d_gen != 1:
+            raise ValueError(f"d_gen must be 1 (the general feature is t/T), got {self.d_gen}")
         if self.d_h % self.n_heads:
             raise ValueError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
         if self.compat_init_gain <= 0:

@@ -6,20 +6,21 @@ combined objective of the new permutation divided by T, so the undiscounted
 return telescopes to the mean combined objective over the visited
 permutations. A sparser best-improvement reward is available for ablation.
 
-Training is single-process PPO with optional parallel rollout workers: every
-worker owns an independent environment stream, so results depend only on
-(seed, worker count), not on scheduling. One update consumes exactly
+Training is single-process PPO. With several rollout workers, each owns an
+independent environment stream and the workers collect one after another,
+so results depend only on (seed, worker count). One update consumes exactly
 ``train_batch_size`` transitions, computes GAE per worker slice (bootstrapping
 episodes cut at the slice end), normalizes advantages batch-wide and runs
 ``epochs_per_batch`` epochs of minibatch Adam steps on the clipped surrogate
 loss. Gradients come from :func:`swapsched.policynet.backward`.
 
 The per-step costs are kept out of the loop without changing a bit of the
-results. The environment builds each instance's due-date sort, reference
-objectives and weighted-tardiness table once and scores a step from them in
-the summation order of the full objective. Parameters, gradients and both
-Adam moments each live in one flat float vector whose blocks the name-keyed
-dicts are views of, so an optimizer step is a few vector operations.
+results. The environment builds each instance's
+:class:`~swapsched.schedcore.ObjectiveTables` once and scores every step with
+its ``fc``, the scorer the inference lanes and SA use too, bitwise the full
+objective. Parameters, gradients and both Adam moments each live in one flat
+float vector whose blocks the name-keyed dicts are views of, so an optimizer
+step is a few vector operations.
 Checkpoints and their trainer-state sidecars are written to temporary names
 and moved into place, so a crash leaves no torn resume point.
 """
@@ -37,8 +38,7 @@ import numpy as np
 from . import policynet
 from .operators import check_pair
 from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig, ObjectiveTables,
-                        edd_sort, objective_f1, objective_f2, sequence_f2,
-                        state_features)
+                        edd_sort, state_features)
 
 log = logging.getLogger(__name__)
 
@@ -119,16 +119,6 @@ def best_improvement_reward(best_fc: float, new_fc: float) -> float:
     return max(0.0, new_fc - best_fc)
 
 
-@dataclass(frozen=True)
-class _EpisodeData:
-    """What every step of an episode on one instance reuses."""
-
-    sigma0: np.ndarray  # the due-date sort, the reference of fc
-    gt: np.ndarray  # ObjectiveTables.gt: weighted tardiness of (position, job)
-    f1_ref: float
-    f2_ref: float
-
-
 class SwapEnv:
     """Improvement-search episode over a pool of instances.
 
@@ -137,12 +127,10 @@ class SwapEnv:
     per-episode log of (action, fc) supports replay checks and the return
     identity test.
 
-    The due-date sort, the reference objectives and the weighted-tardiness
-    table of an instance are built on its first episode and reused. A step
-    then scores its permutation without re-sorting or re-validating it: f1 is
-    a gather-and-sum over ``gt`` and f2 runs :func:`sequence_f2`, both in the
-    summation order of ``objective_f1``/``objective_f2``, so fc is bitwise
-    what :func:`combined_objective` returns.
+    Each instance's :class:`ObjectiveTables` (reference: its due-date sort)
+    is built on its first episode and reused. A step checks only the action
+    pair and scores the new permutation with :meth:`ObjectiveTables.fc`,
+    bitwise what :func:`combined_objective` returns.
     """
 
     def __init__(self, pool: list[Instance], obj_cfg: ObjectiveConfig, ep_cfg: EpisodeConfig):
@@ -151,10 +139,10 @@ class SwapEnv:
         self.pool = list(pool)
         self.obj_cfg = obj_cfg
         self.ep_cfg = ep_cfg
-        self._data: dict[int, _EpisodeData] = {}
+        self._tables: dict[int, ObjectiveTables] = {}
         self.inst: Instance | None = None
         self.inst_idx: int | None = None
-        self.sigma0 = None
+        self.tables: ObjectiveTables | None = None
         self.perm = None
         self.t = 0
         self.done = True
@@ -162,22 +150,17 @@ class SwapEnv:
         self.best_fc = 0.0
         self.episode_log: list[dict] = []
 
-    def _episode_data(self, idx: int) -> _EpisodeData:
-        data = self._data.get(idx)
-        if data is None:
-            inst = self.pool[idx]
-            sigma0 = edd_sort(inst)
-            data = _EpisodeData(
-                sigma0=sigma0, gt=ObjectiveTables(inst, self.obj_cfg, sigma0).gt,
-                f1_ref=objective_f1(inst, sigma0, self.obj_cfg),
-                f2_ref=objective_f2(inst, sigma0))
-            self._data[idx] = data
-        return data
+    @property
+    def sigma0(self) -> np.ndarray | None:
+        """The due-date sort of the current instance, the reference of fc."""
+        return None if self.tables is None else self.tables.ref
 
     def _select(self, idx: int | None) -> None:
         self.inst_idx = idx
         self.inst = None if idx is None else self.pool[idx]
-        self.sigma0 = None if idx is None else self._episode_data(idx).sigma0
+        if idx is not None and idx not in self._tables:
+            self._tables[idx] = ObjectiveTables(self.inst, self.obj_cfg)
+        self.tables = None if idx is None else self._tables[idx]
 
     def reset(self, rng: np.random.Generator) -> FeatureMatrix:
         self._select(int(rng.integers(len(self.pool))))
@@ -201,10 +184,7 @@ class SwapEnv:
         check_pair(len(perm), i, k)
         perm[i], perm[k] = perm[k], perm[i]
         self.perm = perm
-        data, cfg = self._data[self.inst_idx], self.obj_cfg
-        f1 = float(data.gt[np.arange(len(perm)), perm].sum())
-        f2 = float(sequence_f2(self.inst.proc[perm]))
-        fc = cfg.alpha1 * (data.f1_ref - f1) + cfg.alpha2 * (f2 - data.f2_ref)
+        fc = self.tables.fc(perm)
         if self.ep_cfg.reward_mode == "dense":
             reward = fc / self.ep_cfg.step_budget
         else:
@@ -340,13 +320,6 @@ class RolloutWorker:
         self.env.set_state(state["env"])
         self.ep_rewards = list(state["ep_rewards"])
         self.state = self.env._state() if state["has_state"] and not self.env.done else None
-        if state["has_state"] and self.env.done:
-            self.state = None
-
-
-def _collect_remote(worker: RolloutWorker, params, net_cfg, n_steps):
-    batch = worker.collect(params, net_cfg, n_steps)
-    return batch, worker.get_state()
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +636,7 @@ def _redraw_compat(params, net_cfg, seed_key) -> None:
 
 def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig,
           ep_cfg: EpisodeConfig, obj_cfg: ObjectiveConfig, out_dir,
-          pool_digest: str = "", resume_from=None, executor=None) -> TrainResult:
+          pool_digest: str = "", resume_from=None) -> TrainResult:
     """Run PPO until the env-step budget is exhausted, saving checkpoints.
 
     Checkpoints (plus sidecar trainer state for exact resume) are written
@@ -730,21 +703,7 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
     metrics_fh = open(metrics_path, metrics_mode)
     try:
         while env_step < ppo_cfg.total_env_steps:
-            try:
-                if executor is not None:
-                    results = list(executor.map(
-                        _collect_remote, workers,
-                        [params] * len(workers), [net_cfg] * len(workers),
-                        [quota] * len(workers)))
-                    slices = []
-                    for w, (slc, wstate) in zip(workers, results):
-                        w.set_state(wstate)
-                        slices.append(slc)
-                else:
-                    slices = [w.collect(params, net_cfg, quota) for w in workers]
-            except Exception:
-                metrics_fh.flush()
-                raise
+            slices = [w.collect(params, net_cfg, quota) for w in workers]
 
             adv_parts, tgt_parts = [], []
             for slc in slices:
@@ -805,10 +764,12 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
             metrics_fh.flush()
 
             if env_step >= next_checkpoint_at and env_step < ppo_cfg.total_env_steps:
-                save_ckpt(env_step)
+                # advance first: the resume point records where the next
+                # checkpoint falls, as the uninterrupted run continues
                 every = ppo_cfg.effective_checkpoint_every()
                 while next_checkpoint_at <= env_step:
                     next_checkpoint_at += every
+                save_ckpt(env_step)
     finally:
         metrics_fh.close()
 

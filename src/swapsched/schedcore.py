@@ -286,32 +286,49 @@ class ObjectiveTables:
 
     * ``gt[pos, job]`` -- exp(tardiness / scale) of ``job`` at ``pos``,
     * ``dist[a, b]`` -- sum over stations of |p_a - p_b| (symmetric),
-    * ``f1_ref`` / ``f2_ref`` -- the objectives of the reference permutation
-      (the due-date sort unless ``ref_perm`` is given).
+    * ``ref`` -- the reference permutation (the due-date sort unless
+      ``ref_perm`` is given), with ``f1_ref`` / ``f2_ref`` its objectives.
 
     A swap delta is then a handful of scalar lookups and a full evaluation is
     fancy indexing. The kernels do not validate their inputs; callers check
     permutations and positions once, outside their loops.
-    ``combined_objective`` stays the independent reference implementation.
+
+    :meth:`fc` is the one scorer of swap-search states (env steps, inference
+    lanes, SA): it sums in ``objective_f1``/``objective_f2`` order, so it is
+    bitwise :func:`combined_objective`'s fc. :meth:`evaluate`, the brute-force
+    oracle's block kernel, sums f2 over ``dist`` gathers instead: several
+    times faster on large blocks and exactly 0 for the reference, but ulps
+    off ``objective_f2``. ``combined_objective`` stays the independent
+    reference implementation.
     """
 
     def __init__(self, inst: Instance, cfg: ObjectiveConfig, ref_perm=None):
         ref = check_permutation(edd_sort(inst) if ref_perm is None else ref_perm, inst.n_jobs)
         self.alpha1, self.alpha2 = cfg.alpha1, cfg.alpha2
+        self.ref = ref.copy()
+        self.ref.flags.writeable = False  # the reference values below rest on it
+        self._proc = inst.proc
         self.gt = _weighted_tardiness_from_raw(
             completion_times(inst)[:, None] - inst.due[None, :], cfg)
         self.dist = np.abs(inst.proc[:, None, :] - inst.proc[None, :, :]).sum(axis=2)
         self._pos = np.arange(inst.n_jobs)
         self.f1_ref = float(self.gt[self._pos, ref].sum())
         self.f2_ref = float(self.dist[ref[:-1], ref[1:]].sum())
-        # nested lists: scalar indexing is several times cheaper than numpy's
-        self._gt_rows = self.gt.tolist()
-        self._dist_rows = self.dist.tolist()
+        self._f2_ref_seq = sequence_f2(inst.proc[ref])  # objective_f2's bits
+        self._gt_rows = self._dist_rows = None  # see _rows
+
+    def _rows(self) -> tuple[list, list]:
+        # nested lists for the swap deltas (scalar indexing is several times
+        # cheaper than numpy's), built on first use: the scorers never need
+        # them. Plain attributes keep the loads faster than a cached property.
+        self._gt_rows, self._dist_rows = self.gt.tolist(), self.dist.tolist()
+        return self._gt_rows, self._dist_rows
 
     def f1_swap_delta(self, perm, i: int, k: int) -> float:
         """f1 after swapping positions i and k minus f1 before."""
         a, b = perm[i], perm[k]
-        gi, gk = self._gt_rows[i], self._gt_rows[k]
+        gt_rows = self._gt_rows or self._rows()[0]
+        gi, gk = gt_rows[i], gt_rows[k]
         return (gi[b] + gk[a]) - (gi[a] + gk[b])
 
     def f2_swap_delta(self, perm, i: int, k: int) -> float:
@@ -323,20 +340,21 @@ class ObjectiveTables:
         if i > k:
             i, k = k, i
         a, b = perm[i], perm[k]
+        dist_rows = self._dist_rows or self._rows()[1]
         before = after = 0.0
         if i > 0:
-            row = self._dist_rows[perm[i - 1]]
+            row = dist_rows[perm[i - 1]]
             before += row[a]
             after += row[b]
         if k < len(perm) - 1:
-            row = self._dist_rows[perm[k + 1]]
+            row = dist_rows[perm[k + 1]]
             before += row[b]
             after += row[a]
         if k - i > 1:
-            row = self._dist_rows[perm[i + 1]]
+            row = dist_rows[perm[i + 1]]
             before += row[a]
             after += row[b]
-            row = self._dist_rows[perm[k - 1]]
+            row = dist_rows[perm[k - 1]]
             before += row[b]
             after += row[a]
         return after - before
@@ -345,6 +363,15 @@ class ObjectiveTables:
         """fc after swapping positions i and k minus fc before (reference cancels)."""
         return (-self.alpha1 * self.f1_swap_delta(perm, i, k)
                 + self.alpha2 * self.f2_swap_delta(perm, i, k))
+
+    def fc(self, perms):
+        """fc of an ``(N,)`` permutation (a float) or a ``(B, N)`` block
+        (a ``(B,)`` vector), bitwise ``combined_objective(...).fc``."""
+        perms = np.asarray(perms)
+        f1 = self.gt[self._pos, perms].sum(axis=-1)
+        f2 = sequence_f2(self._proc[perms])
+        return _per_perm(self.alpha1 * (self.f1_ref - f1)
+                         + self.alpha2 * (f2 - self._f2_ref_seq))
 
     def evaluate(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(fc, f1, f2)`` vectors for a ``(B, N)`` block of permutations."""

@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import itertools
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +270,24 @@ def test_heatmap_uniform_grid_mid_color(tmp_path):
     root = ET.parse(tmp_path / "u.svg").getroot()
     fills = {e.get("fill") for e in root.iter() if e.tag.endswith("rect")}
     assert len(fills) == 1  # uniform mid-scale color
+
+
+# ---------------------------------------------------------------------------
+# traced benchmark
+
+
+def test_traced_benchmark_names_resolve():
+    # perfbench/run.py --trace 1 patches every (module, attr) of TRACED and
+    # dies on a name the package no longer has
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, attr in spans.TRACED:
+        owner = importlib.import_module(f"swapsched.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(owner, cls_name)).get(meth)), f"{module}.{attr}"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{module}.{attr}"

@@ -95,6 +95,17 @@ def test_oracle_subcommand(tmp_path, inst_dir, capsys):
     assert sorted(rec["best_permutation_1based"]) == [1, 2, 3, 4, 5]
 
 
+def test_train_rejects_wide_general_feature(tmp_path, inst_dir, capsys):
+    cfg = write_cfg(tmp_path, "train.json", {
+        "instance_dir": str(inst_dir),
+        "net": {"d_h": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16, "d_gen": 2},
+        "ppo": {"total_env_steps": 50, "train_batch_size": 50, "minibatch_size": 25},
+        "out_dir": str(tmp_path / "run")})
+    assert cli.main(["train", "--config", cfg]) == 2
+    assert "d_gen" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_and_infer_roundtrip(tmp_path, inst_dir, capsys):
     train_cfg = write_cfg(tmp_path, "train.json", {
         "instance_dir": str(inst_dir),

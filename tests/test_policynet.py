@@ -477,6 +477,9 @@ def test_net_config_validation():
         pn.NetConfig(d_in=5, d_h=6, n_heads=4)
     with pytest.raises(ValueError):
         pn.NetConfig(d_in=0)
+    for d_gen in (0, 2):
+        with pytest.raises(ValueError, match="d_gen"):
+            pn.NetConfig(d_in=8, d_gen=d_gen)
 
 
 # ---------------------------------------------------------------------------

@@ -529,22 +529,38 @@ def test_desk_training_matches_golden(tmp_path):
     assert desk_training_record(tmp_path / "run") == TRAIN_GOLDEN.read_text()
 
 
-def test_train_parallel_workers_match_sequential(tmp_path, obj_cfg):
-    net_cfg = tiny_net()
-    ep_cfg = ppo.EpisodeConfig(step_budget=5)
-    pool = small_pool()
-    pcfg = ppo.PPOConfig(total_env_steps=60, train_batch_size=60, minibatch_size=30,
-                         epochs_per_batch=2, n_rollout_workers=2, seed=7)
-    seq = ppo.train(pool, net_cfg, pcfg, ep_cfg, obj_cfg, tmp_path / "seq")
-    from concurrent.futures import ProcessPoolExecutor
-    try:
-        with ProcessPoolExecutor(max_workers=2) as ex:
-            par = ppo.train(pool, net_cfg, pcfg, ep_cfg, obj_cfg, tmp_path / "par",
-                            executor=ex)
-    except (OSError, PermissionError) as exc:
-        pytest.skip(f"process pool unavailable here: {exc}")
-    assert open(seq.metrics_path).read() == open(par.metrics_path).read()
-    assert open(seq.final_checkpoint, "rb").read() == open(par.final_checkpoint, "rb").read()
+def _run_files(run: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+
+
+def test_train_resume_in_place_rewrites_identical_files(tmp_path, obj_cfg):
+    # each resume point records the next checkpoint step of the run that goes on
+    pcfg = ppo.PPOConfig(total_env_steps=300, train_batch_size=100, minibatch_size=50,
+                         epochs_per_batch=1, checkpoint_every=100, seed=10)
+    args = (small_pool(), tiny_net(), pcfg, ppo.EpisodeConfig(step_budget=5), obj_cfg)
+    run = tmp_path / "run"
+    ppo.train(*args, run)
+    uninterrupted = _run_files(run)
+    assert json.loads(uninterrupted["ckpt_0000000200.state.json"])["next_checkpoint_at"] == 300
+
+    ppo.train(*args, run, resume_from=run / "ckpt_0000000100.ckpt")
+    assert _run_files(run) == uninterrupted
+
+
+def test_train_two_workers_deterministic_and_resumable(tmp_path, obj_cfg):
+    pcfg = ppo.PPOConfig(total_env_steps=200, train_batch_size=100, minibatch_size=50,
+                         epochs_per_batch=1, checkpoint_every=100, n_rollout_workers=2,
+                         seed=7)
+    args = (small_pool(), tiny_net(), pcfg, ppo.EpisodeConfig(step_budget=3), obj_cfg)
+    ppo.train(*args, tmp_path / "a")
+    first = _run_files(tmp_path / "a")
+    assert len(json.loads(first["ckpt_0000000100.state.json"])["workers"]) == 2
+    second = tmp_path / "b"
+    ppo.train(*args, second)
+    assert _run_files(second) == first  # metrics, checkpoints and sidecars
+
+    ppo.train(*args, second, resume_from=second / "ckpt_0000000100.ckpt")
+    assert _run_files(second) == first
 
 
 def test_ppo_config_validation():

@@ -233,8 +233,19 @@ def test_tables_swap_delta_matches_full_recompute_every_pair(seed):
         inst = _random_instance(rng, int(n))
         ref = rng.permutation(inst.n_jobs)
         tables = sc.ObjectiveTables(inst, cfg, ref)
+        assert np.array_equal(tables.ref, ref)
         perm = rng.permutation(inst.n_jobs)
         before = sc.combined_objective(inst, perm, ref, cfg)
+
+        # the state scorer is the full objective's fc bit for bit
+        block = np.array([rng.permutation(inst.n_jobs) for _ in range(7)] + [ref, perm])
+        assert np.array_equal(tables.fc(block), sc.combined_objective(inst, block, ref, cfg).fc)
+        for p in block:
+            got = tables.fc(p)
+            assert type(got) is float
+            assert got == sc.combined_objective(inst, p, ref, cfg).fc
+        assert tables.fc(ref) == 0.0
+        assert tables.fc(perm.tolist()) == before.fc
         for i, k in itertools.permutations(range(inst.n_jobs), 2):
             swapped = perm.copy()
             swapped[i], swapped[k] = swapped[k], swapped[i]
