@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
                         check_permutation, combined_objective, edd_sort)
 
@@ -156,7 +155,7 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
         delta_fc = swap_delta(current, i, k)
         accepted = sa_accept(-delta_fc, sa_temperature(step, cfg), rng)
         if accepted:
-            operators.swap_inplace(current, i, k)
+            current[i], current[k] = current[k], current[i]
             current_fc += delta_fc
             accepted_count += 1
             if current_fc > best_fc:

@@ -38,7 +38,6 @@ from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTab
 class InferenceConfig:
     runs_per_policy: int = 30
     step_budget: int = 10
-    checkpoint_paths: tuple = ()  # ordered, final policy last
     greedy: bool = False
     seed: int = 0
 
@@ -180,11 +179,9 @@ def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
     """Multirun over several checkpoints; global best wins.
 
     ``checkpoint_paths`` is ordered with the final policy last, matching the
-    convention of the training output directory; when it is None, the
-    config's ``checkpoint_paths`` field is used.
+    convention of the training output directory. One policy is in memory at
+    a time.
     """
-    if checkpoint_paths is None:
-        checkpoint_paths = cfg.checkpoint_paths
     if not checkpoint_paths:
         raise ValueError("multipolicy needs at least one checkpoint")
     per_run_all, per_policy_best, digests = [], [], []
@@ -195,6 +192,7 @@ def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
         digests.append(digest)
         res = multirun(inst, params, net_cfg, cfg, obj_cfg,
                        strategy_name=strategy_name, checkpoint_digest=digest)
+        del params  # free this policy before the next checkpoint is read
         per_run_all.extend(res.per_run_fc)
         per_policy_best.append(res.best_report.fc)
         if best is None or res.best_report.fc > best.best_report.fc:

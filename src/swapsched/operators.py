@@ -1,16 +1,15 @@
-"""Pairwise local-search operators on permutations.
+"""The swap action on permutations and validated swap deltas.
 
-All operators are pure: they return a fresh array and leave the input alone.
-``swap_inplace`` exists for hot loops (simulated annealing) and mutates its
-argument. Positions are 0-based.
+``swap`` is pure: it returns a fresh array and leaves the input alone.
+Positions are 0-based.
 
 ``f1_swap_delta`` / ``f2_swap_delta`` / ``fc_swap_delta`` evaluate the
 objective change of a swap without recomputing the whole objective: a swap
 touches two positions of f1 and at most four adjacencies of f2, so with the
 lookup tables of :class:`swapsched.schedcore.ObjectiveTables` a delta is
-O(1). These functions validate their input and build the tables per call;
-loops (simulated annealing) build the tables once and call
-``ObjectiveTables.swap_delta`` directly.
+O(1). These functions validate their input and build the full tables on
+every call, which costs O(N^2 * W); loops (simulated annealing) build the
+tables once and call ``ObjectiveTables.swap_delta`` directly.
 """
 
 from __future__ import annotations
@@ -45,37 +44,6 @@ def swap(perm, action) -> np.ndarray:
     return out
 
 
-def swap_inplace(perm: np.ndarray, i: int, k: int) -> None:
-    perm[i], perm[k] = perm[k], perm[i]
-
-
-def shift(perm, pos: int, direction: str) -> np.ndarray:
-    """Move the job at ``pos`` one position forward or backward."""
-    n = len(perm)
-    if direction == "forward":
-        if pos >= n - 1:
-            raise ValueError(f"cannot shift position {pos} forward in {n} jobs")
-        return swap(perm, (pos, pos + 1))
-    if direction == "backward":
-        if pos <= 0:
-            raise ValueError("cannot shift position 0 backward")
-        return swap(perm, (pos, pos - 1))
-    raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-
-
-def insert(perm, src: int, dst: int) -> np.ndarray:
-    """Remove the job at ``src`` and reinsert it at ``dst``."""
-    out = check_permutation(perm, len(perm))
-    n = len(out)
-    if not (0 <= src < n and 0 <= dst < n):
-        raise ValueError(f"positions ({src}, {dst}) out of range for {n} jobs")
-    if src == dst:
-        raise ValueError("insert needs two distinct positions")
-    job = out[src]
-    rest = np.delete(out, src)
-    return np.insert(rest, dst, job)
-
-
 def _checked_tables(inst: Instance, perm, action, cfg: ObjectiveConfig):
     i, k = action
     perm = check_permutation(perm, inst.n_jobs)
@@ -101,5 +69,5 @@ def fc_swap_delta(inst: Instance, perm, action, cfg: ObjectiveConfig) -> float:
     return tables.swap_delta(perm, i, k)
 
 
-__all__ = ["PairAction", "check_pair", "swap", "swap_inplace", "shift", "insert",
-           "f1_swap_delta", "f2_swap_delta", "fc_swap_delta"]
+__all__ = ["PairAction", "check_pair", "swap", "f1_swap_delta", "f2_swap_delta",
+           "fc_swap_delta"]

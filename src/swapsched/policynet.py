@@ -164,16 +164,13 @@ def flat_buffer(tensors: dict) -> np.ndarray | None:
     return base if addr == end else None
 
 
-def init_params(cfg: NetConfig, seed: int = 0, dtype=np.float32,
-                compat_gain: float | None = None) -> dict:
+def init_params(cfg: NetConfig, seed: int = 0, dtype=np.float32) -> dict:
     """Fan-based uniform init for matrices, zeros for biases, 1/0 for norms.
 
-    The compatibility projections are scaled by ``cfg.compat_init_gain``
-    (overridable via ``compat_gain``); see :class:`NetConfig`. The blocks are
-    views of one flat vector (:func:`flat_views`).
+    The compatibility projections are scaled by ``cfg.compat_init_gain``; see
+    :class:`NetConfig`. The blocks are views of one flat vector
+    (:func:`flat_views`).
     """
-    if compat_gain is None:
-        compat_gain = cfg.compat_init_gain
     rng = np.random.default_rng(seed)
     blocks = canonical_blocks(cfg)
     params = flat_views(blocks, np.zeros(_block_size(blocks), dtype=dtype))
@@ -181,7 +178,7 @@ def init_params(cfg: NetConfig, seed: int = 0, dtype=np.float32,
         if name.endswith(".g"):
             params[name].fill(1)
         elif len(shape) > 1:
-            gain = compat_gain if name.startswith("compat.") else 1.0
+            gain = cfg.compat_init_gain if name.startswith("compat.") else 1.0
             limit = gain * np.sqrt(6.0 / (shape[0] + shape[1]))
             params[name][...] = rng.uniform(-limit, limit, size=shape).astype(dtype)
     return params
@@ -210,12 +207,14 @@ def unflatten_params(vec: np.ndarray, cfg: NetConfig, dtype=None) -> dict:
 # ---------------------------------------------------------------------------
 # forward
 #
-# Every block below has one private core working on a batch ``(B, N, d)`` and
-# written so that row b of a batched call is bitwise equal to the same state
-# evaluated alone (B = 1). The public blocks and ``forward`` share the cores.
-# Cores that get a ``cache`` dict store what ``backward`` needs in it. Bias,
-# ReLU and softmax run in place on the cores' own temporaries; layer norm does
-# so only without a cache, since backward needs its normalised rows.
+# Each network block is one function on a batch ``(B, N, d)``, written so
+# that row b of a batched call is bitwise equal to the same state evaluated
+# alone (B = 1). ``forward`` composes the public blocks (embed_jobs,
+# encoder_layer, pool_and_integrate, compatibility, critic_value) and is the
+# one entry point that also takes a single ``(N, d_in)`` state. Blocks that
+# get a ``cache`` dict store what ``backward`` needs in it. Bias, ReLU and
+# softmax run in place on the blocks' own temporaries; layer norm does so only
+# without a cache, since backward needs its normalised rows.
 
 
 def positional_encoding(n: int, d_h: int, dtype=np.float32) -> np.ndarray:
@@ -316,13 +315,9 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
 
 
-def _promote(a, dtype):
-    """``(batch, single)``: ``a`` as a batch of ``dtype``, and whether it was one state."""
-    a = np.asarray(a, dtype=dtype)
-    return (a[None], True) if a.ndim == 2 else (a, False)
-
-
-def _embed(x, params, cfg: NetConfig):
+def embed_jobs(x, params, cfg: NetConfig):
+    """Linear projection of ``(B, N, d_in)`` job features into d_h, plus
+    positional encodings."""
     if x.shape[-1] != cfg.d_in:
         raise ValueError(f"feature width {x.shape[-1]} != d_in {cfg.d_in}")
     h = _linear(x, params["input.w"], params["input.b"])
@@ -346,7 +341,9 @@ def _attention(h_in, params, cfg: NetConfig, prefix: str, cache=None):
     return _linear(ctx, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.bo"])
 
 
-def _encoder_layer_forward(h_in, params, cfg: NetConfig, prefix: str, cache=None):
+def encoder_layer(h_in, params, cfg: NetConfig, prefix: str, cache=None):
+    """One post-norm encoder layer (``prefix`` names its parameters, e.g.
+    ``enc0``); see the module docstring for the wiring."""
     p = params
     res1 = _attention(h_in, params, cfg, prefix, cache)
     res1 += h_in
@@ -362,7 +359,8 @@ def _encoder_layer_forward(h_in, params, cfg: NetConfig, prefix: str, cache=None
     return h_out
 
 
-def _pool(h, params, cache=None):
+def pool_and_integrate(h, params, cache=None):
+    """Max-pool over positions, fold the pooled vector back into every row."""
     hmax = h.max(axis=1)
     hc = _linear(h, params["pool.w_self"], params["pool.b_self"])
     hc += _linear_per_state(hmax, params["pool.w_max"], params["pool.b_max"])[:, None, :]
@@ -374,7 +372,13 @@ def _pool(h, params, cache=None):
     return hc
 
 
-def _compat(hc, params, cache=None):
+def compatibility(hc, params, cache=None):
+    """Pair-score matrix -> masked logits -> one softmax over all N^2 entries.
+
+    Returns ``(prob, logits)``, each ``(B, N, N)``. ``logits[b, i, k] =
+    relu(k_i . q_k)`` off the diagonal and -inf on it, so the probability of
+    i == k is exactly zero.
+    """
     n = hc.shape[1]
     if n < 2:
         raise ValueError("compatibility needs at least 2 jobs (no valid swap otherwise)")
@@ -388,54 +392,17 @@ def _compat(hc, params, cache=None):
     return prob, logits
 
 
-def _critic(hc, g, params, cache=None):
+def critic_value(hc, g, params, cache=None):
+    """Mean-pool rows, append the progress scalar ``g[b]``, run the value MLP.
+
+    Returns the ``(B,)`` values.
+    """
     cin = np.concatenate([hc.mean(axis=1), g[:, None]], axis=1)
     a1 = _relu_(_linear_per_state(cin, params["critic.w1"], params["critic.b1"]))
     a2 = _relu_(_linear_per_state(a1, params["critic.w2"], params["critic.b2"]))
     if cache is not None:
         cache.update(cin=cin, a1=a1, a2=a2)
     return _linear_per_state(a2, params["critic.w3"], params["critic.b3"])[:, 0]
-
-
-def embed_jobs(per_job, params, cfg: NetConfig):
-    """Linear projection into d_h plus positional encodings. Batched."""
-    x, single = _promote(per_job, params["input.w"].dtype)
-    h0 = _embed(x, params, cfg)
-    return h0[0] if single else h0
-
-
-def encoder_layer(h_in, layer_params, cfg: NetConfig, prefix: str = "enc0"):
-    """One post-norm encoder layer; see module docstring for the wiring."""
-    h, single = _promote(h_in, layer_params[f"{prefix}.attn.wq"].dtype)
-    out = _encoder_layer_forward(h, layer_params, cfg, prefix)
-    return out[0] if single else out
-
-
-def pool_and_integrate(h, params, cfg: NetConfig = None):
-    """Max-pool over positions, fold the pooled vector back into every row."""
-    h, single = _promote(h, params["pool.w_self"].dtype)
-    hc = _pool(h, params)
-    return hc[0] if single else hc
-
-
-def compatibility(hc, params, cfg: NetConfig = None):
-    """Pair-score matrix -> masked logits -> one softmax over all N^2 entries.
-
-    Returns ``(prob, logits)``. ``logits[i, k] = relu(k_i . q_k)`` off the
-    diagonal and -inf on it, so the probability of i == k is exactly zero.
-    """
-    hc, single = _promote(hc, params["compat.wq"].dtype)
-    prob, logits = _compat(hc, params)
-    if single:
-        return prob[0], logits[0]
-    return prob, logits
-
-
-def critic_value(hc, general, params, cfg: NetConfig = None):
-    """Mean-pool rows, append the progress scalar, run the value MLP."""
-    hc, single = _promote(hc, params["critic.w1"].dtype)
-    v = _critic(hc, np.atleast_1d(np.asarray(general, dtype=hc.dtype)), params)
-    return float(v[0]) if single else v
 
 
 def forward(params, cfg: NetConfig, per_job, general, want_cache: bool = False):
@@ -453,23 +420,26 @@ def forward(params, cfg: NetConfig, per_job, general, want_cache: bool = False):
     """
     if isinstance(per_job, FeatureMatrix):
         per_job, general = per_job.per_job, per_job.general
-    x, single = _promote(per_job, params["input.w"].dtype)
+    x = np.asarray(per_job, dtype=params["input.w"].dtype)
+    single = x.ndim == 2
+    if single:
+        x = x[None]
     g = np.atleast_1d(np.asarray(general, dtype=x.dtype))
     if g.shape != (x.shape[0],):
         raise ValueError(f"general feature shape {g.shape} does not match batch {x.shape[0]}")
     if x.shape[1] < 2:
         raise ValueError("need at least 2 jobs")
 
-    cache = {"x": x, "g": g, "layers": [], "single": single} if want_cache else None
-    h = _embed(x, params, cfg)
+    cache = {"x": x, "g": g, "layers": []} if want_cache else None
+    h = embed_jobs(x, params, cfg)
     for l in range(cfg.n_layers):
         layer_cache = None if cache is None else {}
-        h = _encoder_layer_forward(h, params, cfg, f"enc{l}", layer_cache)
+        h = encoder_layer(h, params, cfg, f"enc{l}", layer_cache)
         if cache is not None:
             cache["layers"].append(layer_cache)
-    hc = _pool(h, params, cache)
-    prob, logits = _compat(hc, params, cache)
-    v = _critic(hc, g, params, cache)
+    hc = pool_and_integrate(h, params, cache)
+    prob, logits = compatibility(hc, params, cache)
+    v = critic_value(hc, g, params, cache)
 
     if single:
         out = NetOutput(prob_matrix=prob[0], value=float(v[0]), logits=logits[0])

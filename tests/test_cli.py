@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swapsched import cli
+from swapsched import cli, policynet
 from swapsched.bench import GeneratorConfig, generate_instances
 
 
@@ -152,6 +152,20 @@ def test_infer_mpmr_from_checkpoint_dir(tmp_path, inst_dir):
     assert cli.main(["infer", "--config", infer_cfg]) == 0
     recs = [json.loads(l) for l in open(tmp_path / "mpmr.jsonl")]
     assert all(len(r["checkpoint_digests"]) >= 2 for r in recs)
+
+
+def test_infer_rejects_checkpoint_paths_in_inference_config(tmp_path, inst_dir, capsys):
+    # the checkpoints of an infer run come from "checkpoint(s)"/"checkpoint_dir" only
+    net = policynet.NetConfig(d_in=6, d_h=8, n_heads=2, n_layers=1, d_ff=16)
+    ckpt = str(tmp_path / "a.ckpt")
+    policynet.save_checkpoint(ckpt, policynet.init_params(net, seed=1), net)
+    cfg = write_cfg(tmp_path, "mpmr.json", {
+        "instance_dir": str(inst_dir), "strategy": "mpmr", "checkpoints": [ckpt],
+        "inference": {"runs_per_policy": 2, "step_budget": 3, "checkpoint_paths": [ckpt]},
+        "out": str(tmp_path / "mpmr.jsonl")})
+    assert cli.main(["infer", "--config", cfg]) == 2
+    assert "unknown InferenceConfig field" in capsys.readouterr().err
+    assert not (tmp_path / "mpmr.jsonl").exists()
 
 
 def test_bench_subcommand_without_checkpoints_exits_zero(tmp_path, inst_dir, capsys):

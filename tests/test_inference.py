@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,12 +151,21 @@ def test_multipolicy_requires_configs(inst6, obj_cfg, checkpoints):
         inf.multipolicy(inst6, checkpoints, inf.InferenceConfig(runs_per_policy=2))
 
 
-def test_multipolicy_paths_default_to_config(inst6, obj_cfg, checkpoints):
-    cfg = inf.InferenceConfig(runs_per_policy=3, step_budget=5, seed=53,
-                              checkpoint_paths=tuple(checkpoints))
-    a = inf.multipolicy(inst6, None, cfg, obj_cfg).to_record()
-    b = inf.multipolicy(inst6, checkpoints, cfg, obj_cfg).to_record()
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+def test_multipolicy_frees_each_policy_before_the_next_load(inst6, obj_cfg, checkpoints,
+                                                          monkeypatch):
+    load, previous, alive = pn.load_checkpoint, [], []
+
+    def tracked_load(path):
+        alive.extend(ref() is not None for ref in previous)
+        out = load(path)
+        previous.append(weakref.ref(pn.flat_buffer(out[0])))
+        return out
+
+    monkeypatch.setattr(pn, "load_checkpoint", tracked_load)
+    inf.multipolicy(inst6, checkpoints, inf.InferenceConfig(runs_per_policy=2, step_budget=3),
+                    obj_cfg)
+    assert len(previous) == 3
+    assert alive and not any(alive)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +175,7 @@ def test_multipolicy_paths_default_to_config(inst6, obj_cfg, checkpoints):
 @pytest.mark.parametrize("greedy", [False, True])
 def test_lanes_equal_single_episodes(inst6, obj_cfg, greedy):
     net = tiny_net(inst6)
-    params = pn.init_params(net, seed=12, compat_gain=1.0)
+    params = pn.init_params(replace(net, compat_init_gain=1.0), seed=12)
     lanes = inf.run_lanes(inst6, params, net, obj_cfg, 10,
                           [inf._run_rng(61, r) for r in range(7)], greedy=greedy)
     for r, lane in enumerate(lanes):
@@ -212,8 +222,8 @@ def paper_scale_records(tmp_path) -> str:
     paths = []
     for step, seed, gain in ((100, 21, 0.25), (200, 22, 1.0), (300, 23, 0.5)):
         p = tmp_path / f"ckpt_{step:010d}.ckpt"
-        pn.save_checkpoint(p, pn.init_params(net, seed=seed, compat_gain=gain), net,
-                           training_step=step)
+        params = pn.init_params(replace(net, compat_init_gain=gain), seed=seed)
+        pn.save_checkpoint(p, params, net, training_step=step)  # ``net``: golden digests
         paths.append(str(p))
     cfg = inf.InferenceConfig(runs_per_policy=30, step_budget=10, seed=5)
     params, _, _ = pn.load_checkpoint(paths[-1])

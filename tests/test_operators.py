@@ -35,44 +35,6 @@ def test_swap_rejects_bad_actions():
         ops.swap(perm, (2, 2))
 
 
-def test_shift_forward_equals_adjacent_swap():
-    perm = np.array([0, 1, 2])
-    assert list(ops.shift(perm, 1, "forward")) == [0, 2, 1]
-    assert np.array_equal(ops.shift(perm, 1, "forward"), ops.swap(perm, (1, 2)))
-
-
-def test_shift_boundaries():
-    perm = np.arange(3)
-    with pytest.raises(ValueError):
-        ops.shift(perm, 0, "backward")
-    with pytest.raises(ValueError):
-        ops.shift(perm, 2, "forward")
-    with pytest.raises(ValueError):
-        ops.shift(perm, 1, "sideways")
-
-
-def test_insert_moves_and_shifts():
-    perm = np.array([0, 1, 2, 3])
-    assert list(ops.insert(perm, 0, 2)) == [1, 2, 0, 3]
-
-
-def test_insert_adjacent_is_swap():
-    perm = np.array([4, 2, 0, 1, 3])
-    assert np.array_equal(ops.insert(perm, 1, 2), ops.swap(perm, (1, 2)))
-    assert np.array_equal(ops.insert(perm, 3, 2), ops.swap(perm, (3, 2)))
-
-
-def test_insert_inverse_restores(rng):
-    perm = rng.permutation(7)
-    moved = ops.insert(perm, 2, 5)
-    assert np.array_equal(ops.insert(moved, 5, 2), perm)
-
-
-def test_insert_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        ops.insert(np.arange(3), 0, 3)
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 12), data=st.data())
 def test_operators_preserve_bijection(n, data):
@@ -81,9 +43,6 @@ def test_operators_preserve_bijection(n, data):
     i = data.draw(st.integers(0, n - 1))
     k = data.draw(st.integers(0, n - 1).filter(lambda x: x != i))
     assert is_permutation(ops.swap(perm, (i, k)), n)
-    assert is_permutation(ops.insert(perm, i, k), n)
-    if i < n - 1:
-        assert is_permutation(ops.shift(perm, i, "forward"), n)
 
 
 # ---------------------------------------------------------------------------

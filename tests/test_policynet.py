@@ -1,4 +1,7 @@
+import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ def test_embed_zero_params_equals_pe():
     cfg = tiny_cfg()
     params = pn.zero_params(cfg, dtype=np.float64)
     x = np.random.default_rng(0).normal(size=(3, cfg.d_in))
-    h0 = pn.embed_jobs(x, params, cfg)
+    h0 = pn.embed_jobs(x[None], params, cfg)[0]
     assert np.allclose(h0, pn.positional_encoding(3, cfg.d_h, dtype=np.float64))
 
 
@@ -45,8 +48,8 @@ def test_embed_is_position_dependent():
     params = pn.init_params(cfg, seed=0, dtype=np.float64)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, cfg.d_in))
-    h_a = pn.embed_jobs(x, params, cfg)
-    h_b = pn.embed_jobs(x[::-1].copy(), params, cfg)
+    h_a = pn.embed_jobs(x[None], params, cfg)[0]
+    h_b = pn.embed_jobs(x[None, ::-1].copy(), params, cfg)[0]
     # same job rows at different positions embed differently
     assert not np.allclose(h_a[0], h_b[3])
 
@@ -96,7 +99,7 @@ def test_encoder_layer_matches_reference():
     params = pn.init_params(cfg, seed=5, dtype=np.float64)
     rng = np.random.default_rng(2)
     h = rng.normal(size=(3, cfg.d_h))
-    got = pn.encoder_layer(h, params, cfg, "enc0")
+    got = pn.encoder_layer(h[None], params, cfg, "enc0")[0]
     plists = {k: v.tolist() for k, v in params.items()}
     want = _ref_encoder_single_head(h.tolist(), plists, "enc0", cfg.d_h, cfg.d_ff)
     assert np.allclose(got, want, atol=1e-10)
@@ -116,13 +119,11 @@ def test_encoder_single_position():
     cfg = tiny_cfg()
     params = pn.init_params(cfg, seed=1, dtype=np.float64)
     h = np.random.default_rng(5).normal(size=(1, cfg.d_h))
-    out = pn.encoder_layer(h, params, cfg, "enc0")
-    assert out.shape == (1, cfg.d_h)
+    cache = {}
+    out = pn.encoder_layer(h[None], params, cfg, "enc0", cache)
+    assert out.shape == (1, 1, cfg.d_h)
     assert np.all(np.isfinite(out))
     # softmax over a single position puts weight 1 on it
-    from swapsched.policynet import _encoder_layer_forward
-    cache = {}
-    _encoder_layer_forward(h[None], params, cfg, "enc0", cache)
     assert np.all(cache["attn"] == 1.0)
 
 
@@ -131,7 +132,7 @@ def test_encoder_faults_on_nonfinite():
     params = pn.init_params(cfg, seed=1, dtype=np.float64)
     h = np.full((2, cfg.d_h), np.nan)
     with pytest.raises(FloatingPointError, match="enc0"):
-        pn.encoder_layer(h, params, cfg, "enc0")
+        pn.encoder_layer(h[None], params, cfg, "enc0")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def test_pool_single_row_combines_both_maps():
     cfg = tiny_cfg()
     params = pn.init_params(cfg, seed=2, dtype=np.float64)
     h = np.random.default_rng(6).normal(size=(1, cfg.d_h))
-    got = pn.pool_and_integrate(h, params, cfg)
+    got = pn.pool_and_integrate(h[None], params)[0]
     want = (h @ params["pool.w_self"] + params["pool.b_self"]
             + h @ params["pool.w_max"] + params["pool.b_max"])
     assert np.allclose(got, want)
@@ -153,7 +154,7 @@ def test_pool_identity_passthrough():
     params = pn.zero_params(cfg, dtype=np.float64)
     params["pool.w_self"] = np.eye(cfg.d_h)
     h = np.random.default_rng(7).normal(size=(4, cfg.d_h))
-    assert np.allclose(pn.pool_and_integrate(h, params, cfg), h)
+    assert np.allclose(pn.pool_and_integrate(h[None], params)[0], h)
 
 
 def test_pool_max_of_duplicated_rows():
@@ -161,7 +162,7 @@ def test_pool_max_of_duplicated_rows():
     params = pn.init_params(cfg, seed=3, dtype=np.float64)
     row = np.random.default_rng(8).normal(size=cfg.d_h)
     h = np.tile(row, (3, 1))
-    got = pn.pool_and_integrate(h, params, cfg)
+    got = pn.pool_and_integrate(h[None], params)[0]
     want_row = (row @ params["pool.w_self"] + params["pool.b_self"]
                 + row @ params["pool.w_max"] + params["pool.b_max"])
     assert np.allclose(got, np.tile(want_row, (3, 1)))
@@ -174,7 +175,8 @@ def test_pool_max_of_duplicated_rows():
 def test_compat_uniform_when_hc_zero():
     cfg = tiny_cfg()
     params = pn.init_params(cfg, seed=4, dtype=np.float64)
-    prob, logits = pn.compatibility(np.zeros((4, cfg.d_h)), params, cfg)
+    prob, logits = pn.compatibility(np.zeros((1, 4, cfg.d_h)), params)
+    prob, logits = prob[0], logits[0]
     off = ~np.eye(4, dtype=bool)
     assert np.allclose(prob[off], 1.0 / 12)
     assert np.all(prob[~off] == 0.0)
@@ -184,9 +186,9 @@ def test_compat_uniform_when_hc_zero():
 def test_compat_two_jobs_half_half():
     cfg = tiny_cfg()
     params = pn.init_params(cfg, seed=4, dtype=np.float64)
-    prob, _ = pn.compatibility(np.zeros((2, cfg.d_h)), params, cfg)
-    assert prob[0, 1] == pytest.approx(0.5)
-    assert prob[1, 0] == pytest.approx(0.5)
+    prob, _ = pn.compatibility(np.zeros((1, 2, cfg.d_h)), params)
+    assert prob[0, 0, 1] == pytest.approx(0.5)
+    assert prob[0, 1, 0] == pytest.approx(0.5)
 
 
 def test_compat_distribution_contract(rng):
@@ -194,7 +196,7 @@ def test_compat_distribution_contract(rng):
     for _ in range(20):
         params = pn.init_params(cfg, seed=int(rng.integers(1 << 30)), dtype=np.float64)
         hc = rng.normal(scale=3.0, size=(6, cfg.d_h))
-        prob, _ = pn.compatibility(hc, params, cfg)
+        prob = pn.compatibility(hc[None], params)[0][0]
         assert np.all(prob >= 0)
         assert np.all(np.diag(prob) == 0.0)
         assert abs(prob.sum() - 1.0) <= 1e-6
@@ -205,7 +207,7 @@ def test_compat_matches_reference():
     params = pn.init_params(cfg, seed=9, dtype=np.float64)
     rng = np.random.default_rng(10)
     hc = rng.normal(size=(3, cfg.d_h))
-    prob, logits = pn.compatibility(hc, params, cfg)
+    prob = pn.compatibility(hc[None], params)[0][0]
     # straight-line reference
     n, d = hc.shape
     q = [[sum(hc[i][a] * params["compat.wq"][a][e] for a in range(d)) for e in range(d)]
@@ -226,7 +228,7 @@ def test_compat_rejects_single_job():
     cfg = tiny_cfg()
     params = pn.init_params(cfg, seed=4, dtype=np.float64)
     with pytest.raises(ValueError):
-        pn.compatibility(np.zeros((1, cfg.d_h)), params, cfg)
+        pn.compatibility(np.zeros((1, 1, cfg.d_h)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +238,8 @@ def test_compat_rejects_single_job():
 def test_critic_zero_params_zero_value():
     cfg = tiny_cfg()
     params = pn.zero_params(cfg, dtype=np.float64)
-    assert pn.critic_value(np.random.default_rng(1).normal(size=(3, cfg.d_h)),
-                           0.7, params, cfg) == 0.0
+    hc = np.random.default_rng(1).normal(size=(1, 3, cfg.d_h))
+    assert pn.critic_value(hc, np.array([0.7]), params)[0] == 0.0
 
 
 def test_critic_matches_reference():
@@ -246,7 +248,7 @@ def test_critic_matches_reference():
     rng = np.random.default_rng(12)
     hc = rng.normal(size=(4, cfg.d_h))
     general = 0.4
-    got = pn.critic_value(hc, general, params, cfg)
+    got = pn.critic_value(hc[None], np.array([general]), params)[0]
     hmean = [sum(hc[i][e] for i in range(4)) / 4 for e in range(cfg.d_h)]
     cin = hmean + [general]
     z1 = [sum(cin[a] * params["critic.w1"][a][e] for a in range(len(cin)))
@@ -263,8 +265,8 @@ def test_critic_mean_of_duplicated_rows():
     cfg = tiny_cfg()
     params = pn.init_params(cfg, seed=13, dtype=np.float64)
     row = np.random.default_rng(14).normal(size=cfg.d_h)
-    v_dup = pn.critic_value(np.tile(row, (5, 1)), 0.2, params, cfg)
-    v_single = pn.critic_value(row[None, :], 0.2, params, cfg)
+    v_dup = pn.critic_value(np.tile(row, (1, 5, 1)), np.array([0.2]), params)[0]
+    v_single = pn.critic_value(row[None, None, :], np.array([0.2]), params)[0]
     assert v_dup == pytest.approx(v_single, rel=1e-12)
 
 
@@ -486,15 +488,18 @@ def test_net_config_validation():
 # batch invariance
 
 
-@pytest.mark.parametrize("net", [
+NET_SHAPES = pytest.mark.parametrize("net", [
     dict(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64),  # desk scale
     dict(d_in=26),  # paper scale: d_h=128, d_ff=512
 ], ids=["desk", "paper"])
+
+
+@NET_SHAPES
 def test_forward_rows_match_single_state(net):
     # each row of a batched forward is bitwise the single-state forward; this
     # rests on the BLAS computing a GEMM row the same whatever the row count
     cfg = pn.NetConfig(**net)
-    params = pn.init_params(cfg, seed=61, compat_gain=1.0)
+    params = pn.init_params(dataclasses.replace(cfg, compat_init_gain=1.0), seed=61)
     rng = np.random.default_rng(62)
     n_jobs = 20 if cfg.d_h == 128 else 6
     x = rng.random((100, n_jobs, cfg.d_in)).astype(np.float32)
@@ -506,6 +511,71 @@ def test_forward_rows_match_single_state(net):
             assert out.prob_matrix[b].tobytes() == alone[b].prob_matrix.tobytes()
             assert out.logits[b].tobytes() == alone[b].logits.tobytes()
             assert out.value[b] == alone[b].value
+
+
+def _assert_row_is_alone(batched, alone, b):
+    """Row b of ``batched`` (an array, tuple or cache dict) is bitwise ``alone``'s one row."""
+    if isinstance(batched, dict):
+        assert batched.keys() == alone.keys()
+        for key in batched:
+            _assert_row_is_alone(batched[key], alone[key], b)
+    elif isinstance(batched, tuple):
+        for part, part_alone in zip(batched, alone, strict=True):
+            _assert_row_is_alone(part, part_alone, b)
+    elif np.ndim(batched) == 0:  # the attention scale
+        assert batched == alone
+    else:
+        assert batched[b].tobytes() == alone[0].tobytes()
+
+
+@NET_SHAPES
+def test_block_rows_match_single_state(net):
+    # each public block, backward cache included, is batch-invariant on its own
+    cfg = pn.NetConfig(**net)
+    params = pn.init_params(dataclasses.replace(cfg, compat_init_gain=1.0), seed=65)
+    rng = np.random.default_rng(66)
+    n_jobs = 20 if cfg.d_h == 128 else 6
+    x = rng.random((7, n_jobs, cfg.d_in)).astype(np.float32)
+    g = rng.random(7).astype(np.float32)
+    h0 = pn.embed_jobs(x, params, cfg)
+    h1 = pn.encoder_layer(h0, params, cfg, "enc0")
+    hc = pn.pool_and_integrate(h1, params)
+    blocks = {  # rows of the block's input -> output, filling the cache
+        "embed_jobs": lambda s, cache: pn.embed_jobs(x[s], params, cfg),
+        "encoder_layer": lambda s, cache: pn.encoder_layer(h0[s], params, cfg, "enc0", cache),
+        "pool_and_integrate": lambda s, cache: pn.pool_and_integrate(h1[s], params, cache),
+        "compatibility": lambda s, cache: pn.compatibility(hc[s], params, cache),
+        "critic_value": lambda s, cache: pn.critic_value(hc[s], g[s], params, cache),
+    }
+    for block in blocks.values():
+        cache = {}
+        out = block(slice(None), cache)
+        for b in range(len(x)):
+            cache_alone = {}
+            _assert_row_is_alone(out, block(slice(b, b + 1), cache_alone), b)
+            _assert_row_is_alone(cache, cache_alone, b)
+
+
+def test_forward_runs_the_public_blocks():
+    # the benchmark's tracer patches the public block names; forward must
+    # call them so their spans see the network's time
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, _ in spans.TRACED:  # the tracer patches loaded modules only
+        importlib.import_module(f"swapsched.{module}")
+    cfg = tiny_cfg(d_in=6, n_layers=3)
+    params = pn.init_params(cfg, seed=67)
+    x = np.random.default_rng(68).random((3, 5, cfg.d_in))
+    with spans.Tracer() as tracer:
+        pn.forward(params, cfg, x[0], 0.5)
+        pn.forward(params, cfg, x, np.full(3, 0.5))
+    calls = {name: c for name, (c, _, _) in tracer.totals().items()}
+    assert calls["policynet.forward.b1"] == calls["policynet.forward.batched"] == 1
+    for name in ("embed_jobs", "pool_and_integrate", "compatibility", "critic_value"):
+        assert calls[f"policynet.{name}"] == 2, name
+    assert calls["policynet.encoder_layer"] == 2 * cfg.n_layers
 
 
 def test_sample_actions_rows_match_sample_action():
@@ -554,7 +624,7 @@ def test_pool_argmax_routes_first_maximum():
     h[0, 2, 0] = h[0, 3, 0] = 1.0  # tie: the first position wins
     h[1, :, 1] = [0.0, 5.0, 5.0, 1.0]
     cache = {}
-    pn._pool(h, pn.init_params(tiny_cfg(d_h=3, n_heads=1)), cache)
+    pn.pool_and_integrate(h, pn.init_params(tiny_cfg(d_h=3, n_heads=1)), cache)
     assert cache["argmax_idx"].tolist() == h.argmax(axis=1).tolist()
 
 
@@ -588,7 +658,7 @@ def test_param_dict_views_share_one_flat_vector(tmp_path):
 
 def test_backward_writes_one_flat_gradient_vector():
     cfg = tiny_cfg(d_h=8, n_heads=2)
-    params = pn.init_params(cfg, seed=54, compat_gain=1.0)
+    params = pn.init_params(dataclasses.replace(cfg, compat_init_gain=1.0), seed=54)
     x = np.random.default_rng(55).random((3, 5, cfg.d_in)).astype(np.float32)
     out, cache = pn.forward(params, cfg, x, np.full(3, 0.2), want_cache=True)
     d_logits = np.random.default_rng(56).normal(size=out.logits.shape)
