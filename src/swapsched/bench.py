@@ -207,9 +207,21 @@ def _instance_seed(base_seed: int, split_idx: int, inst_idx: int) -> int:
     return int(np.random.SeedSequence([base_seed, split_idx, inst_idx]).generate_state(1)[0])
 
 
+def _load_policy(method: dict):
+    """``(params, net_cfg, digest)`` of an RL-MR method's checkpoint, else None.
+
+    Loaded and hashed once per method; RL-MPMR loads its checkpoints one at a
+    time inside :func:`inference.multipolicy` instead.
+    """
+    if method["type"] != "rl_mr":
+        return None
+    params, net_cfg, _ = policynet.load_checkpoint(method["checkpoint"])
+    return params, net_cfg, policynet.checkpoint_digest(method["checkpoint"])
+
+
 def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConfig,
-                            seed: int):
-    """Returns (best_perm, report, steps)."""
+                            seed: int, policy=None):
+    """Returns (best_perm, report, steps); ``policy`` is :func:`_load_policy`'s."""
     t = method["type"]
     sigma0 = edd_sort(inst)
     if t == "identity":
@@ -235,8 +247,7 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
             runs_per_policy=method.get("runs_per_policy", 30),
             step_budget=method.get("step_budget", 10), seed=seed)
         if t == "rl_mr":
-            params, net_cfg, _ = policynet.load_checkpoint(method["checkpoint"])
-            digest = policynet.checkpoint_digest(method["checkpoint"])
+            params, net_cfg, digest = policy
         else:
             params = net_cfg = None  # uniform pair distribution
             digest = ""
@@ -299,13 +310,15 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
                 for split_idx, split in enumerate(sorted(splits)):
                     rows.append(BenchmarkRow(name, split, None, None, None, None, None, skipped=True))
                 continue
+            policy = _load_policy(m)  # freed when the next method rebinds it
             for split_idx, split in enumerate(sorted(splits)):
                 insts = splits[split]
                 fcs, f1s, f2s, steps_used = [], [], [], 0
                 t0 = time.perf_counter()
                 for inst_idx, inst in enumerate(insts):
                     iseed = _instance_seed(seed, split_idx, inst_idx)
-                    perm, report, steps_used = _run_method_on_instance(m, inst, obj_cfg, iseed)
+                    perm, report, steps_used = _run_method_on_instance(m, inst, obj_cfg, iseed,
+                                                                     policy)
                     fcs.append(report.fc)
                     f1s.append(report.f1)
                     f2s.append(report.f2)

@@ -13,11 +13,11 @@ loses to multirun on the same instance" a hard guarantee instead of a
 statistical tendency.
 
 All runs of one policy step in lockstep as lanes of one engine
-(:func:`run_lanes`): each step builds the features of every lane at once,
-evaluates the network once on the whole batch, draws each lane's swap from
-that lane's own generator and scores all lanes with one
-:meth:`~swapsched.schedcore.ObjectiveTables.fc` call. Every layer is
-batch-invariant -- row r of a batch is bitwise equal to the same state
+(:func:`run_lanes`): each step builds the features of every lane at once
+from the instance's tables, evaluates the network once on the whole batch,
+draws each lane's swap from that lane's own generator and scores all lanes
+with one :meth:`~swapsched.schedcore.ObjectiveTables.fc` call. Every layer
+is batch-invariant -- row r of a batch is bitwise equal to the same state
 evaluated alone -- so a lane reproduces exactly the rollout it would make on
 its own. :func:`run_episode` is the one-lane case. The final reports come
 from :func:`~swapsched.schedcore.combined_objective`.
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import policynet
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
-                        combined_objective, state_features)
+                        combined_objective)
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,8 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
     :func:`swapsched.policynet.uniform_pair_probs` (``net_cfg`` is unused),
     the distribution a network with all-zero parameters outputs, so the
     draws are the same without building features or running a network.
+    PPO rollout collection steps its episodes as lanes the same way
+    (:meth:`swapsched.ppo.RolloutWorker.collect`).
     """
     tables = ObjectiveTables(inst, obj_cfg)  # reference: the due-date sort
     sigma0 = tables.ref
@@ -123,7 +125,7 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
         if params is None:
             prob = uniform
         else:
-            fm = state_features(inst, perms, obj_cfg, t, step_budget)
+            fm = tables.state_features(perms, t, step_budget)
             prob = policynet.forward(params, net_cfg, fm.per_job,
                                      np.full(n_lanes, fm.general)).prob_matrix
         i, k, _ = policynet.sample_actions(prob, rngs, greedy=greedy)

@@ -46,7 +46,6 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -589,25 +588,44 @@ def sample_actions(prob, rngs, greedy: bool = False):
 
     State b draws with ``rngs[b]``, one ``random()`` call each (none when
     ``greedy``, which takes the argmax), so a state's draw does not depend on
-    the rest of the batch. Returns ``(i, k, log_prob)`` arrays of length B.
-    Faults if a distribution lost its mass to numeric underflow.
+    the rest of the batch. Returns ``(i, k, log_prob)`` arrays of length B;
+    the pick itself is :func:`pick_actions`.
+    """
+    if np.ndim(prob) != 3:
+        raise ValueError("sample_actions expects a (B, N, N) probability block")
+    if greedy:
+        return pick_actions(prob, None)
+    if len(rngs) != len(prob):
+        raise ValueError(f"{len(rngs)} generators for {len(prob)} states")
+    return pick_actions(prob, np.array([rng.random() for rng in rngs]))
+
+
+def pick_actions(prob, u):
+    """Pick one swap pair per state of a ``(B, N, N)`` probability block.
+
+    State b takes the pair at quantile ``u[b]`` (a uniform draw in [0, 1)) of
+    its flattened distribution, or its argmax when ``u`` is None. Returns
+    ``(i, k, log_prob)`` arrays of length B. Faults if a distribution lost
+    its mass to numeric underflow, and never returns a zero-mass or diagonal
+    pair.
     """
     p = np.asarray(prob, dtype=np.float64)
     if p.ndim != 3:
-        raise ValueError("sample_actions expects a (B, N, N) probability block")
+        raise ValueError("pick_actions expects a (B, N, N) probability block")
     b, n, _ = p.shape
-    if not greedy and len(rngs) != b:
-        raise ValueError(f"{len(rngs)} generators for {b} states")
     flat = p.reshape(b, -1)
     total = flat.sum(axis=1)
     if not (np.isfinite(total) & (total > 0)).all():
         raise FloatingPointError("degenerate probability matrix: no finite mass")
     rows = np.arange(b)
-    if greedy:
+    if u is None:
         idx = flat.argmax(axis=1)
     else:
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (b,):
+            raise ValueError(f"{u.size} uniforms for {b} states")
         c = np.cumsum(flat, axis=1)
-        u = np.array([rng.random() for rng in rngs]) * c[:, -1]
+        u = u * c[:, -1]
         # c is non-decreasing, so counting c <= u is searchsorted(c, u, "right")
         idx = np.minimum((c <= u[:, None]).sum(axis=1), flat.shape[1] - 1)
         zero = flat[rows, idx] == 0.0
@@ -710,7 +728,12 @@ def load_checkpoint(path):
 
 
 def checkpoint_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a checkpoint file, read in 64 KiB chunks (no whole-file copy)."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 __all__ = [
@@ -719,6 +742,7 @@ __all__ = [
     "unflatten_params",
     "positional_encoding", "embed_jobs", "encoder_layer", "pool_and_integrate",
     "compatibility", "critic_value", "forward", "backward", "sample_actions",
-    "sample_action", "uniform_pair_probs", "prob_entropy", "digest_rng_state", "save_checkpoint",
+    "pick_actions", "sample_action", "uniform_pair_probs", "prob_entropy",
+    "digest_rng_state", "save_checkpoint",
     "load_checkpoint", "checkpoint_digest",
 ]

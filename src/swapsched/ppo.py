@@ -7,8 +7,13 @@ return telescopes to the mean combined objective over the visited
 permutations. A sparser best-improvement reward is available for ablation.
 
 Training is single-process PPO. With several rollout workers, each owns an
-independent environment stream and the workers collect one after another,
-so results depend only on (seed, worker count). One update consumes exactly
+independent environment stream and generator, so results depend only on
+(seed, worker count). A collect steps every episode of every worker's slice
+as a lane of one lockstep (:meth:`RolloutWorker.collect`): a worker's
+generator draws do not depend on the policy, so they are made first, in the
+order a one-state loop makes them, and one batch-invariant forward per step
+serves all lanes; the result is bitwise that of collecting one state at a
+time, one worker after another. One update consumes exactly
 ``train_batch_size`` transitions, computes GAE per worker slice (bootstrapping
 episodes cut at the slice end), normalizes advantages batch-wide and runs
 ``epochs_per_batch`` epochs of minibatch Adam steps on the clipped surrogate
@@ -27,6 +32,7 @@ and moved into place, so a crash leaves no torn resume point.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import os
@@ -38,7 +44,7 @@ import numpy as np
 from . import policynet
 from .operators import check_pair
 from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig, ObjectiveTables,
-                        edd_sort, state_features)
+                        check_permutation, edd_sort, state_features)
 
 log = logging.getLogger(__name__)
 
@@ -129,8 +135,11 @@ class SwapEnv:
 
     Each instance's :class:`ObjectiveTables` (reference: its due-date sort)
     is built on its first episode and reused. A step checks only the action
-    pair and scores the new permutation with :meth:`ObjectiveTables.fc`,
-    bitwise what :func:`combined_objective` returns.
+    pair, scores the new permutation with :meth:`ObjectiveTables.fc` (bitwise
+    what :func:`combined_objective` returns) and builds its features with
+    :meth:`ObjectiveTables.state_features` (bitwise :func:`state_features`).
+    The permutation is checked where it enters: the reference when its
+    tables are built, a restored one in :meth:`set_state`.
     """
 
     def __init__(self, pool: list[Instance], obj_cfg: ObjectiveConfig, ep_cfg: EpisodeConfig):
@@ -163,8 +172,9 @@ class SwapEnv:
         self.tables = None if idx is None else self._tables[idx]
 
     def reset(self, rng: np.random.Generator) -> FeatureMatrix:
+        """Start an episode on an instance drawn with one ``rng.integers`` call."""
         self._select(int(rng.integers(len(self.pool))))
-        self.perm = self.sigma0.copy()
+        self.perm = self.sigma0.copy()  # checked when its tables were built
         self.t = 0
         self.done = False
         self.best_perm = self.perm.copy()
@@ -173,8 +183,13 @@ class SwapEnv:
         return self._state()
 
     def _state(self) -> FeatureMatrix:
-        return state_features(self.inst, self.perm, self.obj_cfg,
-                              self.t, self.ep_cfg.step_budget)
+        return self.tables.state_features(self.perm, self.t, self.ep_cfg.step_budget)
+
+    def spawn(self) -> SwapEnv:
+        """A new env (no episode started) over the same pool and table cache."""
+        env = copy.copy(self)
+        env.episode_log = []
+        return env
 
     def step(self, action) -> tuple[FeatureMatrix, float, bool, dict]:
         if self.done:
@@ -210,7 +225,8 @@ class SwapEnv:
 
     def set_state(self, state: dict) -> None:
         self._select(state["inst_idx"])
-        self.perm = None if state["perm"] is None else np.array(state["perm"], dtype=np.int64)
+        self.perm = None if state["perm"] is None else check_permutation(
+            np.array(state["perm"], dtype=np.int64), self.inst.n_jobs)
         self.t = state["t"]
         self.done = state["done"]
         self.best_perm = None if state["best_perm"] is None else np.array(state["best_perm"], dtype=np.int64)
@@ -240,6 +256,13 @@ class TrajectoryBatch:
     def __len__(self):
         return len(self.features)
 
+    @classmethod
+    def empty(cls, n: int) -> TrajectoryBatch:
+        """A slice of ``n`` transitions to fill by index."""
+        return cls(features=[None] * n, generals=np.empty(n), action_flat=np.empty(n, np.int64),
+                   n_jobs=np.empty(n, np.int64), log_probs=np.empty(n), rewards=np.empty(n),
+                   values=np.empty(n), dones=np.empty(n, bool), bootstrap_value=0.0)
+
 
 def compute_gae(rewards, values, dones, bootstrap_value, gamma, lam):
     """GAE recursion; returns raw advantages and value targets.
@@ -263,6 +286,34 @@ def compute_gae(rewards, values, dones, bootstrap_value, gamma, lam):
     return adv, adv + values
 
 
+class _Lane:
+    """One episode segment of a worker's slice in a lockstep collect."""
+
+    __slots__ = ("env", "state", "rec", "slot", "u", "prior", "keep_log")
+
+    def __init__(self, env: SwapEnv, state: FeatureMatrix, rec: TrajectoryBatch, slot: int,
+                 u: np.ndarray, prior: list):
+        self.env, self.state, self.rec = env, state, rec
+        self.slot = slot  # index of the lane's first transition in the slice
+        self.u = u  # the uniforms of its action draws, one per step
+        self.prior = prior  # the episode's rewards before this collect
+        self.keep_log = True
+
+
+def _by_jobs(states) -> list[list[int]]:
+    """Indices of ``states`` grouped by job count, each group in order."""
+    groups: dict[int, list[int]] = {}
+    for idx, state in enumerate(states):
+        groups.setdefault(state.per_job.shape[0], []).append(idx)
+    return list(groups.values())
+
+
+def _forward(params, net_cfg, states):
+    """One batched forward over same-N states; row r is ``states[r]`` alone."""
+    return policynet.forward(params, net_cfg, np.stack([s.per_job for s in states]),
+                             np.array([s.general for s in states]))
+
+
 class RolloutWorker:
     """One deterministic environment stream with its own generator."""
 
@@ -272,44 +323,90 @@ class RolloutWorker:
         self.state: FeatureMatrix | None = None
         self.ep_rewards: list[float] = []
 
-    def collect(self, params, net_cfg, n_steps: int) -> TrajectoryBatch:
-        env, ep_cfg = self.env, self.env.ep_cfg
-        feats, gens, acts, njobs, logps, rews, vals, dones = [], [], [], [], [], [], [], []
-        episode_returns = []
-        for _ in range(n_steps):
-            if self.state is None or env.done:
-                self.state = env.reset(self.rng)
-                self.ep_rewards = []
-            out = policynet.forward(params, net_cfg, self.state.per_job, self.state.general)
-            action, logp = policynet.sample_action(out, self.rng)
-            n = self.state.per_job.shape[0]
-            feats.append(self.state.per_job)
-            gens.append(self.state.general)
-            acts.append(action.i * n + action.k)
-            njobs.append(n)
-            logps.append(logp)
-            vals.append(out.value)
-            next_state, reward, done, _ = env.step(action)
-            rews.append(reward)
-            dones.append(done)
-            self.ep_rewards.append(reward)
-            self.state = next_state
-            if done:
-                gamma_pows = ep_cfg.gamma ** np.arange(len(self.ep_rewards))
-                episode_returns.append(float(np.dot(gamma_pows, self.ep_rewards)))
-        bootstrap = 0.0
-        if not env.done:
-            out = policynet.forward(params, net_cfg, self.state.per_job, self.state.general)
-            bootstrap = float(out.value)
-        return TrajectoryBatch(
-            features=feats, generals=np.array(gens, dtype=np.float64),
-            action_flat=np.array(acts, dtype=np.int64),
-            n_jobs=np.array(njobs, dtype=np.int64),
-            log_probs=np.array(logps, dtype=np.float64),
-            rewards=np.array(rews, dtype=np.float64),
-            values=np.array(vals, dtype=np.float64),
-            dones=np.array(dones, dtype=bool),
-            bootstrap_value=bootstrap, episode_returns=episode_returns)
+    def _lanes(self, rec: TrajectoryBatch) -> list[_Lane]:
+        """Split the slice ``rec`` into episode lanes, drawing as a one-state
+        loop would: per episode one ``integers`` call at the reset, then one
+        ``random`` call per step (the action's uniform, whatever the policy).
+        """
+        env, budget, n_steps = self.env, self.env.ep_cfg.step_budget, len(rec.features)
+        lanes, slot = [], 0
+        if n_steps and self.state is not None and not env.done:
+            length = min(budget - env.t, n_steps)  # the episode carried in
+            lanes.append(_Lane(env, self.state, rec, 0, self.rng.random(length),
+                               self.ep_rewards))
+            slot = length
+        while slot < n_steps:
+            lane_env = env.spawn()
+            state = lane_env.reset(self.rng)
+            length = min(budget, n_steps - slot)
+            lanes.append(_Lane(lane_env, state, rec, slot, self.rng.random(length), []))
+            slot += length
+        for lane in lanes[:-1]:  # only the worker's last episode keeps its log
+            lane.keep_log = False
+            lane.env.episode_log.clear()
+        return lanes
+
+    def _finish(self, lanes, rec: TrajectoryBatch, gamma: float) -> None:
+        """Take over the last lane's episode; log the slice's episode returns."""
+        for lane in lanes:
+            end = lane.slot + len(lane.u)
+            self.ep_rewards = lane.prior + rec.rewards[lane.slot:end].tolist()
+            if rec.dones[end - 1]:
+                gamma_pows = gamma ** np.arange(len(self.ep_rewards))
+                rec.episode_returns.append(float(np.dot(gamma_pows, self.ep_rewards)))
+        if lanes:
+            self.env, self.state = lanes[-1].env, lanes[-1].state
+
+    @staticmethod
+    def collect(workers, params, net_cfg, n_steps: int) -> list[TrajectoryBatch]:
+        """``n_steps`` transitions from each worker, all collected in lockstep.
+
+        Every episode segment of every worker's slice -- the episode carried
+        in from the previous collect, the full ones, the one cut at the
+        slice end -- is a lane. All lanes step together: one batched
+        :func:`~swapsched.policynet.forward` per job count per step, each
+        action picked with the lane's own pre-drawn uniform
+        (:func:`~swapsched.policynet.pick_actions`), then each lane's
+        :meth:`SwapEnv.step`. The forward is batch-invariant and a worker's
+        draws do not depend on the policy, so the slices, generators,
+        environments, episode rewards and bootstrap values are bitwise those
+        of collecting one state at a time, one worker after another.
+        """
+        recs = [TrajectoryBatch.empty(n_steps) for _ in workers]
+        plans = [w._lanes(rec) for w, rec in zip(workers, recs)]
+        lanes = [lane for plan in plans for lane in plan]
+        groups = [[lanes[j] for j in g] for g in _by_jobs([lane.state for lane in lanes])]
+        for s in range(max((len(lane.u) for lane in lanes), default=0)):
+            for group in groups:
+                active = [lane for lane in group if len(lane.u) > s]
+                if not active:
+                    continue
+                out = _forward(params, net_cfg, [lane.state for lane in active])
+                i, k, logp = policynet.pick_actions(out.prob_matrix,
+                                                    [lane.u[s] for lane in active])
+                n = active[0].state.per_job.shape[0]
+                for r, lane in enumerate(active):
+                    rec, t = lane.rec, lane.slot + s
+                    rec.features[t] = lane.state.per_job
+                    rec.generals[t] = lane.state.general
+                    rec.action_flat[t] = i[r] * n + k[r]
+                    rec.n_jobs[t] = n
+                    rec.log_probs[t] = logp[r]
+                    rec.values[t] = out.value[r]
+                    lane.state, rec.rewards[t], rec.dones[t], _ = lane.env.step(
+                        (int(i[r]), int(k[r])))
+                    if not lane.keep_log:
+                        lane.env.episode_log.clear()
+
+        gamma = workers[0].env.ep_cfg.gamma
+        for w, plan, rec in zip(workers, plans, recs):
+            w._finish(plan, rec, gamma)
+        cut = [(w, rec) for w, rec in zip(workers, recs) if not w.env.done]
+        for g in _by_jobs([w.state for w, _ in cut]):  # bootstrap from v(s_next)
+            out = _forward(params, net_cfg, [cut[j][0].state for j in g])
+            for r, j in enumerate(g):
+                cut[j][1].bootstrap_value = float(out.value[r])
+        return recs
 
     def get_state(self) -> dict:
         return {"rng": self.rng.bit_generator.state, "env": self.env.get_state(),
@@ -703,7 +800,7 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
     metrics_fh = open(metrics_path, metrics_mode)
     try:
         while env_step < ppo_cfg.total_env_steps:
-            slices = [w.collect(params, net_cfg, quota) for w in workers]
+            slices = RolloutWorker.collect(workers, params, net_cfg, quota)
 
             adv_parts, tgt_parts = [], []
             for slc in slices:

@@ -299,7 +299,8 @@ class ObjectiveTables:
     oracle's block kernel, sums f2 over ``dist`` gathers instead: several
     times faster on large blocks and exactly 0 for the reference, but ulps
     off ``objective_f2``. ``combined_objective`` stays the independent
-    reference implementation.
+    reference implementation. :meth:`state_features` builds the network input
+    of search states from the same ``gt`` table.
     """
 
     def __init__(self, inst: Instance, cfg: ObjectiveConfig, ref_perm=None):
@@ -307,7 +308,7 @@ class ObjectiveTables:
         self.alpha1, self.alpha2 = cfg.alpha1, cfg.alpha2
         self.ref = ref.copy()
         self.ref.flags.writeable = False  # the reference values below rest on it
-        self._proc = inst.proc
+        self._inst = inst
         self.gt = _weighted_tardiness_from_raw(
             completion_times(inst)[:, None] - inst.due[None, :], cfg)
         self.dist = np.abs(inst.proc[:, None, :] - inst.proc[None, :, :]).sum(axis=2)
@@ -369,9 +370,20 @@ class ObjectiveTables:
         (a ``(B,)`` vector), bitwise ``combined_objective(...).fc``."""
         perms = np.asarray(perms)
         f1 = self.gt[self._pos, perms].sum(axis=-1)
-        f2 = sequence_f2(self._proc[perms])
+        f2 = sequence_f2(self._inst.proc[perms])
         return _per_perm(self.alpha1 * (self.f1_ref - f1)
                          + self.alpha2 * (f2 - self._f2_ref_seq))
+
+    def state_features(self, perms, t: int, T: int) -> FeatureMatrix:
+        """:func:`state_features` of an ``(N,)`` permutation or a ``(B, N)``
+        block, bitwise, with the tardiness column gathered from ``gt``.
+
+        The permutations are not validated: callers check them once (a
+        search starts from the checked reference and swaps checked pairs).
+        """
+        return FeatureMatrix(per_job=_feature_rows(self._inst, perms, self.gt[self._pos, perms],
+                                                   normalized=True),
+                             general=general_feature(t, T))
 
     def evaluate(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(fc, f1, f2)`` vectors for a ``(B, N)`` block of permutations."""
@@ -400,11 +412,17 @@ def job_features(inst: Instance, perm, cfg: ObjectiveConfig, *, normalized: bool
     returned with ``normalized=False``.
     """
     perm = check_permutations(perm, inst.n_jobs)
+    gt = _weighted_tardiness_from_raw(completion_times(inst) - inst.due[perm], cfg)
+    return _feature_rows(inst, perm, gt, normalized)
+
+
+def _feature_rows(inst: Instance, perm: np.ndarray, gt: np.ndarray, normalized: bool) -> np.ndarray:
+    """:func:`job_features` of valid permutation(s) whose weighted tardiness
+    column ``gt`` is already known; the one place the rows are assembled."""
     seq = inst.proc[perm]  # (..., N, W)
     diffs = np.zeros_like(seq)
     diffs[..., :-1, :] = seq[..., :-1, :] - seq[..., 1:, :]
     due = inst.due[perm]
-    gt = _weighted_tardiness_from_raw(completion_times(inst) - due, cfg)
     if normalized:
         c_last = completion_time(inst, inst.n_jobs - 1)
         seq = seq / inst.station_time

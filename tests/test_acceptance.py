@@ -286,7 +286,7 @@ def test_criterion_8_desk_scale_learning(desk_run):
             bench.GeneratorConfig(**DESK_GEN, seed=1001, count=50), i) for i in range(50)]
         worker = ppo.RolloutWorker(train_pool, OBJ, ppo.EpisodeConfig(step_budget=10),
                                    np.random.SeedSequence(808))
-        rnd_batch = worker.collect(uniform, uniform_cfg, 2000)
+        rnd_batch, = ppo.RolloutWorker.collect([worker], uniform, uniform_cfg, 2000)
         random_return = np.mean(rnd_batch.episode_returns)
         print(f"    training return (last 10%) {trained_return:.3f} vs "
               f"random policy {random_return:.3f}")

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import itertools
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from swapsched import bench
+from swapsched import inference
 from swapsched import policynet as pn
 from swapsched.schedcore import (ObjectiveConfig, combined_objective, edd_sort,
                                  load_instance, objective_f1, objective_f2,
@@ -217,6 +219,41 @@ def test_run_benchmark_deterministic(tmp_path, splits, obj_cfg):
     for name in ("results.jsonl", "table.csv", "table.txt"):
         assert ((tmp_path / "r1" / name).read_bytes()
                 == (tmp_path / "r2" / name).read_bytes())
+
+
+def test_checkpoint_digest_is_the_file_sha256(tmp_path):
+    path = tmp_path / "blob.ckpt"
+    for size in (0, 1, 1 << 16, 3 * (1 << 16) + 5):  # empty, short, chunk edges
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert pn.checkpoint_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_run_benchmark_loads_each_rl_checkpoint_once(tmp_path, splits, obj_cfg, monkeypatch):
+    net = pn.NetConfig(d_in=6, d_h=8, n_heads=2, n_layers=1, d_ff=16)
+    ckpt = tmp_path / "policy.ckpt"
+    pn.save_checkpoint(ckpt, pn.init_params(net, seed=3), net)
+    params, _, _ = pn.load_checkpoint(ckpt)
+    calls = []
+    for name in ("load_checkpoint", "checkpoint_digest"):
+        def counted(path, _orig=getattr(pn, name), _name=name):
+            calls.append(_name)
+            return _orig(path)
+        monkeypatch.setattr(pn, name, counted)
+    methods = [{"type": "rl_mr", "checkpoint": str(ckpt), "runs_per_policy": 3,
+                "step_budget": 4}]
+    bench.run_benchmark(splits, methods, obj_cfg, seed=2, out_dir=tmp_path / "b")
+    assert calls == ["load_checkpoint", "checkpoint_digest"]  # 6 instances, one load
+
+    records = [json.loads(l) for l in open(tmp_path / "b" / "results.jsonl")]
+    expected = []
+    for split_idx, split in enumerate(sorted(splits)):
+        for inst_idx, inst in enumerate(splits[split]):
+            icfg = inference.InferenceConfig(
+                runs_per_policy=3, step_budget=4,
+                seed=bench._instance_seed(2, split_idx, inst_idx))
+            res = inference.multirun(inst, params, net, icfg, obj_cfg)
+            expected.append((res.best_report.fc, [int(j) + 1 for j in res.best_perm]))
+    assert [(r["fc"], r["best_permutation_1based"]) for r in records] == expected
 
 
 def test_sa_trace_jsonl_emission(tmp_path, splits, obj_cfg):

@@ -593,6 +593,29 @@ def test_sample_actions_rows_match_sample_action():
             assert lp == logp[b]
 
 
+def test_pick_actions_with_drawn_uniforms_is_sample_actions():
+    # the rollout lanes draw their uniforms ahead and pick with them
+    rng = np.random.default_rng(64)
+    prob = rng.random((9, 5, 5)) ** 4
+    prob[:, np.arange(5), np.arange(5)] = 0.0
+    prob /= prob.sum(axis=(1, 2), keepdims=True)
+    u = np.array([np.random.default_rng(s).random() for s in range(9)])
+    picked = pn.pick_actions(prob, u)
+    drawn = pn.sample_actions(prob, [np.random.default_rng(s) for s in range(9)])
+    for a, b in zip(picked, drawn):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(pn.pick_actions(prob, None), pn.sample_actions(prob, [], greedy=True)):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError):
+        pn.pick_actions(prob, u[:3])
+    with pytest.raises(ValueError):
+        pn.pick_actions(prob, 0.5)
+    dead = prob.copy()
+    dead[4] = 0.0
+    with pytest.raises(FloatingPointError):
+        pn.pick_actions(dead, u)
+
+
 # ---------------------------------------------------------------------------
 # per-call waste: cached encodings, layer-norm reductions, pool argmax
 

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from swapsched import policynet as pn
 from swapsched import ppo
 from swapsched.bench import GeneratorConfig, generate_instance
-from swapsched.schedcore import ObjectiveConfig, combined_objective, edd_sort
+from swapsched.schedcore import ObjectiveConfig, combined_objective, edd_sort, state_features
 
 
 def small_pool(count=3, seed=60):
@@ -168,6 +170,37 @@ def test_env_step_matches_combined_objective_bitwise(obj_cfg, reward_mode):
             best_fc = max(best_fc, fc)
             assert info["best_fc"] == env.best_fc == best_fc
         assert combined_objective(inst, env.best_perm, sigma0, obj_cfg).fc == env.best_fc
+
+
+@pytest.mark.parametrize("scale", [3600.0, 1.0])  # 1 s: exponents hit EXP_CLAMP
+def test_env_features_equal_state_features(inst20, scale):
+    # the env builds each state from its cached tables, checking the
+    # permutation only where it enters; the bits are state_features'
+    cfg = ObjectiveConfig(tardiness_scale=scale)
+    pool = _desk_pool(count=5) + [inst20]
+    env = ppo.SwapEnv(pool, cfg, ppo.EpisodeConfig(step_budget=10))
+    rng = np.random.default_rng(77)
+    sizes = set()
+    for _ in range(24):
+        state = env.reset(rng)
+        sizes.add(env.inst.n_jobs)
+        while True:
+            want = state_features(env.inst, env.perm, cfg, env.t, 10)
+            assert state.per_job.tobytes() == want.per_job.tobytes()
+            assert state.general == want.general
+            if env.done:
+                break
+            i, k = rng.choice(env.inst.n_jobs, size=2, replace=False)
+            state = env.step((int(i), int(k)))[0]
+    assert sizes == {6, 20}
+
+
+def test_env_set_state_rejects_a_non_permutation(env):
+    env.reset(np.random.default_rng(0))
+    state = env.get_state()
+    state["perm"][0] = state["perm"][1]
+    with pytest.raises(ValueError):
+        ppo.SwapEnv(env.pool, env.obj_cfg, env.ep_cfg).set_state(state)
 
 
 def test_env_step_rejects_bad_pairs_and_keeps_state(env):
@@ -353,7 +386,7 @@ def test_fixed_batch_loss_decreases(rng, obj_cfg):
                          total_env_steps=40, seed=71)
     worker = ppo.RolloutWorker(small_pool(), obj_cfg, ppo.EpisodeConfig(step_budget=5),
                                np.random.SeedSequence(71))
-    batch = worker.collect(params, net_cfg, 40)
+    batch, = ppo.RolloutWorker.collect([worker], params, net_cfg, 40)
     adv, targets = ppo.compute_gae(batch.rewards, batch.values, batch.dones,
                                    batch.bootstrap_value, 0.99, 0.99)
     adv = (adv - adv.mean()) / adv.std()
@@ -379,7 +412,7 @@ def test_worker_collect_deterministic(obj_cfg):
     for _ in range(2):
         w = ppo.RolloutWorker(small_pool(), obj_cfg, ppo.EpisodeConfig(step_budget=5),
                               np.random.SeedSequence([9, 1]))
-        slices.append(w.collect(params, net_cfg, 25))
+        slices += ppo.RolloutWorker.collect([w], params, net_cfg, 25)
     a, b = slices
     assert np.array_equal(a.action_flat, b.action_flat)
     assert np.array_equal(a.rewards, b.rewards)
@@ -391,12 +424,125 @@ def test_worker_bootstrap_on_cut_episode(obj_cfg):
     params = pn.init_params(net_cfg, seed=73)
     w = ppo.RolloutWorker(small_pool(), obj_cfg, ppo.EpisodeConfig(step_budget=10),
                           np.random.SeedSequence(10))
-    batch = w.collect(params, net_cfg, 15)  # cuts mid-episode at t=5
+    batch, = ppo.RolloutWorker.collect([w], params, net_cfg, 15)  # cuts mid-episode at t=5
     assert not batch.dones[-1]
     assert batch.bootstrap_value != 0.0
     # continuing the stream finishes the episode deterministically
-    batch2 = w.collect(params, net_cfg, 5)
+    batch2, = ppo.RolloutWorker.collect([w], params, net_cfg, 5)
     assert batch2.dones[-1]
+
+
+def _one_state_collect(w, params, net_cfg, n_steps):
+    """The one-state rollout loop the lockstep collect replaced, kept as its
+    reference: one forward, one draw and one env step per transition."""
+    env, ep_cfg = w.env, w.env.ep_cfg
+    feats, gens, acts, njobs, logps, rews, vals, dones = [], [], [], [], [], [], [], []
+    episode_returns = []
+    for _ in range(n_steps):
+        if w.state is None or env.done:
+            w.state = env.reset(w.rng)
+            w.ep_rewards = []
+        out = pn.forward(params, net_cfg, w.state.per_job, w.state.general)
+        action, logp = pn.sample_action(out, w.rng)
+        n = w.state.per_job.shape[0]
+        feats.append(w.state.per_job)
+        gens.append(w.state.general)
+        acts.append(action.i * n + action.k)
+        njobs.append(n)
+        logps.append(logp)
+        vals.append(out.value)
+        next_state, reward, done, _ = env.step(action)
+        rews.append(reward)
+        dones.append(done)
+        w.ep_rewards.append(reward)
+        w.state = next_state
+        if done:
+            gamma_pows = ep_cfg.gamma ** np.arange(len(w.ep_rewards))
+            episode_returns.append(float(np.dot(gamma_pows, w.ep_rewards)))
+    bootstrap = 0.0
+    if not env.done:
+        bootstrap = float(pn.forward(params, net_cfg, w.state.per_job, w.state.general).value)
+    return ppo.TrajectoryBatch(
+        features=feats, generals=np.array(gens, dtype=np.float64),
+        action_flat=np.array(acts, dtype=np.int64), n_jobs=np.array(njobs, dtype=np.int64),
+        log_probs=np.array(logps, dtype=np.float64), rewards=np.array(rews, dtype=np.float64),
+        values=np.array(vals, dtype=np.float64), dones=np.array(dones, dtype=bool),
+        bootstrap_value=bootstrap, episode_returns=episode_returns)
+
+
+def _mixed_pool():
+    # N=5 and N=4 instances with the same W, so one net reads both
+    gen = GeneratorConfig(n_jobs=4, n_stations=2, due_slack_s=0.0, due_noise_s=400.0,
+                          seed=61, count=3)
+    return small_pool(count=3) + [generate_instance(gen, i) for i in range(3)]
+
+
+def _desk_net():
+    return pn.NetConfig(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64)
+
+
+@pytest.mark.parametrize("pool, net_cfg, ep_cfg, n_workers, quota", [
+    # quota not a multiple of T: episodes carried in and cut (bootstrap)
+    (_desk_pool(), _desk_net(), ppo.EpisodeConfig(step_budget=10), 1, 25),
+    (_desk_pool(), _desk_net(), ppo.EpisodeConfig(step_budget=1), 2, 7),
+    (_mixed_pool(), tiny_net(), ppo.EpisodeConfig(step_budget=4, gamma=0.9), 3, 13),
+    (_desk_pool(), _desk_net(),
+     ppo.EpisodeConfig(step_budget=10, reward_mode="best_improvement"), 2, 15),
+    (_mixed_pool(), tiny_net(), ppo.EpisodeConfig(step_budget=6), 2, 4),
+], ids=["desk-carry-cut", "T1-two-workers", "mixed-N-three-workers", "best-improvement",
+        "quota-below-T"])
+def test_lockstep_collect_equals_one_state_loop(obj_cfg, pool, net_cfg, ep_cfg,
+                                                 n_workers, quota):
+    params = pn.init_params(net_cfg, seed=74)
+    seeds = [np.random.SeedSequence([11, 1000 + w]) for w in range(n_workers)]
+    lock = [ppo.RolloutWorker(pool, obj_cfg, ep_cfg, s) for s in seeds]
+    ref = [ppo.RolloutWorker(pool, obj_cfg, ep_cfg, s) for s in seeds]
+    cut = False
+    for _ in range(3):  # later collects start inside an episode
+        got = ppo.RolloutWorker.collect(lock, params, net_cfg, quota)
+        want = [_one_state_collect(w, params, net_cfg, quota) for w in ref]
+        for a, b in zip(got, want):
+            assert len(a) == len(b) == quota
+            for fa, fb in zip(a.features, b.features):
+                assert fa.dtype == fb.dtype and fa.tobytes() == fb.tobytes()
+            for name in ("generals", "action_flat", "n_jobs", "log_probs", "rewards",
+                         "values", "dones"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+            assert type(a.bootstrap_value) is float
+            assert a.bootstrap_value == b.bootstrap_value
+            assert a.episode_returns == b.episode_returns
+            cut |= not b.dones[-1]
+        for w, r in zip(lock, ref):
+            # generator, env (episode log included), episode rewards
+            assert json.dumps(w.get_state()) == json.dumps(r.get_state())
+            assert w.state.per_job.tobytes() == r.state.per_job.tobytes()
+            assert w.state.general == r.state.general
+    assert cut == bool(quota % ep_cfg.step_budget)
+
+
+def test_lockstep_collect_runs_one_forward_per_step():
+    # the benchmark's tracer: a 1000-step collect makes at most T + 1
+    # batched forwards (one per lane-step, one for the cut episode's value)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, _ in spans.TRACED:  # the tracer patches loaded modules only
+        importlib.import_module(f"swapsched.{module}")
+    net_cfg = _desk_net()
+    params = pn.init_params(net_cfg, seed=75)
+    w = ppo.RolloutWorker(_desk_pool(), ObjectiveConfig(), ppo.EpisodeConfig(step_budget=10),
+                          np.random.SeedSequence(76))
+    for n_steps in (995, 1000):  # the second collect carries an episode in
+        with spans.Tracer() as tracer:
+            batch, = ppo.RolloutWorker.collect([w], params, net_cfg, n_steps)
+        calls = {name: c for name, (c, _, _) in tracer.totals().items()}
+        assert len(batch) == n_steps
+        assert calls["ppo.RolloutWorker.collect"] == 1
+        assert calls["policynet.forward.b1"] == calls["policynet.sample_action"] == 0
+        assert 1 <= calls["policynet.forward.batched"] <= 10 + 1
+        assert calls["ppo.SwapEnv.step"] == n_steps
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +673,41 @@ def desk_training_record(out) -> str:
 def test_desk_training_matches_golden(tmp_path):
     # byte identity holds for a fixed BLAS thread count (see README)
     assert desk_training_record(tmp_path / "run") == TRAIN_GOLDEN.read_text()
+
+
+WORKERS_GOLDEN = Path(__file__).parent / "data" / "train_golden_desk_workers.json"
+
+
+def desk_workers_record(out, resume_from=None) -> str:
+    """``metrics.jsonl`` and final resume-point digests of a 4-worker desk run.
+
+    Each worker's quota of 15 steps does not divide by the 10-step budget, so
+    every collect carries an episode in or cuts one at the slice end, and the
+    run writes a mid-run checkpoint at env step 60. ``WORKERS_GOLDEN`` holds
+    the output of this function from the trainer whose workers collected one
+    state at a time, one after another.
+    """
+    net = pn.NetConfig(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64)
+    pcfg = ppo.PPOConfig(total_env_steps=120, train_batch_size=60, minibatch_size=20,
+                         epochs_per_batch=2, lr_start=5e-4, lr_end=2e-5,
+                         value_coeff=0.25, grad_clip_norm=1.0, entropy_coeff=0.1,
+                         checkpoint_every=60, n_rollout_workers=4, seed=4)
+    res = ppo.train(_desk_pool(), net, pcfg, ppo.EpisodeConfig(step_budget=10, gamma=0.99),
+                    ObjectiveConfig(), out, resume_from=resume_from)
+    base = res.final_checkpoint[: -len(".ckpt")]
+    record = {"metrics_jsonl": Path(res.metrics_path).read_text(),
+              "sha256": {s: hashlib.sha256(Path(base + s).read_bytes()).hexdigest()
+                         for s in (".ckpt", ".state.npz", ".state.json")}}
+    return json.dumps(record, sort_keys=True, indent=1) + "\n"
+
+
+def test_desk_workers_training_matches_golden_and_resumes(tmp_path):
+    run = tmp_path / "run"
+    assert desk_workers_record(run) == WORKERS_GOLDEN.read_text()
+    assert (run / "ckpt_0000000060.ckpt").exists()
+    # resuming in place from the mid-run checkpoint rewrites the same bytes
+    assert (desk_workers_record(run, resume_from=run / "ckpt_0000000060.ckpt")
+            == WORKERS_GOLDEN.read_text())
 
 
 def _run_files(run: Path) -> dict:

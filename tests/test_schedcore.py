@@ -302,6 +302,26 @@ def test_edd_minimizes_f1_small_exhaustive(obj_cfg, rng):
 # features
 
 
+@pytest.mark.parametrize("scale", [3600.0, 1.0])  # 1 s: exponents hit EXP_CLAMP
+def test_table_features_equal_state_features(inst6, inst20, scale, rng):
+    # the inference lanes and the env build features from the tables; the
+    # gathered tardiness column must be bitwise job_features' own exp
+    cfg = sc.ObjectiveConfig(tardiness_scale=scale)
+    for inst in (inst6, inst20):
+        tables = sc.ObjectiveTables(inst, cfg)
+        arg = (sc.completion_times(inst)[:, None] - inst.due[None, :]) / scale
+        assert (np.abs(arg) > sc.EXP_CLAMP).any() == (scale == 1.0)
+        perms = np.array([rng.permutation(inst.n_jobs) for _ in range(12)] + [tables.ref])
+        for t in (0, 3, 10):
+            block = tables.state_features(perms, t, 10)
+            want = sc.state_features(inst, perms, cfg, t, 10)
+            assert block.per_job.tobytes() == want.per_job.tobytes()
+            assert block.general == want.general
+            for perm in perms:
+                one = tables.state_features(perm, t, 10).per_job
+                assert one.tobytes() == sc.state_features(inst, perm, cfg, t, 10).per_job.tobytes()
+
+
 def test_job_features_shape_and_last_row(inst20, obj_cfg):
     perm = sc.edd_sort(inst20)
     rows = sc.job_features(inst20, perm, obj_cfg)
