@@ -122,22 +122,21 @@ def sa_accept(delta_e: float, temp: float, rng: np.random.Generator) -> bool:
 
 
 def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
-                ref_perm=None, trace_stride: int = 0) -> SAResult:
+                trace_stride: int = 0) -> SAResult:
     """Swap-based simulated annealing maximizing the combined objective.
 
-    Energy is the negated combined objective, so the Metropolis rule minimizes
-    energy and thereby maximizes fc. Proposals are uniform over all unordered
-    position pairs; ``steps`` counts proposals, matching the step budgets used
-    when comparing against policy rollouts. The best permutation ever visited
-    (including ``start``) is returned. With ``trace_stride > 0``, every
-    stride-th step is recorded as ``(step, fc, accepted)``.
+    Energy is the negated combined objective relative to ``start``, so the
+    Metropolis rule minimizes energy and thereby maximizes fc. Proposals are
+    uniform over all unordered position pairs; ``steps`` counts proposals,
+    matching the step budgets used when comparing against policy rollouts.
+    The best permutation ever visited (including ``start``) is returned. With
+    ``trace_stride > 0``, every stride-th step is recorded as
+    ``(step, fc, accepted)``.
     """
     start = check_permutation(start, inst.n_jobs)
-    if ref_perm is None:
-        ref_perm = start
     rng = np.random.default_rng(cfg.seed)
     n = inst.n_jobs
-    tables = ObjectiveTables(inst, obj_cfg, ref_perm)
+    tables = ObjectiveTables(inst, obj_cfg, start)
     swap_delta = tables.swap_delta
 
     current = start.tolist()  # validated once; list indexing keeps the loop cheap
@@ -170,5 +169,5 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
             trace.append((step, current_fc, accepted))
 
     return SAResult(best_perm=best,
-                    best_report=combined_objective(inst, best, ref_perm, obj_cfg),
+                    best_report=combined_objective(inst, best, start, obj_cfg),
                     trace=trace, accepted=accepted_count, steps=cfg.steps)

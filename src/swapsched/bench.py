@@ -34,7 +34,7 @@ import numpy as np
 
 from . import inference, policynet
 from .baselines import SAConfig, SHConfig, sa_optimize, sh_schedule
-from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables,
+from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables, check_permutation,
                         combined_objective, edd_sort, load_instance, save_instance)
 
 log = logging.getLogger(__name__)
@@ -129,8 +129,7 @@ BRUTE_FORCE_MAX_JOBS = 9
 ORACLE_CHUNK = 1024
 
 
-def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = "fc",
-                     ref_perm=None):
+def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = "fc"):
     """Exhaustive search over all N! permutations (N <= 9).
 
     Maximizes ``fc`` or ``f2``, minimizes ``f1``; ties keep the
@@ -148,7 +147,7 @@ def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = 
     if objective not in ("fc", "f1", "f2"):
         raise ValueError(f"objective must be fc, f1 or f2, got {objective!r}")
 
-    tables = ObjectiveTables(inst, obj_cfg, ref_perm)
+    tables = ObjectiveTables(inst, obj_cfg)  # reference: the due-date sort
     column = ("fc", "f1", "f2").index(objective)
     minimize = objective == "f1"
     perms = itertools.permutations(range(n))
@@ -396,6 +395,7 @@ def export_heatmap(inst: Instance, perm, csv_path, svg_path) -> np.ndarray:
     red-to-green linear scale (mid color when all values are equal) and axis
     labels for positions and workstations.
     """
+    perm = check_permutation(perm, inst.n_jobs)  # before any file is opened
     buf = buffer_matrix(inst, perm)
     n, w = buf.shape
 

@@ -51,13 +51,12 @@ def _load_config(path) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _pool_from_config(cfg: dict, key_prefix: str = "") -> list:
-    k = lambda name: f"{key_prefix}{name}" if key_prefix else name
-    if k("instances") in cfg:
-        return bench.load_pool(cfg[k("instances")])
-    if k("instance_dir") in cfg:
-        return bench.load_pool(cfg[k("instance_dir")])
-    raise ValueError(f"config needs {k('instances')} or {k('instance_dir')}")
+def _pool_from_config(cfg: dict) -> list:
+    if "instances" in cfg:
+        return bench.load_pool(cfg["instances"])
+    if "instance_dir" in cfg:
+        return bench.load_pool(cfg["instance_dir"])
+    raise ValueError("config needs instances or instance_dir")
 
 
 def _objective(cfg: dict) -> ObjectiveConfig:

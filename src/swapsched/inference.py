@@ -13,10 +13,10 @@ loses to multirun on the same instance" a hard guarantee instead of a
 statistical tendency.
 
 All runs of one policy step in lockstep as lanes of one engine
-(:func:`run_lanes`): each step builds the features of every lane at once
-from the instance's tables, evaluates the network once on the whole batch,
-draws each lane's swap from that lane's own generator and scores all lanes
-with one :meth:`~swapsched.schedcore.ObjectiveTables.fc` call. Every layer
+(:func:`run_lanes`): each lane draws its uniforms from its own generator up
+front; each step builds every lane's features from the instance's tables,
+runs the network once on the batch, picks every swap with ``pick_actions``
+and scores all lanes with one ``ObjectiveTables.fc`` call. Every layer
 is batch-invariant -- row r of a batch is bitwise equal to the same state
 evaluated alone -- so a lane reproduces exactly the rollout it would make on
 its own. :func:`run_episode` is the one-lane case. The final reports come
@@ -98,9 +98,10 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
               greedy: bool = False) -> list[EpisodeResult]:
     """One rollout of ``step_budget`` policy swaps per generator, in lockstep.
 
-    Returns one result per generator. Lane r draws only from ``rngs[r]``
-    and its result does not depend on the other lanes. ``params=None`` is
-    the uniform policy of the RAND-MR baseline: every step draws from
+    Returns one result per generator. Lane r draws ``step_budget`` uniforms
+    from ``rngs[r]`` up front (none when ``greedy``); its result does not
+    depend on the other lanes. ``params=None`` is the uniform policy of the
+    RAND-MR baseline: every step draws from
     :func:`swapsched.policynet.uniform_pair_probs` (``net_cfg`` is unused),
     the distribution a network with all-zero parameters outputs, so the
     draws are the same without building features or running a network.
@@ -116,6 +117,8 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
     else:
         _check_width(inst, net_cfg)
     lanes = np.arange(n_lanes)
+    # random(n) yields the values of n successive random() calls
+    u = None if greedy else np.array([rng.random(step_budget) for rng in rngs])
     perms = np.tile(sigma0, (n_lanes, 1))
     best_perms = perms.copy()
     best_fc = np.zeros(n_lanes)
@@ -128,7 +131,7 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
             fm = tables.state_features(perms, t, step_budget)
             prob = policynet.forward(params, net_cfg, fm.per_job,
                                      np.full(n_lanes, fm.general)).prob_matrix
-        i, k, _ = policynet.sample_actions(prob, rngs, greedy=greedy)
+        i, k, _ = policynet.pick_actions(prob, None if u is None else u[:, t])
         perms[lanes, i], perms[lanes, k] = perms[lanes, k], perms[lanes, i]
         fc = tables.fc(perms)
         actions[:, t, 0], actions[:, t, 1] = i, k

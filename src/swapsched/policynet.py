@@ -50,7 +50,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .operators import PairAction
-from .schedcore import FeatureMatrix
 
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"SWSCK001"
@@ -417,8 +416,6 @@ def forward(params, cfg: NetConfig, per_job, general, want_cache: bool = False):
     With ``want_cache=True`` additionally returns the intermediate tensors
     needed by :func:`backward`.
     """
-    if isinstance(per_job, FeatureMatrix):
-        per_job, general = per_job.per_job, per_job.general
     x = np.asarray(per_job, dtype=params["input.w"].dtype)
     single = x.ndim == 2
     if single:
@@ -516,15 +513,13 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
 
     ``d_logits`` is the loss gradient w.r.t. the masked pair logits (diagonal
     entries are ignored), ``d_value`` w.r.t. the value output. Shapes follow
-    the batched forward: (B, N, N) and (B,); single-state shapes are promoted.
+    the batched forward, (B, N, N) and (B,), with B = 1 after a single state.
     Every block is written once into its view of one flat gradient vector
     (:func:`flat_views`, canonical order), which is checked for finiteness.
     """
     dtype = params["input.w"].dtype
     d_logits = np.asarray(d_logits, dtype=dtype)
-    d_value = np.atleast_1d(np.asarray(d_value, dtype=dtype))
-    if d_logits.ndim == 2:
-        d_logits = d_logits[None]
+    d_value = np.asarray(d_value, dtype=dtype)
     b, n, _ = cache["prob"].shape
     blocks = canonical_blocks(cfg)
     flat = np.empty(_block_size(blocks), dtype=dtype)
@@ -583,28 +578,12 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
 # sampling and distribution helpers
 
 
-def sample_actions(prob, rngs, greedy: bool = False):
-    """Draw one swap pair per state of a ``(B, N, N)`` probability block.
-
-    State b draws with ``rngs[b]``, one ``random()`` call each (none when
-    ``greedy``, which takes the argmax), so a state's draw does not depend on
-    the rest of the batch. Returns ``(i, k, log_prob)`` arrays of length B;
-    the pick itself is :func:`pick_actions`.
-    """
-    if np.ndim(prob) != 3:
-        raise ValueError("sample_actions expects a (B, N, N) probability block")
-    if greedy:
-        return pick_actions(prob, None)
-    if len(rngs) != len(prob):
-        raise ValueError(f"{len(rngs)} generators for {len(prob)} states")
-    return pick_actions(prob, np.array([rng.random() for rng in rngs]))
-
-
 def pick_actions(prob, u):
     """Pick one swap pair per state of a ``(B, N, N)`` probability block.
 
-    State b takes the pair at quantile ``u[b]`` (a uniform draw in [0, 1)) of
-    its flattened distribution, or its argmax when ``u`` is None. Returns
+    State b takes the pair at quantile ``u[b]`` (a uniform draw in [0, 1),
+    made up front from the state's own generator) of its flattened
+    distribution, or its argmax when ``u`` is None. Returns
     ``(i, k, log_prob)`` arrays of length B. Faults if a distribution lost
     its mass to numeric underflow, and never returns a zero-mass or diagonal
     pair.
@@ -641,13 +620,13 @@ def pick_actions(prob, u):
 def sample_action(out: NetOutput, rng: np.random.Generator, greedy: bool = False):
     """Draw a swap pair from one ``(N, N)`` probability matrix (or take the argmax).
 
-    The one-state case of :func:`sample_actions`. Returns
-    ``(PairAction, log_prob)``.
+    :func:`pick_actions` on one state with one ``rng.random()`` draw (none
+    when ``greedy``). Returns ``(PairAction, log_prob)``.
     """
     p = np.asarray(out.prob_matrix)
     if p.ndim != 2:
         raise ValueError("sample_action expects a single (N, N) probability matrix")
-    i, k, logp = sample_actions(p[None], [rng], greedy=greedy)
+    i, k, logp = pick_actions(p[None], None if greedy else [rng.random()])
     return PairAction(int(i[0]), int(k[0])), float(logp[0])
 
 
@@ -741,8 +720,8 @@ __all__ = [
     "zero_params", "param_count", "flat_views", "flat_buffer", "flatten_params",
     "unflatten_params",
     "positional_encoding", "embed_jobs", "encoder_layer", "pool_and_integrate",
-    "compatibility", "critic_value", "forward", "backward", "sample_actions",
-    "pick_actions", "sample_action", "uniform_pair_probs", "prob_entropy",
+    "compatibility", "critic_value", "forward", "backward", "pick_actions",
+    "sample_action", "uniform_pair_probs", "prob_entropy",
     "digest_rng_state", "save_checkpoint",
     "load_checkpoint", "checkpoint_digest",
 ]

@@ -92,6 +92,11 @@ class PPOConfig:
     def __post_init__(self):
         if not 0 < self.clip_param < 1:
             raise ValueError("clip_param must lie in (0, 1)")
+        for name in ("n_rollout_workers", "train_batch_size", "minibatch_size", "epochs_per_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be None or >= 1, got {self.checkpoint_every}")
         if self.minibatch_size > self.train_batch_size:
             raise ValueError("minibatch_size must not exceed train_batch_size")
         if self.lr_end > self.lr_start:
@@ -509,12 +514,11 @@ def clip_grads_(grads: dict, max_norm: float | None) -> float:
 class Adam:
     """Plain first-order adaptive-moment optimizer with bias correction.
 
-    Works on one flat parameter vector: the moments are flat vectors too
-    (``m`` and ``v`` are dicts of views into them, by block name), so a step
-    is a handful of vector operations whatever the number of blocks.
-    Parameters that are not already views of one vector
-    (:func:`swapsched.policynet.flat_buffer`) are moved into one: the dict's
-    entries are replaced by views of it.
+    Works on one flat parameter vector: ``params`` and each step's ``grads``
+    must be views of one vector each, as ``init_params``, ``load_checkpoint``
+    and ``backward`` return them (:func:`swapsched.policynet.flat_views`).
+    The moments are flat vectors too (``m`` and ``v`` are dicts of views into
+    them, by block name), so a step is a handful of vector operations.
     """
 
     def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -523,8 +527,7 @@ class Adam:
         layout = [(k, np.shape(v)) for k, v in params.items()]
         self._params = policynet.flat_buffer(params)
         if self._params is None:
-            self._params = np.concatenate([np.ravel(v) for v in params.values()])
-            params.update(policynet.flat_views(layout, self._params))
+            raise ValueError("params are not views of one flat vector")
         self._names = list(params)
         self._views = list(params.values())
         self._m = np.zeros_like(self._params)
@@ -538,7 +541,7 @@ class Adam:
             raise ValueError("params are not the views this optimizer was built on")
         g = policynet.flat_buffer(grads)
         if g is None or list(grads) != self._names:
-            g = np.concatenate([np.ravel(grads[k]) for k in self._names])
+            raise ValueError("grads are not views of one flat vector in parameter order")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1 ** self.t

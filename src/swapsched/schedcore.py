@@ -14,6 +14,8 @@ due-date sort):
 
 The combined score is ``fc = alpha1 * (f1(ref) - f1(perm))
 + alpha2 * (f2(perm) - f2(ref))``, which is 0 for the reference itself.
+The reference functions take one checked permutation; :class:`ObjectiveTables`
+scores and featurizes blocks of them, bitwise equal row by row.
 
 Conventions: positions and job indices are 0-based everywhere in this package;
 JSON file formats and log records use 1-based indices and say so.
@@ -121,7 +123,7 @@ class ObjectiveReport:
 class FeatureMatrix:
     """Per-job feature rows plus the scalar progress feature ``t / T``."""
 
-    per_job: np.ndarray  # (N, 2W + 2), or (B, N, 2W + 2) for a block of states
+    per_job: np.ndarray  # (N, 2W + 2); (B, N, 2W + 2) from ObjectiveTables.state_features
     general: float
 
 
@@ -178,17 +180,6 @@ def check_permutation(perm, n: int) -> np.ndarray:
     return perm
 
 
-def check_permutations(perms, n: int) -> np.ndarray:
-    """Like :func:`check_permutation`, also accepting a ``(B, n)`` block."""
-    perms = np.asarray(perms, dtype=np.int64)
-    if perms.ndim == 1:
-        return check_permutation(perms, n)
-    if (perms.ndim != 2 or perms.shape[1] != n
-            or not np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), perms.shape))):
-        raise ValueError(f"not a valid (B, {n}) block of permutations: {perms!r}")
-    return perms
-
-
 # ---------------------------------------------------------------------------
 # objectives
 
@@ -225,8 +216,8 @@ def _weighted_tardiness_from_raw(raw: np.ndarray, cfg: ObjectiveConfig) -> np.nd
 
 
 def weighted_tardiness_values(inst: Instance, perm, cfg: ObjectiveConfig) -> np.ndarray:
-    """exp(T_T / scale) for every position of ``perm`` (shape ``(N,)`` or ``(B, N)``)."""
-    perm = check_permutations(perm, inst.n_jobs)
+    """exp(T_T / scale) for every position of ``perm``, shape ``(N,)``."""
+    perm = check_permutation(perm, inst.n_jobs)
     raw = completion_times(inst) - inst.due[perm]
     return _weighted_tardiness_from_raw(raw, cfg)
 
@@ -239,36 +230,27 @@ def _per_perm(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-# The objectives take one permutation (a float result) or a (B, N) block of
-# them (a (B,) result). Each row of a block sums in the same order as the
-# permutation alone, so the results are bitwise equal.
-
-
-def objective_f1(inst: Instance, perm, cfg: ObjectiveConfig):
+def objective_f1(inst: Instance, perm, cfg: ObjectiveConfig) -> float:
     """Sum of exponentially weighted tardiness over all positions (minimize)."""
-    return _per_perm(weighted_tardiness_values(inst, perm, cfg).sum(axis=-1))
+    return float(weighted_tardiness_values(inst, perm, cfg).sum())
 
 
-def objective_f2(inst: Instance, perm):
+def objective_f2(inst: Instance, perm) -> float:
     """Sum over stations of |p difference| between consecutive jobs (maximize)."""
-    return sequence_f2(inst.proc[check_permutations(perm, inst.n_jobs)])
+    return sequence_f2(inst.proc[check_permutation(perm, inst.n_jobs)])
 
 
 def sequence_f2(seq):
     """f2 of processing-time rows already in sequence order, ``(..., N, W)``.
 
-    :func:`objective_f2` is this after checking the permutation; a caller
-    whose permutations are valid by construction gets the same bits from it.
+    :func:`objective_f2` is this after checking the permutation; each
+    ``(N, W)`` block of a stack gets the same bits as it would alone.
     """
     return _per_perm(np.abs(np.diff(seq, axis=-2)).sum(axis=(-2, -1)))
 
 
 def combined_objective(inst: Instance, perm, ref_perm, cfg: ObjectiveConfig) -> ObjectiveReport:
-    """Evaluate f1/f2 of ``perm`` and the weighted improvement over ``ref_perm``.
-
-    For a ``(B, N)`` block of permutations the report's fields are ``(B,)``
-    arrays.
-    """
+    """Evaluate f1/f2 of ``perm`` and the weighted improvement over ``ref_perm``."""
     f1 = objective_f1(inst, perm, cfg)
     f2 = objective_f2(inst, perm)
     d1 = objective_f1(inst, ref_perm, cfg) - f1
@@ -294,11 +276,11 @@ class ObjectiveTables:
     permutations and positions once, outside their loops.
 
     :meth:`fc` is the one scorer of swap-search states (env steps, inference
-    lanes, SA): it sums in ``objective_f1``/``objective_f2`` order, so it is
-    bitwise :func:`combined_objective`'s fc. :meth:`evaluate`, the brute-force
-    oracle's block kernel, sums f2 over ``dist`` gathers instead: several
-    times faster on large blocks and exactly 0 for the reference, but ulps
-    off ``objective_f2``. ``combined_objective`` stays the independent
+    lanes, SA): it sums in ``objective_f1``/``objective_f2`` order, so each row
+    is bitwise :func:`combined_objective`'s fc. :meth:`evaluate`, the oracle's
+    block kernel, sums f2 over ``dist`` gathers instead: several times faster
+    on large blocks and exactly 0 for the reference, but ulps off
+    ``objective_f2``. ``combined_objective`` stays the independent
     reference implementation. :meth:`state_features` builds the network input
     of search states from the same ``gt`` table.
     """
@@ -367,7 +349,7 @@ class ObjectiveTables:
 
     def fc(self, perms):
         """fc of an ``(N,)`` permutation (a float) or a ``(B, N)`` block
-        (a ``(B,)`` vector), bitwise ``combined_objective(...).fc``."""
+        (a ``(B,)`` vector), bitwise ``combined_objective(...).fc`` row by row."""
         perms = np.asarray(perms)
         f1 = self.gt[self._pos, perms].sum(axis=-1)
         f2 = sequence_f2(self._inst.proc[perms])
@@ -375,14 +357,13 @@ class ObjectiveTables:
                          + self.alpha2 * (f2 - self._f2_ref_seq))
 
     def state_features(self, perms, t: int, T: int) -> FeatureMatrix:
-        """:func:`state_features` of an ``(N,)`` permutation or a ``(B, N)``
-        block, bitwise, with the tardiness column gathered from ``gt``.
+        """:func:`state_features` of an ``(N,)`` permutation or, row by row, a
+        ``(B, N)`` block, bitwise, with the tardiness column gathered from ``gt``.
 
         The permutations are not validated: callers check them once (a
         search starts from the checked reference and swaps checked pairs).
         """
-        return FeatureMatrix(per_job=_feature_rows(self._inst, perms, self.gt[self._pos, perms],
-                                                   normalized=True),
+        return FeatureMatrix(per_job=_feature_rows(self._inst, perms, self.gt[self._pos, perms]),
                              general=general_feature(t, T))
 
     def evaluate(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,37 +378,30 @@ class ObjectiveTables:
 # features
 
 
-def job_features(inst: Instance, perm, cfg: ObjectiveConfig, *, normalized: bool = True) -> np.ndarray:
+def job_features(inst: Instance, perm, cfg: ObjectiveConfig) -> np.ndarray:
     """Per-job feature rows ``(N, 2W + 2)`` in permutation order.
-
-    A ``(B, N)`` block of permutations gives ``(B, N, 2W + 2)``, each state
-    bitwise equal to its own call.
 
     Row i holds the W processing times of the job at position i, the W signed
     differences to the next job's processing times (zeros for the last row),
-    the due date and the weighted tardiness. With ``normalized=True`` (the
-    network pathway) processing times and differences are divided by the
-    station time, and due dates by the last completion time; the weighted
-    tardiness is already O(1) and passes through unchanged. Raw seconds are
-    returned with ``normalized=False``.
+    the due date and the weighted tardiness. Processing times and differences
+    are divided by the station time, and due dates by the last completion
+    time; the weighted tardiness is already O(1) and passes through unchanged.
     """
-    perm = check_permutations(perm, inst.n_jobs)
+    perm = check_permutation(perm, inst.n_jobs)
     gt = _weighted_tardiness_from_raw(completion_times(inst) - inst.due[perm], cfg)
-    return _feature_rows(inst, perm, gt, normalized)
+    return _feature_rows(inst, perm, gt)
 
 
-def _feature_rows(inst: Instance, perm: np.ndarray, gt: np.ndarray, normalized: bool) -> np.ndarray:
-    """:func:`job_features` of valid permutation(s) whose weighted tardiness
-    column ``gt`` is already known; the one place the rows are assembled."""
+def _feature_rows(inst: Instance, perm: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """:func:`job_features` of a valid permutation or ``(B, N)`` block whose
+    weighted tardiness column ``gt`` is known; the one place rows are assembled."""
     seq = inst.proc[perm]  # (..., N, W)
     diffs = np.zeros_like(seq)
     diffs[..., :-1, :] = seq[..., :-1, :] - seq[..., 1:, :]
-    due = inst.due[perm]
-    if normalized:
-        c_last = completion_time(inst, inst.n_jobs - 1)
-        seq = seq / inst.station_time
-        diffs = diffs / inst.station_time
-        due = due / c_last
+    c_last = completion_time(inst, inst.n_jobs - 1)
+    seq = seq / inst.station_time
+    diffs = diffs / inst.station_time
+    due = inst.due[perm] / c_last
     return np.concatenate([seq, diffs, due[..., None], gt[..., None]], axis=-1)
 
 
@@ -439,9 +413,8 @@ def general_feature(t: int, T: int) -> float:
 
 
 def state_features(inst: Instance, perm, cfg: ObjectiveConfig, t: int, T: int) -> FeatureMatrix:
-    """Network input for a search state (or a ``(B, N)`` block of states at
-    the same step): normalized rows plus progress."""
-    return FeatureMatrix(per_job=job_features(inst, perm, cfg, normalized=True),
+    """Network input for one search state: normalized rows plus progress."""
+    return FeatureMatrix(per_job=job_features(inst, perm, cfg),
                          general=general_feature(t, T))
 
 
@@ -496,7 +469,7 @@ def edd_sort(inst: Instance) -> np.ndarray:
 __all__ = [
     "EXP_CLAMP", "Job", "Instance", "ObjectiveConfig", "ObjectiveReport",
     "FeatureMatrix", "Violation", "validate_instance", "is_permutation",
-    "check_permutation", "check_permutations", "completion_time",
+    "check_permutation", "completion_time",
     "completion_times", "tardiness", "weighted_tardiness",
     "weighted_tardiness_values", "objective_f1",
     "objective_f2", "sequence_f2", "combined_objective", "job_features", "general_feature",

@@ -84,6 +84,18 @@ def test_heatmap_explicit_permutation(tmp_path, inst_dir):
     assert cli.main(["heatmap", "--config", cfg]) == 0
 
 
+@pytest.mark.parametrize("perm", [[1, 1, 2, 3, 4], [0, 2, 3, 4, 5], [1, 2, 3], [1, 2, 3, 4, 6]])
+def test_heatmap_rejects_non_permutation(tmp_path, inst_dir, capsys, perm):
+    # N=5: a repeat, a 0 (wrapped to the last job), a short list, an index past N
+    inst_file = sorted(inst_dir.glob("syn-*.json"))[0]
+    cfg = write_cfg(tmp_path, "hm3.json", {
+        "instance": str(inst_file), "permutation": perm,
+        "out_base": str(tmp_path / "hm3")})
+    assert cli.main(["heatmap", "--config", cfg]) == 2
+    assert "not a valid permutation" in capsys.readouterr().err
+    assert not (tmp_path / "hm3.csv").exists() and not (tmp_path / "hm3.svg").exists()
+
+
 def test_oracle_subcommand(tmp_path, inst_dir, capsys):
     inst_file = sorted(inst_dir.glob("syn-*.json"))[0]
     cfg = write_cfg(tmp_path, "oracle.json", {
@@ -103,6 +115,23 @@ def test_train_rejects_wide_general_feature(tmp_path, inst_dir, capsys):
         "out_dir": str(tmp_path / "run")})
     assert cli.main(["train", "--config", cfg]) == 2
     assert "d_gen" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# checkpoint_every=-5 is left to test_ppo: at the parent train spun forever on it
+@pytest.mark.parametrize("field,value", [
+    ("checkpoint_every", 0), ("n_rollout_workers", 0), ("n_rollout_workers", -2),
+    ("epochs_per_batch", 0), ("minibatch_size", 0), ("train_batch_size", 0)])
+def test_train_rejects_ppo_counts_below_one(tmp_path, inst_dir, capsys, field, value):
+    cfg = write_cfg(tmp_path, "train.json", {
+        "instance_dir": str(inst_dir),
+        "net": {"d_h": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16},
+        "ppo": {"total_env_steps": 50, "train_batch_size": 50, "minibatch_size": 25,
+                "epochs_per_batch": 1, field: value},
+        "episode": {"step_budget": 5},
+        "out_dir": str(tmp_path / "run")})
+    assert cli.main(["train", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

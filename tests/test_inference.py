@@ -9,7 +9,8 @@ import pytest
 from swapsched import inference as inf
 from swapsched import operators, policynet as pn
 from swapsched.bench import GeneratorConfig, generate_instance
-from swapsched.schedcore import ObjectiveConfig, combined_objective, edd_sort, is_permutation
+from swapsched.schedcore import (ObjectiveConfig, combined_objective, edd_sort, is_permutation,
+                                 state_features)
 
 
 def tiny_net(inst):
@@ -172,6 +173,21 @@ def test_multipolicy_frees_each_policy_before_the_next_load(inst6, obj_cfg, chec
 # lockstep lanes
 
 
+def _one_state_rollout(inst, params, net, obj_cfg, budget, rng, greedy):
+    """The reference the lanes must reproduce: one state, one forward and one
+    ``sample_action`` draw per step, scored by ``combined_objective``."""
+    sigma0 = edd_sort(inst)
+    perm, actions, fc_log = sigma0.copy(), [], []
+    for t in range(budget):
+        fm = state_features(inst, perm, obj_cfg, t, budget)
+        action, _ = pn.sample_action(pn.forward(params, net, fm.per_job, fm.general), rng,
+                                     greedy=greedy)
+        perm = operators.swap(perm, action)
+        actions.append(tuple(action))
+        fc_log.append(combined_objective(inst, perm, sigma0, obj_cfg).fc)
+    return actions, fc_log
+
+
 @pytest.mark.parametrize("greedy", [False, True])
 def test_lanes_equal_single_episodes(inst6, obj_cfg, greedy):
     net = tiny_net(inst6)
@@ -185,6 +201,9 @@ def test_lanes_equal_single_episodes(inst6, obj_cfg, greedy):
         assert lane.fc_log == ep.fc_log
         assert lane.best_perm.tolist() == ep.best_perm.tolist()
         assert lane.best_report == ep.best_report
+        # lanes draw their uniforms up front; the values equal per-step draws
+        assert (lane.actions, lane.fc_log) == _one_state_rollout(
+            inst6, params, net, obj_cfg, 10, inf._run_rng(61, r), greedy)
 
 
 def test_lanes_at_paper_scale_equal_single_episodes(inst20, obj_cfg):

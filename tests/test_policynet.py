@@ -579,18 +579,45 @@ def test_forward_runs_the_public_blocks():
 
 
 def test_sample_actions_rows_match_sample_action():
+    # the lanes draw each state's uniform from its own generator ahead and
+    # pick for the whole block; each row is the one-state sampler's draw
     rng = np.random.default_rng(63)
     prob = rng.random((9, 5, 5)) ** 4
     prob[:, np.arange(5), np.arange(5)] = 0.0
     prob /= prob.sum(axis=(1, 2), keepdims=True)
+    u = np.array([np.random.default_rng(s).random() for s in range(9)])
     for greedy in (False, True):
-        i, k, logp = pn.sample_actions(prob, [np.random.default_rng(s) for s in range(9)],
-                                       greedy=greedy)
+        i, k, logp = pn.pick_actions(prob, None if greedy else u)
         for b in range(9):
             out = pn.NetOutput(prob_matrix=prob[b], value=0.0, logits=prob[b])
-            action, lp = pn.sample_action(out, np.random.default_rng(b), greedy=greedy)
+            gen = np.random.default_rng(b)
+            action, lp = pn.sample_action(out, gen, greedy=greedy)
             assert action == (i[b], k[b])
             assert lp == logp[b]
+            # one random() per sampled step, none when greedy
+            after = np.random.default_rng(b)
+            if not greedy:
+                after.random()
+            assert gen.bit_generator.state == after.bit_generator.state
+
+
+def _sample_actions(prob, rngs, greedy=False):
+    # one state at a time: draw u from the state's generator, then take the
+    # first pair whose cumulative mass exceeds u * total, stepping back over
+    # zero-mass pairs
+    picks = []
+    for p, gen in zip(prob, rngs):
+        flat = p.reshape(-1)
+        if greedy:
+            idx = int(flat.argmax())
+        else:
+            c = np.cumsum(flat)
+            idx = min(int(np.searchsorted(c, gen.random() * c[-1], "right")), flat.size - 1)
+            while flat[idx] == 0.0:
+                idx -= 1
+        picks.append((idx // p.shape[1], idx % p.shape[1], np.log(flat[idx])))
+    i, k, logp = zip(*picks)
+    return np.array(i), np.array(k), np.array(logp)
 
 
 def test_pick_actions_with_drawn_uniforms_is_sample_actions():
@@ -598,13 +625,14 @@ def test_pick_actions_with_drawn_uniforms_is_sample_actions():
     rng = np.random.default_rng(64)
     prob = rng.random((9, 5, 5)) ** 4
     prob[:, np.arange(5), np.arange(5)] = 0.0
+    prob[2, 1:] = 0.0  # a row with most of its pairs at zero mass
     prob /= prob.sum(axis=(1, 2), keepdims=True)
     u = np.array([np.random.default_rng(s).random() for s in range(9)])
     picked = pn.pick_actions(prob, u)
-    drawn = pn.sample_actions(prob, [np.random.default_rng(s) for s in range(9)])
+    drawn = _sample_actions(prob, [np.random.default_rng(s) for s in range(9)])
     for a, b in zip(picked, drawn):
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(pn.pick_actions(prob, None), pn.sample_actions(prob, [], greedy=True)):
+    for a, b in zip(pn.pick_actions(prob, None), _sample_actions(prob, [None] * 9, greedy=True)):
         assert a.tobytes() == b.tobytes()
     with pytest.raises(ValueError):
         pn.pick_actions(prob, u[:3])

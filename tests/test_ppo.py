@@ -320,11 +320,20 @@ def test_ppo_clipped_sample_has_zero_policy_gradient(rng):
 
 
 def test_adam_moves_against_gradient():
-    params = {"w": np.array([1.0, -2.0])}
+    params = pn.flat_views([("w", (2,))], np.array([1.0, -2.0]))
     opt = ppo.Adam(params)
-    grads = {"w": np.array([0.5, -0.5])}
+    grads = pn.flat_views([("w", (2,))], np.array([0.5, -0.5]))
     opt.step(params, grads, lr=0.1)
     assert params["w"][0] < 1.0 and params["w"][1] > -2.0
+
+
+def test_adam_rejects_params_that_are_not_one_vector():
+    with pytest.raises(ValueError):
+        ppo.Adam({"w": np.array([1.0, -2.0])})
+    with pytest.raises(ValueError):  # two vectors
+        ppo.Adam({"a": np.zeros(2), "b": np.zeros(3)})
+    with pytest.raises(ValueError):  # views of one vector that do not cover it
+        ppo.Adam({"w": np.zeros(3)[:2]})
 
 
 def _adam_reference_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -356,9 +365,12 @@ def test_flat_adam_step_matches_per_block_loop(dtype):
                                     cfg, dtype=dtype)
         if step == 2:
             grads["critic.b3"][...] = 0.0
-        if step == 3:  # a dict that is not one flat vector takes the same path
-            grads = {k: v.copy() for k, v in grads.items()}
         lr = 1e-3 * (step + 1)
+        if step == 3:  # grads that are not one flat vector are refused, state untouched
+            with pytest.raises(ValueError):
+                opt.step(params, {k: v.copy() for k, v in grads.items()}, lr)
+            with pytest.raises(ValueError):
+                opt.step(params, dict(reversed(grads.items())), lr)
         opt.step(params, grads, lr)
         _adam_reference_step(state, ref, grads, lr)
         for k in params:
@@ -753,3 +765,17 @@ def test_ppo_config_validation():
         ppo.PPOConfig(train_batch_size=10, n_rollout_workers=3)
     with pytest.raises(ValueError):
         ppo.EpisodeConfig(reward_mode="nope")
+    assert ppo.PPOConfig(total_env_steps=100).effective_checkpoint_every() == 10
+    assert ppo.PPOConfig(checkpoint_every=1).effective_checkpoint_every() == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("checkpoint_every", -5), ("checkpoint_every", 0), ("n_rollout_workers", 0),
+    ("n_rollout_workers", -2), ("epochs_per_batch", 0), ("minibatch_size", 0),
+    ("train_batch_size", 0)])
+def test_ppo_config_rejects_counts_below_one(field, value):
+    # -5 made train's checkpoint loop spin forever; the rest crashed mid-run
+    # or fell back to the default
+    with pytest.raises(ValueError, match=field):
+        ppo.PPOConfig(**{"total_env_steps": 100, "train_batch_size": 50,
+                         "minibatch_size": 25, field: value})

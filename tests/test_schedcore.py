@@ -237,9 +237,10 @@ def test_tables_swap_delta_matches_full_recompute_every_pair(seed):
         perm = rng.permutation(inst.n_jobs)
         before = sc.combined_objective(inst, perm, ref, cfg)
 
-        # the state scorer is the full objective's fc bit for bit
+        # the state scorer is the full objective's fc bit for bit, row by row
         block = np.array([rng.permutation(inst.n_jobs) for _ in range(7)] + [ref, perm])
-        assert np.array_equal(tables.fc(block), sc.combined_objective(inst, block, ref, cfg).fc)
+        assert tables.fc(block).tolist() == [sc.combined_objective(inst, p, ref, cfg).fc
+                                             for p in block]
         for p in block:
             got = tables.fc(p)
             assert type(got) is float
@@ -314,12 +315,13 @@ def test_table_features_equal_state_features(inst6, inst20, scale, rng):
         perms = np.array([rng.permutation(inst.n_jobs) for _ in range(12)] + [tables.ref])
         for t in (0, 3, 10):
             block = tables.state_features(perms, t, 10)
-            want = sc.state_features(inst, perms, cfg, t, 10)
-            assert block.per_job.tobytes() == want.per_job.tobytes()
-            assert block.general == want.general
-            for perm in perms:
+            assert block.per_job.shape == (len(perms), inst.n_jobs, 2 * inst.n_stations + 2)
+            for b, perm in enumerate(perms):
+                want = sc.state_features(inst, perm, cfg, t, 10)
+                assert block.per_job[b].tobytes() == want.per_job.tobytes()
+                assert block.general == want.general
                 one = tables.state_features(perm, t, 10).per_job
-                assert one.tobytes() == sc.state_features(inst, perm, cfg, t, 10).per_job.tobytes()
+                assert one.tobytes() == want.per_job.tobytes()
 
 
 def test_job_features_shape_and_last_row(inst20, obj_cfg):
@@ -338,18 +340,17 @@ def test_job_features_identical_adjacent_jobs(obj_cfg):
 
 def test_job_features_signed_differences(obj_cfg):
     inst = make_instance([(7, 1), (4, 5)], [100, 200], 10)
-    raw = sc.job_features(inst, np.arange(2), obj_cfg, normalized=False)
-    assert raw[0, 2] == 3.0 and raw[0, 3] == -4.0  # signed, not absolute
+    rows = sc.job_features(inst, np.arange(2), obj_cfg)
+    assert rows[0, 2] == 3.0 / 10.0 and rows[0, 3] == -4.0 / 10.0  # signed, not absolute
 
 
 def test_job_features_normalization(obj_cfg):
+    # W=2, station time 10 s: completion times 20 and 30 s, the last one 30 s
     inst = make_instance([(7, 1), (4, 5)], [100, 200], 10)
-    raw = sc.job_features(inst, np.arange(2), obj_cfg, normalized=False)
-    norm = sc.job_features(inst, np.arange(2), obj_cfg, normalized=True)
-    c_last = sc.completion_time(inst, 1)
-    assert np.allclose(norm[:, :4], raw[:, :4] / 10.0)
-    assert np.allclose(norm[:, 4], raw[:, 4] / c_last)
-    assert np.allclose(norm[:, 5], raw[:, 5])  # weighted tardiness unscaled
+    rows = sc.job_features(inst, np.arange(2), obj_cfg)
+    want = np.array([[7 / 10, 1 / 10, 3 / 10, -4 / 10, 100 / 30, np.exp((20 - 100) / 3600)],
+                     [4 / 10, 5 / 10, 0.0, 0.0, 200 / 30, np.exp((30 - 200) / 3600)]])
+    np.testing.assert_allclose(rows, want, rtol=1e-15, atol=0)  # tardiness unscaled
 
 
 def test_feature_determinism(inst6, obj_cfg):
@@ -414,35 +415,19 @@ def test_loader_rejects_malformed(tmp_path):
 # permutation blocks
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_block_rows_equal_single_permutation_calls(seed):
-    rng = np.random.default_rng(seed)
-    cfg = sc.ObjectiveConfig(alpha1=float(rng.uniform(0.1, 2)), alpha2=float(rng.uniform(0, 0.1)))
-    for n in (2, 20, int(rng.integers(3, 20))):
-        inst = _random_instance(rng, n)
-        perms = np.array([rng.permutation(n) for _ in range(40)])
-        ref = rng.permutation(n)
-        f1, f2 = sc.objective_f1(inst, perms, cfg), sc.objective_f2(inst, perms)
-        rows = sc.job_features(inst, perms, cfg)
-        raw = sc.job_features(inst, perms, cfg, normalized=False)
-        fm = sc.state_features(inst, perms, cfg, 3, 10)
-        rep = sc.combined_objective(inst, perms, ref, cfg)
-        for b, p in enumerate(perms):
-            assert f1[b] == sc.objective_f1(inst, p, cfg)
-            assert f2[b] == sc.objective_f2(inst, p)
-            assert rows[b].tobytes() == sc.job_features(inst, p, cfg).tobytes()
-            assert raw[b].tobytes() == sc.job_features(inst, p, cfg, normalized=False).tobytes()
-            assert fm.per_job[b].tobytes() == rows[b].tobytes()
-            one = sc.combined_objective(inst, p, ref, cfg)
-            assert (rep.f1[b], rep.f2[b], rep.delta_f1[b], rep.delta_f2[b], rep.fc[b]) == (
-                one.f1, one.f2, one.delta_f1, one.delta_f2, one.fc)
-
-
-def test_check_permutations_rejects_bad_blocks():
-    good = np.array([[0, 1, 2], [2, 0, 1]])
-    assert sc.check_permutations(good, 3).tolist() == good.tolist()
-    for bad in ([[0, 1, 1], [2, 0, 1]], [[0, 1], [1, 0]], np.zeros((2, 2, 3), dtype=int)):
-        with pytest.raises(ValueError):
-            sc.check_permutations(bad, 3)
-    with pytest.raises(ValueError):
-        sc.objective_f2(sc.Instance([((1.0,), 10.0)] * 3, 5.0), [[0, 1, 1]])
+def test_reference_functions_reject_permutation_blocks(inst6, obj_cfg):
+    # one permutation per call: a (B, N) block, even of valid rows, is refused
+    ref = sc.edd_sort(inst6)
+    block = np.array([ref, ref[::-1]])
+    calls = [lambda p: sc.weighted_tardiness_values(inst6, p, obj_cfg),
+             lambda p: sc.objective_f1(inst6, p, obj_cfg),
+             lambda p: sc.objective_f2(inst6, p),
+             lambda p: sc.combined_objective(inst6, p, ref, obj_cfg),
+             lambda p: sc.combined_objective(inst6, ref, p, obj_cfg),
+             lambda p: sc.job_features(inst6, p, obj_cfg),
+             lambda p: sc.state_features(inst6, p, obj_cfg, 0, 10)]
+    for call in calls:
+        call(ref)
+        for bad in (block, [[0, 1, 2, 3, 4, 4]], np.zeros((2, 2, 6), dtype=int)):
+            with pytest.raises(ValueError):
+                call(bad)
