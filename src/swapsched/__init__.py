@@ -8,7 +8,7 @@ Submodules:
 * ``policynet``  -- numpy actor-critic network and checkpoints
 * ``ppo``        -- environment and PPO trainer
 * ``inference``  -- multirun / multipolicy search strategies
-* ``bench``      -- instance generator, brute-force oracle, benchmark harness
+* ``bench``      -- instance generator, exact oracle, benchmark harness
 * ``cli``        -- the ``swapsched`` command
 """
 

@@ -1,4 +1,4 @@
-"""Synthetic instances, brute-force oracle, benchmark harness, heatmap export.
+"""Synthetic instances, exact oracle, benchmark harness, heatmap export.
 
 The generator replaces a proprietary dataset: processing times are uniform
 with a configurable floor fraction of the station time, and due dates are
@@ -6,10 +6,11 @@ anchored to the completion times of a hidden random permutation plus slack and
 noise, guaranteeing a mix of tight and slack due dates. Every generated file
 passes validation and is byte-identical for a fixed seed.
 
-The brute-force oracle enumerates permutations in lexicographic order and
-scores them in blocks of ``ORACLE_CHUNK`` with the lookup tables of
-:class:`swapsched.schedcore.ObjectiveTables`, one fancy-indexing pass per
-block instead of a Python loop per permutation.
+The exact oracle solves a subset dynamic program (Bellman 1962; Held & Karp
+1962) over the lookup tables of :class:`swapsched.schedcore.ObjectiveTables`:
+position alone fixes completion time, so an objective is a Hamiltonian path
+with position-dependent node costs, solved in O(2^N * N^2) for N <= 20. The
+brute-force enumeration of all N! permutations stays as its test reference.
 
 The harness runs configured methods over instance splits and aggregates the
 evaluation protocol: mean combined objective, mean raw objectives, and the
@@ -24,6 +25,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import sys
 import time
 import xml.etree.ElementTree as ET
@@ -124,13 +126,16 @@ def pool_digest(dir_or_paths) -> str:
 # brute force
 
 BRUTE_FORCE_MAX_JOBS = 9
+# the oracles' objectives, in the column order of ObjectiveTables.evaluate
+OBJECTIVES = ("fc", "f1", "f2")
 # permutations per batched evaluation; larger blocks buy little speed and
 # raise peak memory
 ORACLE_CHUNK = 1024
 
 
 def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = "fc"):
-    """Exhaustive search over all N! permutations (N <= 9).
+    """Exhaustive search over all N! permutations (N <= 9), the test
+    reference of :func:`held_karp_best`; no CLI path calls it.
 
     Maximizes ``fc`` or ``f2``, minimizes ``f1``; ties keep the
     lexicographically smallest permutation. Returns ``(perm, value)``.
@@ -144,11 +149,11 @@ def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = 
         raise ValueError(
             f"brute force refused for N={n} > {BRUTE_FORCE_MAX_JOBS}: "
             f"{n}! permutations; use a heuristic or a smaller instance")
-    if objective not in ("fc", "f1", "f2"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"objective must be fc, f1 or f2, got {objective!r}")
 
     tables = ObjectiveTables(inst, obj_cfg)  # reference: the due-date sort
-    column = ("fc", "f1", "f2").index(objective)
+    column = OBJECTIVES.index(objective)
     minimize = objective == "f1"
     perms = itertools.permutations(range(n))
     best_perm, best_val = None, None
@@ -163,6 +168,91 @@ def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = 
         if best_val is None or (val < best_val if minimize else val > best_val):
             best_val = val
             best_perm = block[j].copy()
+
+
+# ---------------------------------------------------------------------------
+# exact oracle
+
+# the dynamic program's table holds 2^N * N float64 values: 168 MB at N=20
+ORACLE_MAX_JOBS = 20
+# reconstruction keeps a job while its best completion stays within this
+# share of |optimum|, which absorbs the last-ulp differences between sums of
+# the same value in another order (an f2 path and its reversal)
+ORACLE_REL_TOL = 1e-12
+
+
+def held_karp_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = "fc"):
+    """Exact optimum by a subset dynamic program (N <= ``ORACLE_MAX_JOBS``).
+
+    Maximizes ``fc`` or ``f2``, minimizes ``f1``; returns ``(perm, value)``
+    like :func:`brute_force_best`. Every objective is a sum of node terms
+    ``gt[pos, job]`` and edge terms ``dist[prev, job]`` of
+    :class:`ObjectiveTables`, so ``best[prev, rest]``, the best score of
+    placing the set ``rest`` after job ``prev``, is filled one set size at a
+    time from the end of the sequence. Reconstruction then walks forward and
+    takes the smallest job whose best completion stays within
+    ``ORACLE_REL_TOL`` of the optimum: the lexicographically smallest optimum
+    up to rounding. ``value`` is :meth:`ObjectiveTables.evaluate`'s for that
+    permutation. Runs in O(2^N * N^2) time and O(2^N * N) memory.
+    """
+    n = inst.n_jobs
+    if n > ORACLE_MAX_JOBS:
+        raise ValueError(
+            f"oracle refused for N={n} > {ORACLE_MAX_JOBS}: its table needs "
+            f"2^N * N float64 values; use a heuristic or a smaller instance")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be fc, f1 or f2, got {objective!r}")
+
+    tables = ObjectiveTables(inst, obj_cfg)  # reference: the due-date sort
+    # maximize node_w * f1 + edge_w * f2: fc up to a constant, -f1 or f2
+    node_w, edge_w = {"fc": (-tables.alpha1, tables.alpha2),
+                      "f1": (-1.0, 0.0), "f2": (0.0, 1.0)}[objective]
+    node, edge = node_w * tables.gt, edge_w * tables.dist
+    full = (1 << n) - 1
+    bits = 1 << np.arange(n)
+    sizes = np.zeros(1 << n, dtype=np.int64)  # popcount of each set
+    for j in range(n):
+        sizes[1 << j:2 << j] = sizes[:1 << j] + 1
+    by_size = np.argsort(sizes, kind="stable")  # the sets of size k, ascending
+    starts = list(itertools.accumulate((math.comb(n, k) for k in range(n + 1)), initial=0))
+
+    # best[prev, rest] stays -inf until the layer of |rest| is written, after
+    # its loop over j: a set without j reads its own -inf entry as "rest
+    # minus j" and never wins the max
+    best = np.full((n, 1 << n), -np.inf)
+    best[:, 0] = 0.0
+    for k in range(1, n):  # |rest| = k: the job placed first sits at n - k
+        layer = by_size[starts[k]:starts[k + 1]]
+        acc = np.full((n, len(layer)), -np.inf)
+        tmp = np.empty_like(acc)
+        for j in range(n):
+            head = node[n - k, j] + best[j, (full ^ (1 << j)) & layer]
+            np.add(edge[:, j, None], head, out=tmp)
+            np.maximum(acc, tmp, out=acc)
+        best[:, layer] = acc
+
+    # the same float operations as the layers, so the best candidate of each
+    # step reproduces its target exactly and loses no slack
+    perm = []
+    rest = full
+    target = slack = None
+    for pos in range(n):
+        jobs = np.flatnonzero(rest & bits)
+        cand = node[pos, jobs] + best[jobs, rest - bits[jobs]]
+        if perm:
+            cand = cand + edge[perm[-1], jobs]
+        else:
+            target = cand.max()
+            slack = ORACLE_REL_TOL * abs(target)
+        loss = target - cand
+        i = int(np.argmax(loss <= slack))
+        slack -= loss[i]
+        perm.append(int(jobs[i]))
+        rest ^= 1 << perm[-1]
+        target = best[perm[-1], rest]
+    perm = np.array(perm, dtype=np.int64)
+    value = tables.evaluate(perm[None, :])[OBJECTIVES.index(objective)]
+    return perm, float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +529,8 @@ def read_heatmap_csv(path) -> np.ndarray:
 
 __all__ = [
     "GeneratorConfig", "generate_instance", "generate_instances", "load_pool",
-    "pool_digest", "BRUTE_FORCE_MAX_JOBS", "ORACLE_CHUNK", "brute_force_best", "BenchmarkRow",
+    "pool_digest", "BRUTE_FORCE_MAX_JOBS", "OBJECTIVES", "ORACLE_CHUNK", "brute_force_best",
+    "ORACLE_MAX_JOBS", "ORACLE_REL_TOL", "held_karp_best", "BenchmarkRow",
     "TABLE_COLUMNS", "method_name", "run_benchmark", "buffer_matrix",
     "export_heatmap", "read_heatmap_csv",
 ]

@@ -158,8 +158,12 @@ def cmd_heatmap(cfg: dict, seed) -> int:
     perm_spec = cfg.get("permutation", "edd")
     if perm_spec == "edd":
         perm = edd_sort(inst)
-    else:
-        perm = np.array([int(j) - 1 for j in perm_spec], dtype=np.int64)
+    elif (isinstance(perm_spec, list) and all(type(j) is int for j in perm_spec)
+          and sorted(perm_spec) == list(range(1, inst.n_jobs + 1))):
+        perm = np.array(perm_spec, dtype=np.int64) - 1
+    else:  # a digit string, floats, bools, or integers other than 1..N once each
+        raise ValueError(f"not a valid permutation of {inst.n_jobs} jobs: {perm_spec!r} "
+                         '(use "edd" or a list of 1-based job indices)')
     base = cfg["out_base"]
     bench.export_heatmap(inst, perm, f"{base}.csv", f"{base}.svg")
     print(f"wrote {base}.csv and {base}.svg")
@@ -170,7 +174,7 @@ def cmd_oracle(cfg: dict, seed) -> int:
     inst = load_instance(cfg["instance"])
     obj_cfg = _objective(cfg)
     objective = cfg.get("objective_name", "fc")
-    perm, value = bench.brute_force_best(inst, obj_cfg, objective=objective)
+    perm, value = bench.held_karp_best(inst, obj_cfg, objective=objective)
     record = {"instance_id": inst.id, "objective": objective, "value": value,
               "best_permutation_1based": [int(j) + 1 for j in perm]}
     out = json.dumps(record, sort_keys=True)
@@ -241,9 +245,9 @@ config fields:
   instance      instance file path
   permutation   "edd" or a 1-based job-index list
   out_base      writes <out_base>.csv and <out_base>.svg""",
-    "oracle": """\
+    "oracle": f"""\
 config fields:
-  instance        instance file path (N <= 9)
+  instance        instance file path (N <= {bench.ORACLE_MAX_JOBS})
   objective_name  "fc" | "f1" | "f2"
   objective       object: alpha1, alpha2, tardiness_scale
   out             optional JSON output path""",
@@ -261,7 +265,7 @@ def build_parser() -> _Parser:
         "infer": "run multirun/multipolicy search with trained checkpoints",
         "bench": "run the benchmark protocol over instance splits",
         "heatmap": "export the buffer-time heatmap (CSV + SVG) of a permutation",
-        "oracle": "exhaustive search for the optimum of a small instance",
+        "oracle": f"exact optimum by dynamic programming (N <= {bench.ORACLE_MAX_JOBS})",
     }
     for name, h in helps.items():
         p = sub.add_parser(name, help=h, epilog=CONFIG_DOCS[name],

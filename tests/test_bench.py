@@ -12,9 +12,9 @@ import pytest
 from swapsched import bench
 from swapsched import inference
 from swapsched import policynet as pn
-from swapsched.schedcore import (ObjectiveConfig, combined_objective, edd_sort,
-                                 load_instance, objective_f1, objective_f2,
-                                 validate_instance)
+from swapsched.schedcore import (ObjectiveConfig, ObjectiveTables, check_permutation,
+                                 combined_objective, edd_sort, load_instance, objective_f1,
+                                 objective_f2, validate_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,110 @@ def test_brute_force_ties_keep_lexicographically_smallest(objective, monkeypatch
         perm, val = bench.brute_force_best(inst, obj_cfg, objective=objective)
         assert perm.tolist() == list(want_perm)
         assert val == want_val
+
+
+# ---------------------------------------------------------------------------
+# Held-Karp oracle
+
+
+def _oracle_instances():
+    """``(n, w, inst)``: two instances per N = 1..8 and W in {1, 3, 12}."""
+    from tests.conftest import make_instance
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for w in (1, 3, 12):
+            for seed in (0, 1):
+                if n == 1:  # below the generator's minimum
+                    inst = make_instance(rng.uniform(60, 200, size=(1, w)),
+                                         [rng.uniform(100, 3000)], 208.0)
+                else:
+                    inst = bench.generate_instance(
+                        bench.GeneratorConfig(n_jobs=n, n_stations=w, seed=seed), 0)
+                yield n, w, inst
+
+
+def test_held_karp_equals_brute_force_fc_f1(obj_cfg):
+    cases = 0
+    for n, w, inst in _oracle_instances():
+        for objective in ("fc", "f1"):
+            perm, val = bench.held_karp_best(inst, obj_cfg, objective=objective)
+            want_perm, want_val = bench.brute_force_best(inst, obj_cfg, objective=objective)
+            assert perm.tolist() == want_perm.tolist(), (n, w, objective)
+            assert val == want_val, (n, w, objective)
+        cases += 1
+    assert cases >= 40
+
+
+def test_held_karp_f2_takes_lexicographically_smallest_near_tie(obj_cfg):
+    # a path and its reversal have the same real f2, but their float sums can
+    # differ in the last ulp: brute force takes the larger sum, the oracle the
+    # lexicographically smaller path (with W=1 more paths tie in the reals)
+    differ = 0
+    for n, w, inst in _oracle_instances():
+        perm, val = bench.held_karp_best(inst, obj_cfg, objective="f2")
+        bf_perm, bf_val = bench.brute_force_best(inst, obj_cfg, objective="f2")
+        tables = ObjectiveTables(inst, obj_cfg)
+        everything = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        vals = tables.evaluate(everything)[2]
+        top = vals.max()
+        first = int(np.argmax(vals >= top - bench.ORACLE_REL_TOL * abs(top)))
+        assert perm.tolist() == everything[first].tolist(), (n, w)
+        assert val == tables.evaluate(perm[None, :])[2][0]
+        assert abs(val - bf_val) <= bench.ORACLE_REL_TOL * abs(bf_val)
+        if w > 1:
+            assert perm.tolist() == min(bf_perm.tolist(), bf_perm[::-1].tolist()), (n, w)
+        differ += perm.tolist() != bf_perm.tolist()
+    assert differ >= 1  # the instances do hold such near-ties
+
+
+@pytest.mark.parametrize("objective", ["fc", "f1", "f2"])
+def test_held_karp_ties_keep_lexicographically_smallest(objective):
+    # brute force keeps the lexicographically smallest optimum (pinned above)
+    obj_cfg = ObjectiveConfig(tardiness_scale=20.0)
+    inst = _tied_instance()
+    perm, val = bench.held_karp_best(inst, obj_cfg, objective=objective)
+    want_perm, want_val = bench.brute_force_best(inst, obj_cfg, objective=objective)
+    assert perm.tolist() == want_perm.tolist()
+    assert val == want_val
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_held_karp_beyond_brute_force_dominates_sa(n, obj_cfg):
+    from swapsched.baselines import SAConfig, sa_optimize
+    inst = bench.generate_instance(bench.GeneratorConfig(n_jobs=n, n_stations=12, seed=n), 0)
+    perm, val = bench.held_karp_best(inst, obj_cfg, objective="fc")
+    check_permutation(perm, n)
+    assert val == ObjectiveTables(inst, obj_cfg).evaluate(perm[None, :])[0][0]
+    sa = sa_optimize(inst, edd_sort(inst), SAConfig(steps=10000, seed=0), obj_cfg)
+    assert val >= sa.best_report.fc - 1e-9
+
+
+def test_held_karp_trivial_sizes(obj_cfg):
+    from tests.conftest import make_instance
+    one = make_instance([(10, 1)], [100.0], 10)
+    two = make_instance([(10, 1), (1, 10)], [100.0, 120.0], 10)
+    for objective in ("fc", "f1", "f2"):
+        perm, val = bench.held_karp_best(one, obj_cfg, objective=objective)
+        assert perm.tolist() == [0]
+        assert val == (objective_f1(one, perm, obj_cfg) if objective == "f1" else 0.0)
+        perm, val = bench.held_karp_best(two, obj_cfg, objective=objective)
+        want_perm, want_val = bench.brute_force_best(two, obj_cfg, objective=objective)
+        assert perm.tolist() == want_perm.tolist() and val == want_val
+
+
+def _refuse_tables(*args, **kwargs):
+    raise AssertionError("the oracle built its tables before checking its arguments")
+
+
+def test_held_karp_refuses_before_allocating(obj_cfg, monkeypatch):
+    monkeypatch.setattr(bench, "ObjectiveTables", _refuse_tables)
+    big = bench.generate_instance(bench.GeneratorConfig(
+        n_jobs=bench.ORACLE_MAX_JOBS + 1, n_stations=2, seed=7), 0)
+    with pytest.raises(ValueError, match="heuristic"):
+        bench.held_karp_best(big, obj_cfg)
+    small = bench.generate_instance(bench.GeneratorConfig(n_jobs=4, n_stations=2, seed=7), 0)
+    with pytest.raises(ValueError, match="objective must be"):
+        bench.held_karp_best(small, obj_cfg, objective="makespan")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swapsched import cli, policynet
-from swapsched.bench import GeneratorConfig, generate_instances
+from swapsched import bench, cli, policynet
+from swapsched.bench import GeneratorConfig, brute_force_best, generate_instances
+from swapsched.schedcore import ObjectiveConfig, load_instance
 
 
 def write_cfg(tmp_path, name, payload):
@@ -84,9 +85,13 @@ def test_heatmap_explicit_permutation(tmp_path, inst_dir):
     assert cli.main(["heatmap", "--config", cfg]) == 0
 
 
-@pytest.mark.parametrize("perm", [[1, 1, 2, 3, 4], [0, 2, 3, 4, 5], [1, 2, 3], [1, 2, 3, 4, 6]])
+@pytest.mark.parametrize("perm", [[1, 1, 2, 3, 4], [0, 2, 3, 4, 5], [1, 2, 3], [1, 2, 3, 4, 6],
+                                  "21345", [1, 2, 3, 4.7, 5], [True, 2, 3, 4, 5],
+                                  [1, 2, 3, 4, 10**23]])
 def test_heatmap_rejects_non_permutation(tmp_path, inst_dir, capsys, perm):
-    # N=5: a repeat, a 0 (wrapped to the last job), a short list, an index past N
+    # N=5: a repeat, a 0 (wrapped to the last job), a short list, an index past
+    # N, a digit string, a float and a bool (each once read as a valid order),
+    # and an integer past int64 (once a runtime fault)
     inst_file = sorted(inst_dir.glob("syn-*.json"))[0]
     cfg = write_cfg(tmp_path, "hm3.json", {
         "instance": str(inst_file), "permutation": perm,
@@ -104,7 +109,23 @@ def test_oracle_subcommand(tmp_path, inst_dir, capsys):
     assert cli.main(["oracle", "--config", cfg]) == 0
     rec = json.loads((tmp_path / "oracle.json.out").read_text())
     assert rec["value"] >= 0.0
-    assert sorted(rec["best_permutation_1based"]) == [1, 2, 3, 4, 5]
+    perm, value = brute_force_best(load_instance(inst_file), ObjectiveConfig())
+    assert rec["best_permutation_1based"] == [int(j) + 1 for j in perm]
+    assert rec["value"] == value
+
+
+def test_oracle_refuses_too_many_jobs(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle tables built for a refused instance")
+    monkeypatch.setattr(bench, "ObjectiveTables", refuse)
+    n = bench.ORACLE_MAX_JOBS + 1
+    generate_instances(GeneratorConfig(n_jobs=n, n_stations=2, seed=4, count=1), tmp_path / "big")
+    cfg = write_cfg(tmp_path, "oracle.json", {
+        "instance": str(tmp_path / "big" / "syn-4-0000.json"),
+        "out": str(tmp_path / "oracle.json.out")})
+    assert cli.main(["oracle", "--config", cfg]) == 2
+    assert f"N={n} > {bench.ORACLE_MAX_JOBS}" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.json.out").exists()
 
 
 def test_train_rejects_wide_general_feature(tmp_path, inst_dir, capsys):
