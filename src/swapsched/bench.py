@@ -299,8 +299,9 @@ def _instance_seed(base_seed: int, split_idx: int, inst_idx: int) -> int:
 def _load_policy(method: dict):
     """``(params, net_cfg, digest)`` of an RL-MR method's checkpoint, else None.
 
-    Loaded and hashed once per method; RL-MPMR loads its checkpoints one at a
-    time inside :func:`inference.multipolicy` instead.
+    Loaded and hashed once per method. RL-MPMR loads its checkpoints one at a
+    time inside :func:`inference.multipolicy` instead, and the two share their
+    multiruns of a checkpoint through :func:`run_benchmark`'s mapping.
     """
     if method["type"] != "rl_mr":
         return None
@@ -309,8 +310,9 @@ def _load_policy(method: dict):
 
 
 def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConfig,
-                            seed: int, policy=None):
-    """Returns (best_perm, report, steps); ``policy`` is :func:`_load_policy`'s."""
+                            seed: int, policy, multiruns: dict):
+    """Returns (best_perm, report, steps); ``policy`` is :func:`_load_policy`'s,
+    ``multiruns`` the RL multiruns on ``inst`` (see :func:`inference.reuse_multirun`)."""
     t = method["type"]
     sigma0 = edd_sort(inst)
     if t == "identity":
@@ -331,41 +333,54 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
                     fh.write(json.dumps({"step": step, "fc": fc,
                                          "accepted": accepted}) + "\n")
         return res.best_perm, res.best_report, cfg.steps
-    if t in ("rl_mr", "random_mr"):
-        icfg = inference.InferenceConfig(
-            runs_per_policy=method.get("runs_per_policy", 30),
-            step_budget=method.get("step_budget", 10), seed=seed)
-        if t == "rl_mr":
-            params, net_cfg, digest = policy
-        else:
-            params = net_cfg = None  # uniform pair distribution
-            digest = ""
-        res = inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
-                                 strategy_name=method_name(method), checkpoint_digest=digest)
-        return res.best_perm, res.best_report, res.steps
-    if t == "rl_mpmr":
-        icfg = inference.InferenceConfig(
-            runs_per_policy=method.get("runs_per_policy", 30),
-            step_budget=method.get("step_budget", 10), seed=seed)
+    # rl_mr, rl_mpmr or random_mr: _resolve_methods admits no other type
+    icfg = inference.InferenceConfig(
+        runs_per_policy=method.get("runs_per_policy", 30),
+        step_budget=method.get("step_budget", 10), seed=seed)
+    name = method_name(method)
+    if t == "rl_mr":
+        params, net_cfg, digest = policy
+        res = inference.reuse_multirun(
+            multiruns, digest, icfg,
+            lambda: inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
+                                       strategy_name=name, checkpoint_digest=digest))
+    elif t == "rl_mpmr":
         res = inference.multipolicy(inst, method["checkpoints"], icfg, obj_cfg,
-                                    strategy_name=method_name(method))
-        return res.best_perm, res.best_report, res.steps
-    raise ValueError(f"unknown benchmark method type {t!r}")
+                                    strategy_name=name, multiruns=multiruns)
+    else:  # uniform pair distribution
+        res = inference.multirun(inst, None, None, icfg, obj_cfg, strategy_name=name)
+    return res.best_perm, res.best_report, res.steps
+
+
+# the fields a method of each type cannot run without
+_METHOD_FIELDS = {"identity": (), "sh": ("window", "max_skip"), "sa": ("steps",),
+                  "random_mr": (), "rl_mr": ("checkpoint",), "rl_mpmr": ()}
 
 
 def _resolve_methods(methods: list[dict]) -> list[dict]:
-    """Expand checkpoint directories and flag methods missing their files."""
+    """Reject malformed methods, expand checkpoint directories and flag
+    methods missing their files."""
     out = []
-    for m in methods:
+    for number, m in enumerate(methods, 1):
         m = dict(m)
-        if m["type"] == "rl_mpmr" and "checkpoints" not in m:
+        t = m.get("type")
+        if t not in _METHOD_FIELDS:
+            raise ValueError(f"bench method {number}: unknown type {t!r} "
+                             f"(use one of {', '.join(_METHOD_FIELDS)})")
+        absent = [f for f in _METHOD_FIELDS[t] if f not in m]
+        if t == "rl_mpmr" and "checkpoints" not in m and "checkpoint_dir" not in m:
+            absent.append("checkpoints or checkpoint_dir")
+        if absent:
+            raise ValueError(f"bench method {number} ({t}) is missing field(s): "
+                             f"{', '.join(absent)}")
+        if t == "rl_mpmr" and "checkpoints" not in m:
             ckpt_dir = Path(m["checkpoint_dir"])
             paths = sorted(str(p) for p in ckpt_dir.glob("*.ckpt"))
             m["checkpoints"] = inference.select_checkpoints(paths, m.get("n_earlier", 5))
         missing = False
-        if m["type"] == "rl_mr":
-            missing = not Path(m.get("checkpoint", "")).exists()
-        elif m["type"] == "rl_mpmr":
+        if t == "rl_mr":
+            missing = not Path(m["checkpoint"]).exists()
+        elif t == "rl_mpmr":
             missing = not m["checkpoints"] or not all(Path(p).exists() for p in m["checkpoints"])
         m["_skip"] = missing
         out.append(m)
@@ -376,20 +391,24 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
                   seed: int, out_dir) -> list[BenchmarkRow]:
     """Run every method on every split; write table, JSONL, and timings.
 
-    ``splits`` maps split name to a list of instances. Methods missing their
-    checkpoints are kept as warning rows with empty metrics. Outputs:
-    ``results.jsonl`` (one record per method x instance), ``table.csv`` and
-    ``table.txt`` (deterministic), ``timings.csv`` (wall-clock sidecar,
-    reported but never asserted on).
+    ``splits`` maps split name to a list of instances. A malformed method
+    raises ValueError before any output is written; methods missing their
+    checkpoint files are kept as warning rows with empty metrics. Every
+    method gets the same seed per instance, so a checkpoint's multirun is the
+    same in RL-MR and RL-MPMR: each is run once per instance and shared for
+    the duration of the call. Outputs: ``results.jsonl`` (one record per
+    method x instance), ``table.csv`` and ``table.txt`` (deterministic),
+    ``timings.csv`` (wall-clock sidecar, reported but never asserted on).
     """
+    methods = _resolve_methods(methods)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = _resolve_methods(methods)
     for m in methods:
         if m["type"] == "sa" and m.get("trace_stride"):
             m["_trace_dir"] = str(out_dir)
     rows: list[BenchmarkRow] = []
     timings = []
+    multiruns = {}  # (split index, instance index) -> that instance's RL multiruns
     with open(out_dir / "results.jsonl", "w") as jl:
         for m in methods:
             name = method_name(m)
@@ -406,8 +425,9 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
                 t0 = time.perf_counter()
                 for inst_idx, inst in enumerate(insts):
                     iseed = _instance_seed(seed, split_idx, inst_idx)
-                    perm, report, steps_used = _run_method_on_instance(m, inst, obj_cfg, iseed,
-                                                                     policy)
+                    perm, report, steps_used = _run_method_on_instance(
+                        m, inst, obj_cfg, iseed, policy,
+                        multiruns.setdefault((split_idx, inst_idx), {}))
                     fcs.append(report.fc)
                     f1s.append(report.f1)
                     f2s.append(report.f2)

@@ -10,13 +10,16 @@ global best. Run r always uses the stream derived from (seed, r) regardless of
 which policy is being evaluated, so the multipolicy runs of the final
 checkpoint coincide exactly with plain multirun -- making "multipolicy never
 loses to multirun on the same instance" a hard guarantee instead of a
-statistical tendency.
+statistical tendency. It also lets a caller run such a checkpoint once and
+report the result for both strategies (:func:`reuse_multirun`), as
+:func:`swapsched.bench.run_benchmark` does for RL-MR and RL-MPMR.
 
 All runs of one policy step in lockstep as lanes of one engine
 (:func:`run_lanes`): each lane draws its uniforms from its own generator up
 front; each step builds every lane's features from the instance's tables,
 runs the network once on the batch, picks every swap with ``pick_actions``
-and scores all lanes with one ``ObjectiveTables.fc`` call. Every layer
+and scores all lanes with one ``ObjectiveTables.fc`` call. The first step
+forwards one state, since every lane starts at the due-date sort. Every layer
 is batch-invariant -- row r of a batch is bitwise equal to the same state
 evaluated alone -- so a lane reproduces exactly the rollout it would make on
 its own. :func:`run_episode` is the one-lane case. The final reports come
@@ -128,9 +131,11 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
         if params is None:
             prob = uniform
         else:
-            fm = tables.state_features(perms, t, step_budget)
+            states = perms[:1] if t == 0 else perms  # every lane starts at sigma0
+            fm = tables.state_features(states, t, step_budget)
             prob = policynet.forward(params, net_cfg, fm.per_job,
-                                     np.full(n_lanes, fm.general)).prob_matrix
+                                     np.full(len(states), fm.general)).prob_matrix
+            prob = np.broadcast_to(prob, (n_lanes, *prob.shape[1:]))
         i, k, _ = policynet.pick_actions(prob, None if u is None else u[:, t])
         perms[lanes, i], perms[lanes, k] = perms[lanes, k], perms[lanes, i]
         fc = tables.fc(perms)
@@ -179,25 +184,46 @@ def multirun(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig |
         seed=cfg.seed)
 
 
+def reuse_multirun(multiruns: dict, digest: str, cfg: InferenceConfig, run) -> InferenceResult:
+    """The multirun of the checkpoint with sha256 ``digest`` under ``cfg``.
+
+    ``multiruns`` holds the multiruns already made on one instance with one
+    objective; ``run()`` makes the missing one, which is stored for later
+    requests.
+    """
+    key = (digest, cfg)
+    if key not in multiruns:
+        multiruns[key] = run()
+    return multiruns[key]
+
+
 def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
-                obj_cfg: ObjectiveConfig, strategy_name: str = "RL-MPMR") -> InferenceResult:
+                obj_cfg: ObjectiveConfig, strategy_name: str = "RL-MPMR",
+                multiruns: dict | None = None) -> InferenceResult:
     """Multirun over several checkpoints; global best wins.
 
     ``checkpoint_paths`` is ordered with the final policy last, matching the
     convention of the training output directory. One policy is in memory at
-    a time.
+    a time. ``multiruns`` (see :func:`reuse_multirun`) lets a caller share
+    multiruns on ``inst`` between strategies: a checkpoint whose multirun it
+    holds is neither loaded nor run again.
     """
     if not checkpoint_paths:
         raise ValueError("multipolicy needs at least one checkpoint")
+    multiruns = {} if multiruns is None else multiruns
     per_run_all, per_policy_best, digests = [], [], []
     best: InferenceResult | None = None
     for path in checkpoint_paths:
-        params, net_cfg, _ = policynet.load_checkpoint(path)
         digest = policynet.checkpoint_digest(path)
         digests.append(digest)
-        res = multirun(inst, params, net_cfg, cfg, obj_cfg,
-                       strategy_name=strategy_name, checkpoint_digest=digest)
-        del params  # free this policy before the next checkpoint is read
+
+        def load_and_run():
+            # the policy is freed on return, before the next checkpoint is read
+            params, net_cfg, _ = policynet.load_checkpoint(path)
+            return multirun(inst, params, net_cfg, cfg, obj_cfg,
+                            strategy_name=strategy_name, checkpoint_digest=digest)
+
+        res = reuse_multirun(multiruns, digest, cfg, load_and_run)
         per_run_all.extend(res.per_run_fc)
         per_policy_best.append(res.best_report.fc)
         if best is None or res.best_report.fc > best.best_report.fc:
@@ -222,4 +248,4 @@ def select_checkpoints(paths, n_earlier: int = 5) -> list:
 
 
 __all__ = ["InferenceConfig", "EpisodeResult", "InferenceResult", "run_lanes",
-           "run_episode", "multirun", "multipolicy", "select_checkpoints"]
+           "run_episode", "multirun", "reuse_multirun", "multipolicy", "select_checkpoints"]

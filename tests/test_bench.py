@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,108 @@ def test_run_benchmark_loads_each_rl_checkpoint_once(tmp_path, splits, obj_cfg, 
             res = inference.multirun(inst, params, net, icfg, obj_cfg)
             expected.append((res.best_report.fc, [int(j) + 1 for j in res.best_perm]))
     assert [(r["fc"], r["best_permutation_1based"]) for r in records] == expected
+
+
+@pytest.fixture
+def policies(tmp_path):
+    """Three checkpoints of a small network for the 2-station splits."""
+    net = pn.NetConfig(d_in=6, d_h=8, n_heads=2, n_layers=1, d_ff=16)
+    paths = []
+    for step, seed in ((100, 5), (200, 6), (300, 7)):
+        p = tmp_path / f"ckpt_{step:010d}.ckpt"
+        pn.save_checkpoint(p, pn.init_params(replace(net, compat_init_gain=1.0), seed=seed), net,
+                           training_step=step)
+        paths.append(str(p))
+    return paths
+
+
+def _method_lines(out, method):
+    """The ``results.jsonl`` and ``table.csv`` lines of one method."""
+    records = [l for l in open(out / "results.jsonl") if json.loads(l)["method"] == method]
+    rows = [l for l in open(out / "table.csv") if l.startswith(method + ",")]
+    return records, rows
+
+
+@pytest.mark.parametrize("order", [("rl_mr", "rl_mpmr"), ("rl_mpmr", "rl_mr")])
+def test_rl_methods_share_multiruns_with_unchanged_bytes(tmp_path, splits, obj_cfg, policies,
+                                                         monkeypatch, order):
+    methods = {"rl_mr": {"type": "rl_mr", "checkpoint": policies[-1], "runs_per_policy": 3,
+                         "step_budget": 4},
+               "rl_mpmr": {"type": "rl_mpmr", "checkpoints": policies, "runs_per_policy": 3,
+                           "step_budget": 4}}
+    alone = {}
+    for t, m in methods.items():
+        bench.run_benchmark(splits, [m], obj_cfg, seed=4, out_dir=tmp_path / t)
+        alone[t] = _method_lines(tmp_path / t, bench.method_name(m))
+
+    run_lanes, lanes_per_instance = inference.run_lanes, {}
+
+    def counted(inst, *args, **kwargs):
+        lanes_per_instance[inst.id] = lanes_per_instance.get(inst.id, 0) + 1
+        return run_lanes(inst, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "run_lanes", counted)
+    out = tmp_path / "both"
+    bench.run_benchmark(splits, [methods[t] for t in order], obj_cfg, seed=4, out_dir=out)
+    for t, m in methods.items():
+        assert _method_lines(out, bench.method_name(m)) == alone[t]
+    # RL-MR's checkpoint is RL-MPMR's last: three multiruns per instance, not four
+    assert lanes_per_instance == {inst.id: 3 for insts in splits.values() for inst in insts}
+
+
+@pytest.mark.parametrize("change", [{"runs_per_policy": 2}, {"step_budget": 3}])
+def test_rl_mr_with_other_settings_runs_its_own_multiruns(tmp_path, splits, obj_cfg, policies,
+                                                         monkeypatch, change):
+    mr = {"type": "rl_mr", "checkpoint": policies[-1], "runs_per_policy": 3, "step_budget": 4,
+          **change}
+    mpmr = {"type": "rl_mpmr", "checkpoints": policies, "runs_per_policy": 3, "step_budget": 4}
+    bench.run_benchmark(splits, [mr], obj_cfg, seed=4, out_dir=tmp_path / "alone")
+    loads = []
+
+    def counted(path, _load=pn.load_checkpoint):
+        loads.append(path)
+        return _load(path)
+
+    monkeypatch.setattr(pn, "load_checkpoint", counted)
+    out = tmp_path / "both"
+    bench.run_benchmark(splits, [mpmr, mr], obj_cfg, seed=4, out_dir=out)
+    assert _method_lines(out, "RL-MR") == _method_lines(tmp_path / "alone", "RL-MR")
+    n_inst = sum(len(insts) for insts in splits.values())
+    assert loads == policies * n_inst + [policies[-1]]  # nothing reused
+
+
+BENCH_GOLDEN = Path(__file__).parent / "data" / "bench_golden_paper.json"
+BENCH_FILES = ("results.jsonl", "table.csv", "table.txt")
+
+
+def paper_bench_record(tmp_path) -> str:
+    """sha256 of the deterministic bench outputs of RL-MR and RL-MPMR at
+    N=20, W=12, d_h=128: one generated instance, three ``init_params``
+    checkpoints, RL-MR on the last of them. At bench seed 1 an earlier
+    checkpoint beats the last one, so RL-MPMR's row differs from RL-MR's.
+
+    ``BENCH_GOLDEN`` holds the output of this function from the harness that
+    ran every multirun of every method.
+    """
+    inst = bench.generate_instance(bench.GeneratorConfig(seed=17, count=1), 0)
+    net = pn.NetConfig(d_in=2 * inst.n_stations + 2)  # d_h=128, 2 heads, 2 layers
+    paths = []
+    for step, seed, gain in ((100, 31, 0.25), (200, 32, 1.0), (300, 33, 0.5)):
+        p = tmp_path / f"ckpt_{step:010d}.ckpt"
+        params = pn.init_params(replace(net, compat_init_gain=gain), seed=seed)
+        pn.save_checkpoint(p, params, net, training_step=step)
+        paths.append(str(p))
+    methods = [{"type": "rl_mr", "checkpoint": paths[-1]},
+               {"type": "rl_mpmr", "checkpoints": paths}]
+    out = tmp_path / "bench_out"
+    bench.run_benchmark({"paper": [inst]}, methods, ObjectiveConfig(), seed=1, out_dir=out)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in BENCH_FILES}
+    return json.dumps(digests, sort_keys=True, indent=1) + "\n"
+
+
+def test_paper_bench_matches_golden(tmp_path):
+    assert paper_bench_record(tmp_path) == BENCH_GOLDEN.read_text()
 
 
 def test_sa_trace_jsonl_emission(tmp_path, splits, obj_cfg):

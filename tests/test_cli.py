@@ -231,6 +231,25 @@ def test_bench_subcommand_without_checkpoints_exits_zero(tmp_path, inst_dir, cap
     assert (tmp_path / "bench_out" / "table.csv").exists()
 
 
+@pytest.mark.parametrize("method,field", [
+    ({"type": "rl_mr", "runs_per_policy": 2}, "checkpoint"),
+    ({"type": "rl_mpmr"}, "checkpoints or checkpoint_dir"),
+    ({"type": "sa"}, "steps"),
+    ({"type": "tabu"}, "unknown type 'tabu'"),
+    ({"steps": 30}, "unknown type None"),
+], ids=["rl_mr", "rl_mpmr", "sa", "unknown", "untyped"])
+def test_bench_rejects_malformed_method_before_writing(tmp_path, inst_dir, capsys, method,
+                                                       field):
+    cfg = write_cfg(tmp_path, "bench.json", {
+        "splits": {"test": {"instance_dir": str(inst_dir)}},
+        "methods": [{"type": "identity", "name": "EDD"}, method],
+        "out_dir": str(tmp_path / "bench_out"), "seed": 0})
+    assert cli.main(["bench", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "bench method 2" in err and field in err
+    assert not (tmp_path / "bench_out" / "results.jsonl").exists()
+
+
 def test_seed_override_changes_output(tmp_path, inst_dir):
     base = {"generator": {"n_jobs": 4, "n_stations": 2, "seed": 5, "count": 1},
             "out_dir": str(tmp_path / "s1")}

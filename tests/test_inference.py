@@ -206,6 +206,22 @@ def test_lanes_equal_single_episodes(inst6, obj_cfg, greedy):
             inst6, params, net, obj_cfg, 10, inf._run_rng(61, r), greedy)
 
 
+def test_lanes_forward_the_shared_start_state_once(inst6, obj_cfg, monkeypatch):
+    forward, rows = pn.forward, []
+
+    def counted(params, cfg, per_job, general, **kwargs):
+        rows.append(np.shape(per_job)[0])
+        return forward(params, cfg, per_job, general, **kwargs)
+
+    monkeypatch.setattr(pn, "forward", counted)
+    net = tiny_net(inst6)
+    inf.run_lanes(inst6, pn.init_params(net, seed=15), net, obj_cfg, 10,
+                  [inf._run_rng(73, r) for r in range(7)])
+    assert rows == [1] + [7] * 9  # 1 + (T - 1) * R states
+    inf.run_lanes(inst6, None, None, obj_cfg, 10, [inf._run_rng(73, r) for r in range(7)])
+    assert len(rows) == 10  # the uniform policy runs no network
+
+
 def test_lanes_at_paper_scale_equal_single_episodes(inst20, obj_cfg):
     net = pn.NetConfig(d_in=2 * inst20.n_stations + 2)
     params = pn.init_params(net, seed=13)
