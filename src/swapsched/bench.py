@@ -296,23 +296,26 @@ def _instance_seed(base_seed: int, split_idx: int, inst_idx: int) -> int:
     return int(np.random.SeedSequence([base_seed, split_idx, inst_idx]).generate_state(1)[0])
 
 
-def _load_policy(method: dict):
+def _load_policy(method: dict, digests: dict):
     """``(params, net_cfg, digest)`` of an RL-MR method's checkpoint, else None.
 
-    Loaded and hashed once per method. RL-MPMR loads its checkpoints one at a
-    time inside :func:`inference.multipolicy` instead, and the two share their
-    multiruns of a checkpoint through :func:`run_benchmark`'s mapping.
+    Loaded once per method, hashed once per :func:`run_benchmark` call
+    (``digests``, see :func:`inference.digest_once`). RL-MPMR loads its
+    checkpoints one at a time inside :func:`inference.multipolicy` instead,
+    and the two share their multiruns of a checkpoint through
+    :func:`run_benchmark`'s mapping.
     """
     if method["type"] != "rl_mr":
         return None
     params, net_cfg, _ = policynet.load_checkpoint(method["checkpoint"])
-    return params, net_cfg, policynet.checkpoint_digest(method["checkpoint"])
+    return params, net_cfg, inference.digest_once(digests, method["checkpoint"])
 
 
 def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConfig,
-                            seed: int, policy, multiruns: dict):
+                            seed: int, policy, multiruns: dict, digests: dict):
     """Returns (best_perm, report, steps); ``policy`` is :func:`_load_policy`'s,
-    ``multiruns`` the RL multiruns on ``inst`` (see :func:`inference.reuse_multirun`)."""
+    ``multiruns`` the RL multiruns on ``inst`` (see :func:`inference.reuse_multirun`),
+    ``digests`` the checkpoint hashes already made (see :func:`inference.digest_once`)."""
     t = method["type"]
     sigma0 = edd_sort(inst)
     if t == "identity":
@@ -346,7 +349,7 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
                                        strategy_name=name, checkpoint_digest=digest))
     elif t == "rl_mpmr":
         res = inference.multipolicy(inst, method["checkpoints"], icfg, obj_cfg,
-                                    strategy_name=name, multiruns=multiruns)
+                                    strategy_name=name, multiruns=multiruns, digests=digests)
     else:  # uniform pair distribution
         res = inference.multirun(inst, None, None, icfg, obj_cfg, strategy_name=name)
     return res.best_perm, res.best_report, res.steps
@@ -396,9 +399,10 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
     checkpoint files are kept as warning rows with empty metrics. Every
     method gets the same seed per instance, so a checkpoint's multirun is the
     same in RL-MR and RL-MPMR: each is run once per instance and shared for
-    the duration of the call. Outputs: ``results.jsonl`` (one record per
-    method x instance), ``table.csv`` and ``table.txt`` (deterministic),
-    ``timings.csv`` (wall-clock sidecar, reported but never asserted on).
+    the duration of the call, as is each checkpoint file's sha256. Outputs:
+    ``results.jsonl`` (one record per method x instance), ``table.csv`` and
+    ``table.txt`` (deterministic), ``timings.csv`` (wall-clock sidecar,
+    reported but never asserted on).
     """
     methods = _resolve_methods(methods)
     out_dir = Path(out_dir)
@@ -409,6 +413,7 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
     rows: list[BenchmarkRow] = []
     timings = []
     multiruns = {}  # (split index, instance index) -> that instance's RL multiruns
+    digests = {}  # checkpoint path -> sha256 of the file
     with open(out_dir / "results.jsonl", "w") as jl:
         for m in methods:
             name = method_name(m)
@@ -418,7 +423,7 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
                 for split_idx, split in enumerate(sorted(splits)):
                     rows.append(BenchmarkRow(name, split, None, None, None, None, None, skipped=True))
                 continue
-            policy = _load_policy(m)  # freed when the next method rebinds it
+            policy = _load_policy(m, digests)  # freed when the next method rebinds it
             for split_idx, split in enumerate(sorted(splits)):
                 insts = splits[split]
                 fcs, f1s, f2s, steps_used = [], [], [], 0
@@ -427,7 +432,7 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
                     iseed = _instance_seed(seed, split_idx, inst_idx)
                     perm, report, steps_used = _run_method_on_instance(
                         m, inst, obj_cfg, iseed, policy,
-                        multiruns.setdefault((split_idx, inst_idx), {}))
+                        multiruns.setdefault((split_idx, inst_idx), {}), digests)
                     fcs.append(report.fc)
                     f1s.append(report.f1)
                     f2s.append(report.f2)

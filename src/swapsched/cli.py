@@ -131,8 +131,10 @@ def cmd_infer(cfg: dict, seed) -> int:
             paths = inference.select_checkpoints(all_ckpts, cfg.get("n_earlier", 5))
         if not paths:
             raise ValueError("no checkpoints found for mpmr strategy")
+        digests = {}  # each checkpoint file is hashed once, not once per instance
         for inst in pool:
-            records.append(inference.multipolicy(inst, paths, icfg, obj_cfg).to_record())
+            records.append(inference.multipolicy(inst, paths, icfg, obj_cfg,
+                                                 digests=digests).to_record())
     else:
         raise ValueError(f"unknown strategy {strategy!r} (use 'mr' or 'mpmr')")
     with open(out_path, "w") as fh:

@@ -197,25 +197,37 @@ def reuse_multirun(multiruns: dict, digest: str, cfg: InferenceConfig, run) -> I
     return multiruns[key]
 
 
+def digest_once(digests: dict, path) -> str:
+    """sha256 of the checkpoint file at ``path``, read and hashed only if
+    ``digests`` (path -> digest) does not hold it yet; stored there."""
+    key = str(path)
+    if key not in digests:
+        digests[key] = policynet.checkpoint_digest(path)
+    return digests[key]
+
+
 def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
                 obj_cfg: ObjectiveConfig, strategy_name: str = "RL-MPMR",
-                multiruns: dict | None = None) -> InferenceResult:
+                multiruns: dict | None = None, digests: dict | None = None) -> InferenceResult:
     """Multirun over several checkpoints; global best wins.
 
     ``checkpoint_paths`` is ordered with the final policy last, matching the
     convention of the training output directory. One policy is in memory at
     a time. ``multiruns`` (see :func:`reuse_multirun`) lets a caller share
     multiruns on ``inst`` between strategies: a checkpoint whose multirun it
-    holds is neither loaded nor run again.
+    holds is neither loaded nor run again. ``digests`` (see
+    :func:`digest_once`) lets a caller hash each checkpoint file once across
+    instances.
     """
     if not checkpoint_paths:
         raise ValueError("multipolicy needs at least one checkpoint")
     multiruns = {} if multiruns is None else multiruns
-    per_run_all, per_policy_best, digests = [], [], []
+    digests = {} if digests is None else digests
+    per_run_all, per_policy_best, run_digests = [], [], []
     best: InferenceResult | None = None
     for path in checkpoint_paths:
-        digest = policynet.checkpoint_digest(path)
-        digests.append(digest)
+        digest = digest_once(digests, path)
+        run_digests.append(digest)
 
         def load_and_run():
             # the policy is freed on return, before the next checkpoint is read
@@ -232,7 +244,7 @@ def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
         instance_id=inst.id, strategy=strategy_name, per_run_fc=per_run_all,
         best_perm=best.best_perm, best_report=best.best_report,
         steps=len(list(checkpoint_paths)) * cfg.runs_per_policy * cfg.step_budget,
-        checkpoint_digests=digests, seed=cfg.seed,
+        checkpoint_digests=run_digests, seed=cfg.seed,
         per_policy_best=per_policy_best)
 
 
@@ -248,4 +260,5 @@ def select_checkpoints(paths, n_earlier: int = 5) -> list:
 
 
 __all__ = ["InferenceConfig", "EpisodeResult", "InferenceResult", "run_lanes",
-           "run_episode", "multirun", "reuse_multirun", "multipolicy", "select_checkpoints"]
+           "run_episode", "multirun", "reuse_multirun", "digest_once", "multipolicy",
+           "select_checkpoints"]

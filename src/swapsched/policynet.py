@@ -472,24 +472,23 @@ def _encoder_layer_backward(d_out, cache, params, cfg: NetConfig, prefix: str, g
     dres2 = _layer_norm_backward(d_out, cache["ln2"], p[f"{prefix}.ln2.g"],
                                  gr[f"{prefix}.ln2.g"], gr[f"{prefix}.ln2.b"])
 
-    d_h1 = dres2.copy()
-    d_ff_out = dres2
-    _weight_grad(cache["a_ff"], d_ff_out, gr[f"{prefix}.ff.w2"])
-    _row_sum(d_ff_out, gr[f"{prefix}.ff.b2"])
-    d_aff = d_ff_out @ p[f"{prefix}.ff.w2"].T
-    d_zff = d_aff * (cache["a_ff"] > 0)
+    # dres2 is the gradient of the feed-forward output and, through the
+    # residual, part of h1's; it becomes h1's once its last read is done
+    _weight_grad(cache["a_ff"], dres2, gr[f"{prefix}.ff.w2"])
+    _row_sum(dres2, gr[f"{prefix}.ff.b2"])
+    d_zff = dres2 @ p[f"{prefix}.ff.w2"].T
+    d_zff *= cache["a_ff"] > 0
     _weight_grad(cache["h1"], d_zff, gr[f"{prefix}.ff.w1"])
     _row_sum(d_zff, gr[f"{prefix}.ff.b1"])
-    d_h1 += d_zff @ p[f"{prefix}.ff.w1"].T
+    dres2 += d_zff @ p[f"{prefix}.ff.w1"].T
 
-    dres1 = _layer_norm_backward(d_h1, cache["ln1"], p[f"{prefix}.ln1.g"],
+    dres1 = _layer_norm_backward(dres2, cache["ln1"], p[f"{prefix}.ln1.g"],
                                  gr[f"{prefix}.ln1.g"], gr[f"{prefix}.ln1.b"])
 
-    d_in = dres1.copy()
-    d_mha = dres1
-    _weight_grad(cache["ctx"], d_mha, gr[f"{prefix}.attn.wo"])
-    _row_sum(d_mha, gr[f"{prefix}.attn.bo"])
-    d_ctx = _split_heads(d_mha @ p[f"{prefix}.attn.wo"].T, cfg.n_heads)
+    # likewise dres1: the attention output's gradient, then h_in's
+    _weight_grad(cache["ctx"], dres1, gr[f"{prefix}.attn.wo"])
+    _row_sum(dres1, gr[f"{prefix}.attn.bo"])
+    d_ctx = _split_heads(dres1 @ p[f"{prefix}.attn.wo"].T, cfg.n_heads)
 
     attn, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
     d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
@@ -504,8 +503,8 @@ def _encoder_layer_backward(d_out, cache, params, cfg: NetConfig, prefix: str, g
         d_full = _merge_heads(d_head)
         _weight_grad(h_in, d_full, gr[f"{prefix}.attn.{name}"])
         _row_sum(d_full, gr[f"{prefix}.attn.{name.replace('w', 'b')}"])
-        d_in = d_in + d_full @ p[f"{prefix}.attn.{name}"].T
-    return d_in
+        dres1 += d_full @ p[f"{prefix}.attn.{name}"].T
+    return dres1
 
 
 def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:

@@ -408,6 +408,28 @@ def test_rl_methods_share_multiruns_with_unchanged_bytes(tmp_path, splits, obj_c
     assert lanes_per_instance == {inst.id: 3 for insts in splits.values() for inst in insts}
 
 
+def test_run_benchmark_hashes_each_checkpoint_file_once(tmp_path, splits, obj_cfg, policies,
+                                                       monkeypatch):
+    methods = [{"type": "rl_mpmr", "checkpoints": policies, "runs_per_policy": 3,
+                "step_budget": 4},
+               {"type": "rl_mr", "checkpoint": policies[-1], "runs_per_policy": 3,
+                "step_budget": 4}]
+    one_split = {"test": splits["test"]}  # 3 instances
+    bench.run_benchmark(one_split, methods, obj_cfg, seed=4, out_dir=tmp_path / "plain")
+    hashed = []
+
+    def counted(path, _digest=pn.checkpoint_digest):
+        hashed.append(path)
+        return _digest(path)
+
+    monkeypatch.setattr(pn, "checkpoint_digest", counted)
+    out = tmp_path / "counted"
+    bench.run_benchmark(one_split, methods, obj_cfg, seed=4, out_dir=out)
+    assert hashed == policies  # once per file, not 3 per file plus RL-MR's
+    for name in ("results.jsonl", "table.csv", "table.txt"):
+        assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 @pytest.mark.parametrize("change", [{"runs_per_policy": 2}, {"step_budget": 3}])
 def test_rl_mr_with_other_settings_runs_its_own_multiruns(tmp_path, splits, obj_cfg, policies,
                                                          monkeypatch, change):

@@ -184,7 +184,7 @@ def test_train_and_infer_roundtrip(tmp_path, inst_dir, capsys):
     assert (tmp_path / "results.jsonl").read_bytes() == before
 
 
-def test_infer_mpmr_from_checkpoint_dir(tmp_path, inst_dir):
+def test_infer_mpmr_from_checkpoint_dir(tmp_path, inst_dir, monkeypatch):
     train_cfg = write_cfg(tmp_path, "train.json", {
         "instance_dir": str(inst_dir),
         "net": {"d_h": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16},
@@ -199,9 +199,18 @@ def test_infer_mpmr_from_checkpoint_dir(tmp_path, inst_dir):
         "checkpoint_dir": str(tmp_path / "run2"),
         "inference": {"runs_per_policy": 2, "step_budget": 5, "seed": 1},
         "out": str(tmp_path / "mpmr.jsonl")})
+    hashed = []
+
+    def counted(path, _digest=policynet.checkpoint_digest):
+        hashed.append(path)
+        return _digest(path)
+
+    monkeypatch.setattr(policynet, "checkpoint_digest", counted)
     assert cli.main(["infer", "--config", infer_cfg]) == 0
     recs = [json.loads(l) for l in open(tmp_path / "mpmr.jsonl")]
     assert all(len(r["checkpoint_digests"]) >= 2 for r in recs)
+    assert len(recs) > 1 and sorted(hashed) == sorted(set(hashed))  # each file hashed once
+    assert len(hashed) == len(recs[0]["checkpoint_digests"])
 
 
 def test_infer_rejects_checkpoint_paths_in_inference_config(tmp_path, inst_dir, capsys):

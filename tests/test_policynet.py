@@ -402,6 +402,26 @@ def test_backward_value_bias_closed_form():
     assert grads["critic.b3"][0] == pytest.approx(3.0)
 
 
+def _cache_arrays(node, key="cache"):
+    """``(path, bytes)`` of every array in a forward cache, nested or not."""
+    if isinstance(node, dict):
+        return [item for k, v in node.items() for item in _cache_arrays(v, f"{key}.{k}")]
+    if isinstance(node, (list, tuple)):
+        return [item for i, v in enumerate(node) for item in _cache_arrays(v, f"{key}[{i}]")]
+    return [(key, np.asarray(node).tobytes())]
+
+
+def test_backward_leaves_the_forward_cache_alone():
+    cfg = tiny_cfg(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64, compat_init_gain=1.0)
+    params = pn.init_params(cfg, seed=47)
+    rng = np.random.default_rng(48)
+    x = rng.random((4, 6, cfg.d_in)).astype(np.float32)
+    out, cache = pn.forward(params, cfg, x, rng.random(4), want_cache=True)
+    before = _cache_arrays(cache)
+    pn.backward(cache, rng.normal(size=out.logits.shape), rng.normal(size=4), params, cfg)
+    assert _cache_arrays(cache) == before
+
+
 def test_backward_matches_finite_differences():
     cfg = tiny_cfg(d_h=8, n_heads=2, n_layers=2, d_ff=16)
     params = pn.init_params(cfg, seed=45, dtype=np.float64)
