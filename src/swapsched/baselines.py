@@ -7,7 +7,11 @@ bounds how long a job can be passed over, which bounds its tardiness.
 
 Simulated annealing (``sa_optimize``) maximizes the combined objective via
 random swaps under an exponentially cooling temperature, the plain variant
-used for step-budget-matched comparisons against the learned policy.
+used for step-budget-matched comparisons against the learned policy. Its
+random draws are those of ``np.random.default_rng(seed)``, bit for bit, but
+computed in Python from raw PCG64 words drawn in bulk (``_RawDraws``), which
+skips numpy's per-call overhead. ``sa_accept`` takes any object with a
+``.random()`` method, a ``Generator`` included.
 """
 
 from __future__ import annotations
@@ -111,14 +115,72 @@ def sa_temperature(step: int, cfg: SAConfig) -> float:
     return cfg.t_max * (cfg.t_min / cfg.t_max) ** (step / cfg.steps)
 
 
-def sa_accept(delta_e: float, temp: float, rng: np.random.Generator) -> bool:
-    """Metropolis rule: always take improvements, worse moves with e^(-dE/T)."""
+def sa_accept(delta_e: float, temp: float, rng) -> bool:
+    """Metropolis rule: always take improvements, worse moves with e^(-dE/T).
+
+    ``rng`` is any object whose ``.random()`` returns a float uniform in
+    [0, 1): a ``np.random.Generator`` or ``sa_optimize``'s ``_RawDraws``.
+    """
     if delta_e <= 0:
         return True
     arg = -delta_e / temp
     if arg < -700.0:  # exp underflow: acceptance probability is zero
         return False
     return rng.random() < math.exp(arg)
+
+
+_CHUNK = 512  # raw words per refill: a few kB, never a batch-wide buffer
+_TWO_32 = 1 << 32
+
+
+class _RawDraws:
+    """``integers(r)`` and ``random()`` of ``np.random.default_rng(seed)``, bit
+    for bit, computed in Python from raw PCG64 words drawn ``_CHUNK`` at a time.
+
+    They follow numpy's algorithms. A bounded integer below 2**32 takes one
+    32-bit half of a word: the low half first, the high half kept for the
+    next such draw (``random()`` in between leaves it kept). Lemire's rule
+    maps the half ``x`` to ``(x * r) >> 32``, drawing again while
+    ``(x * r) mod 2**32 < 2**32 mod r``; a one-value range draws nothing.
+    ``random()`` is the top 53 bits of a whole word times 2**-53.
+    ``test_raw_draws_match_generator`` pins this to ``Generator``.
+    """
+
+    __slots__ = ("_next_word", "_half")
+
+    def __init__(self, seed):
+        bit_generator = np.random.default_rng(seed).bit_generator
+
+        def words():
+            while True:
+                yield from bit_generator.random_raw(_CHUNK).tolist()
+
+        self._next_word = words().__next__
+        self._half = None  # the kept high half, if any
+
+    def integers(self, r: int) -> int:
+        """An integer uniform on ``[0, r)``, as ``Generator.integers(r)``."""
+        if r == 1:
+            return 0
+        if not 1 <= r <= _TWO_32:
+            raise ValueError("high <= 0" if r < 1 else f"range {r} exceeds 2**32")
+        while True:
+            x = self._half
+            if x is None:
+                word = self._next_word()
+                x = word & 0xFFFFFFFF
+                self._half = word >> 32
+            else:
+                self._half = None
+            m = x * r
+            low = m & 0xFFFFFFFF
+            # 2**32 mod r < r, so the modulo is only needed when low < r
+            if low >= r or low >= _TWO_32 % r:
+                return m >> 32
+
+    def random(self) -> float:
+        """A float uniform on [0, 1), as ``Generator.random()``."""
+        return (self._next_word() >> 11) * 2.0 ** -53
 
 
 def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
@@ -134,7 +196,7 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
     ``(step, fc, accepted)``.
     """
     start = check_permutation(start, inst.n_jobs)
-    rng = np.random.default_rng(cfg.seed)
+    rng = _RawDraws(cfg.seed)
     n = inst.n_jobs
     tables = ObjectiveTables(inst, obj_cfg, start)
     swap_delta = tables.swap_delta
@@ -147,8 +209,8 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
     accepted_count = 0
 
     for step in range(cfg.steps):
-        i = int(rng.integers(n))
-        k = int(rng.integers(n - 1))
+        i = rng.integers(n)
+        k = rng.integers(n - 1)
         if k >= i:
             k += 1
         delta_fc = swap_delta(current, i, k)

@@ -21,6 +21,7 @@ can be.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -296,24 +297,10 @@ def _instance_seed(base_seed: int, split_idx: int, inst_idx: int) -> int:
     return int(np.random.SeedSequence([base_seed, split_idx, inst_idx]).generate_state(1)[0])
 
 
-def _load_policy(method: dict, digests: dict):
-    """``(params, net_cfg, digest)`` of an RL-MR method's checkpoint, else None.
-
-    Loaded once per method, hashed once per :func:`run_benchmark` call
-    (``digests``, see :func:`inference.digest_once`). RL-MPMR loads its
-    checkpoints one at a time inside :func:`inference.multipolicy` instead,
-    and the two share their multiruns of a checkpoint through
-    :func:`run_benchmark`'s mapping.
-    """
-    if method["type"] != "rl_mr":
-        return None
-    params, net_cfg, _ = policynet.load_checkpoint(method["checkpoint"])
-    return params, net_cfg, inference.digest_once(digests, method["checkpoint"])
-
-
 def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConfig,
                             seed: int, policy, multiruns: dict, digests: dict):
-    """Returns (best_perm, report, steps); ``policy`` is :func:`_load_policy`'s,
+    """Returns (best_perm, report, steps); ``policy()`` gives an RL-MR method's
+    ``(params, net_cfg)``, reading its checkpoint on the first call only,
     ``multiruns`` the RL multiruns on ``inst`` (see :func:`inference.reuse_multirun`),
     ``digests`` the checkpoint hashes already made (see :func:`inference.digest_once`)."""
     t = method["type"]
@@ -342,11 +329,14 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
         step_budget=method.get("step_budget", 10), seed=seed)
     name = method_name(method)
     if t == "rl_mr":
-        params, net_cfg, digest = policy
-        res = inference.reuse_multirun(
-            multiruns, digest, icfg,
-            lambda: inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
-                                       strategy_name=name, checkpoint_digest=digest))
+        digest = inference.digest_once(digests, method["checkpoint"])
+
+        def load_and_run():
+            params, net_cfg = policy()
+            return inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
+                                      strategy_name=name, checkpoint_digest=digest)
+
+        res = inference.reuse_multirun(multiruns, digest, icfg, load_and_run)
     elif t == "rl_mpmr":
         res = inference.multipolicy(inst, method["checkpoints"], icfg, obj_cfg,
                                     strategy_name=name, multiruns=multiruns, digests=digests)
@@ -423,7 +413,10 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
                 for split_idx, split in enumerate(sorted(splits)):
                     rows.append(BenchmarkRow(name, split, None, None, None, None, None, skipped=True))
                 continue
-            policy = _load_policy(m, digests)  # freed when the next method rebinds it
+            # RL-MR reads its checkpoint on its first multirun miss, if any, and
+            # holds it until the next method rebinds the name; RL-MPMR loads its
+            # checkpoints one at a time inside inference.multipolicy
+            policy = functools.cache(lambda m=m: policynet.load_checkpoint(m["checkpoint"])[:2])
             for split_idx, split in enumerate(sorted(splits)):
                 insts = splits[split]
                 fcs, f1s, f2s, steps_used = [], [], [], 0

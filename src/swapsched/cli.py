@@ -8,6 +8,7 @@ Every subcommand reads a JSON config file (``--config``) and accepts a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -256,7 +257,9 @@ config fields:
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; parsing does not modify it."""
     parser = _Parser(prog="swapsched",
                      description="Swap-based improvement heuristics for paced flow-shop scheduling")
     sub = parser.add_subparsers(dest="command")

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swapsched import baselines as bl
-from swapsched.bench import GeneratorConfig, brute_force_best, generate_instance
+from swapsched.bench import (GeneratorConfig, brute_force_best, generate_instance,
+                             run_benchmark)
 from swapsched.schedcore import (ObjectiveConfig, edd_sort, is_permutation,
                                  objective_f1)
 from tests.conftest import make_instance
@@ -202,3 +206,70 @@ def test_sa_config_validation():
         bl.SAConfig(t_max=1.0, t_min=2.0)
     with pytest.raises(ValueError):
         bl.SAConfig(t_min=0.0)
+
+
+SA_GOLDEN_FILE = Path(__file__).parent / "data" / "sa_golden.json"
+
+
+def sa_golden_record(tmp_path) -> str:
+    """sha256 of everything ``sa_optimize`` returns, per case, and of the
+    deterministic files of a ``run_benchmark`` with SA-10000 and a traced SA-30.
+
+    Cases: N in {2, 3, 6, 20}, seeds 0 and 1, the default temperatures and a
+    hot range (t_max=1e6, t_min=1) where most steps draw the Metropolis
+    ``random()``, all traced at stride 7. ``SA_GOLDEN_FILE`` holds the output
+    of this function from the ``sa_optimize`` that drew through
+    ``np.random.default_rng(seed)`` itself.
+    """
+    obj_cfg = ObjectiveConfig()
+    cases = {}
+    for n in (2, 3, 6, 20):
+        inst = generate_instance(GeneratorConfig(n_jobs=n, seed=40 + n, count=1), 0)
+        for label, temps in (("default", {}), ("hot", {"t_max": 1e6, "t_min": 1.0})):
+            for seed in (0, 1):
+                res = bl.sa_optimize(inst, bl.edd_sort(inst),
+                                     bl.SAConfig(steps=2000, seed=seed, **temps), obj_cfg,
+                                     trace_stride=7)
+                record = json.dumps({
+                    "best_perm": res.best_perm.tolist(), "report": res.best_report.to_dict(),
+                    "trace": res.trace, "accepted": res.accepted, "steps": res.steps})
+                cases[f"N{n}_{label}_seed{seed}"] = hashlib.sha256(record.encode()).hexdigest()
+    insts = [generate_instance(GeneratorConfig(seed=60, count=3), i) for i in range(3)]
+    out = tmp_path / "sa_bench"
+    run_benchmark({"paper": insts}, [{"type": "sa", "steps": 10000},
+                                     {"type": "sa", "steps": 30, "trace_stride": 4}],
+                  obj_cfg, seed=5, out_dir=out)
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.iterdir()) if p.name != "timings.csv"}
+    return json.dumps({"cases": cases, "bench_files": files}, sort_keys=True, indent=1) + "\n"
+
+
+def test_sa_matches_golden(tmp_path):
+    assert sa_golden_record(tmp_path) == SA_GOLDEN_FILE.read_text()
+
+
+# ranges numpy maps with Lemire's rule, plus its edge cases: 1 draws nothing,
+# 3 * 2**30 rejects about a quarter of the halves, 2**32 takes the half as is
+RAW_DRAW_RANGES = (1, 2, 19, 20, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+
+
+def test_raw_draws_match_generator():
+    for seed in range(200):
+        plan = np.random.default_rng([seed, 99])  # the interleaving, not the draws
+        ref, raw = np.random.default_rng(seed), bl._RawDraws(seed)
+        n_random = 0
+        for op in plan.integers(2 * len(RAW_DRAW_RANGES), size=2400):
+            if op < len(RAW_DRAW_RANGES):
+                r = RAW_DRAW_RANGES[op]
+                got = raw.integers(r)
+                assert type(got) is int and got == ref.integers(r), (seed, r)
+            else:
+                n_random += 1
+                assert raw.random() == ref.random(), seed
+        assert n_random > 2 * bl._CHUNK  # whole words alone span three refills
+
+
+@pytest.mark.parametrize("r", [0, -3, 2**32 + 1])
+def test_raw_draws_reject_ranges_outside_32_bits(r):
+    with pytest.raises(ValueError):
+        bl._RawDraws(0).integers(r)

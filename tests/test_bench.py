@@ -347,7 +347,8 @@ def test_run_benchmark_loads_each_rl_checkpoint_once(tmp_path, splits, obj_cfg, 
     methods = [{"type": "rl_mr", "checkpoint": str(ckpt), "runs_per_policy": 3,
                 "step_budget": 4}]
     bench.run_benchmark(splits, methods, obj_cfg, seed=2, out_dir=tmp_path / "b")
-    assert calls == ["load_checkpoint", "checkpoint_digest"]  # 6 instances, one load
+    # 6 instances, one hash and one load (on the first instance's multirun miss)
+    assert calls == ["checkpoint_digest", "load_checkpoint"]
 
     records = [json.loads(l) for l in open(tmp_path / "b" / "results.jsonl")]
     expected = []
@@ -428,6 +429,24 @@ def test_run_benchmark_hashes_each_checkpoint_file_once(tmp_path, splits, obj_cf
     assert hashed == policies  # once per file, not 3 per file plus RL-MR's
     for name in ("results.jsonl", "table.csv", "table.txt"):
         assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_rl_mr_loads_no_checkpoint_when_rl_mpmr_holds_its_multiruns(tmp_path, splits, obj_cfg,
+                                                                     policies, monkeypatch):
+    methods = [{"type": "rl_mpmr", "checkpoints": policies, "runs_per_policy": 3,
+                "step_budget": 4},
+               {"type": "rl_mr", "checkpoint": policies[-1], "runs_per_policy": 3,
+                "step_budget": 4}]
+    loads = []
+
+    def counted(path, _load=pn.load_checkpoint):
+        loads.append(path)
+        return _load(path)
+
+    monkeypatch.setattr(pn, "load_checkpoint", counted)
+    bench.run_benchmark({"test": splits["test"]}, methods, obj_cfg, seed=4,
+                        out_dir=tmp_path / "b")
+    assert loads == policies * 3  # 9: 3 files x 3 instances, none for RL-MR
 
 
 @pytest.mark.parametrize("change", [{"runs_per_policy": 2}, {"step_budget": 3}])

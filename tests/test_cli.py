@@ -37,6 +37,19 @@ def test_missing_config_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_main_reuses_one_parser_with_unchanged_usage_and_exit_codes(tmp_path, inst_dir,
+                                                                    capsys):
+    bad = ["validate", "--seed", "x", "--config"]  # a usage error in the subparser
+    assert cli.main(bad) == 1
+    first = capsys.readouterr().err
+    assert cli.main(["validate", "--config",
+                     write_cfg(tmp_path, "v.json", {"instance_dir": str(inst_dir)})]) == 0
+    assert "OK" in capsys.readouterr().out
+    assert cli.main(bad) == 1
+    assert capsys.readouterr().err == first and "invalid int value" in first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_generate_writes_files_and_manifest(tmp_path):
     cfg = write_cfg(tmp_path, "gen.json", {
         "generator": {"n_jobs": 4, "n_stations": 2, "seed": 5, "count": 2},
