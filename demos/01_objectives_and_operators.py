@@ -7,7 +7,7 @@ the incremental swap deltas match full recomputation.
 import numpy as np
 
 from swapsched import operators
-from swapsched.schedcore import (Instance, Job, ObjectiveConfig,
+from swapsched.schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables,
                                  combined_objective, completion_times,
                                  edd_sort, objective_f1, objective_f2)
 
@@ -39,11 +39,11 @@ report = combined_objective(inst, swapped, sigma0, cfg)
 print("\nafter swap(1, 3):", swapped)
 print(f"  delta_f1={report.delta_f1:+.4f}  delta_f2={report.delta_f2:+.1f}  fc={report.fc:+.4f}")
 
-# The table-lookup deltas agree with recomputing the objectives. This
-# validated helper builds the tables on every call (O(N^2 * W)); a search
-# loop builds ObjectiveTables once and calls its O(1) swap_delta.
+# The table-lookup deltas agree with recomputing the objectives. Building
+# ObjectiveTables costs O(N^2 * W) once; each delta is then O(1), which is
+# how a search loop scores its candidate swaps.
 action = (0, 4)
-fast = operators.f2_swap_delta(inst, sigma0, action)
+fast = ObjectiveTables(inst, cfg).f2_swap_delta(sigma0.tolist(), *action)
 full = objective_f2(inst, operators.swap(sigma0, action)) - objective_f2(inst, sigma0)
 print(f"\nincremental f2 delta for swap{action}: {fast:+.1f} (full recompute {full:+.1f})")
 

@@ -21,7 +21,7 @@ print("feature rows (N x (2W+2)):", fm.per_job.shape, " progress:", fm.general)
 
 cfg = pn.NetConfig(d_in=fm.per_job.shape[1], d_h=32, n_heads=2, n_layers=2, d_ff=64)
 params = pn.init_params(cfg, seed=0)
-print("trainable parameters:", pn.param_count(params))
+print("trainable parameters:", pn.flat_buffer(params).size)
 
 out = pn.forward(params, cfg, fm.per_job, fm.general)
 print("\npair probability matrix P (diagonal is exactly zero):")
@@ -31,9 +31,9 @@ print("sum(P) =", out.prob_matrix.sum(), "  value estimate v =", round(out.value
 rng = np.random.default_rng(0)
 for _ in range(3):
     action, logp = pn.sample_action(out, rng)
-    print(f"sampled swap {tuple(action)}  log-prob {logp:.3f}")
+    print(f"sampled swap {action}  log-prob {logp:.3f}")
 action, _ = pn.sample_action(out, rng, greedy=True)
-print("greedy swap:", tuple(action))
+print("greedy swap:", action)
 
 # the same parameters evaluate on any permutation length
 for n in (2, 10, 40):
@@ -43,4 +43,4 @@ for n in (2, 10, 40):
 
 # reference-scale parameter count (W=12 -> 26 input features)
 big = pn.NetConfig(d_in=26)
-print("\nreference config parameter count:", pn.param_count(pn.init_params(big, seed=0)))
+print("\nreference config parameter count:", pn.flat_buffer(pn.init_params(big, seed=0)).size)

@@ -3,7 +3,7 @@
 Submodules:
 
 * ``schedcore``  -- instances, objectives, features
-* ``operators``  -- the swap action and validated swap deltas
+* ``operators``  -- the validated swap action and its validated fc delta
 * ``baselines``  -- due-date sort, lookahead heuristic, simulated annealing
 * ``policynet``  -- numpy actor-critic network and checkpoints
 * ``ppo``        -- environment and PPO trainer
@@ -14,7 +14,7 @@ Submodules:
 
 from . import baselines, bench, inference, operators, policynet, ppo, schedcore
 from .baselines import SAConfig, SHConfig, sa_optimize, sh_schedule
-from .operators import PairAction, swap
+from .operators import swap
 from .policynet import NetConfig, forward, init_params, load_checkpoint, save_checkpoint
 from .ppo import EpisodeConfig, PPOConfig, SwapEnv, train
 from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveReport,

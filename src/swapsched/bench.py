@@ -113,8 +113,8 @@ def load_pool(dir_or_paths) -> list[Instance]:
     return [load_instance(p) for p in sorted(d.glob("*.json")) if p.name != "manifest.json"]
 
 
-def pool_digest(dir_or_paths) -> str:
-    insts = load_pool(dir_or_paths)
+def pool_digest(insts) -> str:
+    """sha256 over the ids, processing times and due dates of loaded instances."""
     h = hashlib.sha256()
     for inst in insts:
         h.update(inst.id.encode())
@@ -482,12 +482,6 @@ def _write_table(rows: list[BenchmarkRow], csv_path, txt_path) -> None:
 # heatmap (buffer times per position and workstation)
 
 
-def buffer_matrix(inst: Instance, perm) -> np.ndarray:
-    """(N, W) matrix of p - station_time for the jobs in permutation order."""
-    perm = np.asarray(perm, dtype=np.int64)
-    return inst.proc[perm] - inst.station_time
-
-
 def _scale_color(t: float) -> str:
     # red (low) -> green (high), linear in t
     lo, hi = (214, 39, 40), (44, 160, 44)
@@ -504,7 +498,7 @@ def export_heatmap(inst: Instance, perm, csv_path, svg_path) -> np.ndarray:
     labels for positions and workstations.
     """
     perm = check_permutation(perm, inst.n_jobs)  # before any file is opened
-    buf = buffer_matrix(inst, perm)
+    buf = inst.proc[perm] - inst.station_time  # (N, W), in permutation order
     n, w = buf.shape
 
     with open(csv_path, "w") as fh:
@@ -539,16 +533,9 @@ def export_heatmap(inst: Instance, perm, csv_path, svg_path) -> np.ndarray:
     return buf
 
 
-def read_heatmap_csv(path) -> np.ndarray:
-    """Parse a heatmap CSV back into the (N, W) buffer matrix."""
-    lines = Path(path).read_text().strip().split("\n")
-    return np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
-
-
 __all__ = [
     "GeneratorConfig", "generate_instance", "generate_instances", "load_pool",
     "pool_digest", "BRUTE_FORCE_MAX_JOBS", "OBJECTIVES", "ORACLE_CHUNK", "brute_force_best",
     "ORACLE_MAX_JOBS", "ORACLE_REL_TOL", "held_karp_best", "BenchmarkRow",
-    "TABLE_COLUMNS", "method_name", "run_benchmark", "buffer_matrix",
-    "export_heatmap", "read_heatmap_csv",
+    "TABLE_COLUMNS", "method_name", "run_benchmark", "export_heatmap",
 ]

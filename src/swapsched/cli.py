@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, inference, policynet, ppo
-from .schedcore import (ObjectiveConfig, edd_sort, load_instance,
+from .schedcore import (ObjectiveConfig, edd_sort, instance_from_dict, load_instance,
                         validate_instance)
 
 USAGE_ERROR, DATA_ERROR, RUNTIME_ERROR = 1, 2, 3
@@ -79,7 +79,6 @@ def cmd_validate(cfg: dict, seed) -> int:
     for path in paths:
         try:
             data = json.loads(Path(path).read_text())
-            from .schedcore import instance_from_dict
             inst = instance_from_dict(data)
             violations = validate_instance(inst)
         except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -103,9 +102,9 @@ def cmd_train(cfg: dict, seed) -> int:
     net_cfg = _dataclass_from(policynet.NetConfig, net_raw)
     ppo_cfg = _dataclass_from(ppo.PPOConfig, cfg.get("ppo", {}), override_seed=seed)
     ep_cfg = _dataclass_from(ppo.EpisodeConfig, cfg.get("episode", {}))
-    digest = bench.pool_digest(cfg.get("instances") or cfg.get("instance_dir"))
     result = ppo.train(pool, net_cfg, ppo_cfg, ep_cfg, obj_cfg, cfg["out_dir"],
-                       pool_digest=digest, resume_from=cfg.get("resume_from"))
+                       pool_digest=bench.pool_digest(pool),
+                       resume_from=cfg.get("resume_from"))
     print(f"trained {result.env_steps} env steps; final checkpoint {result.final_checkpoint}")
     return 0
 
@@ -227,7 +226,7 @@ config fields:
   instances | instance_dir   evaluation instances
   strategy      "mr" (single checkpoint) or "mpmr" (checkpoint set)
   checkpoint    path (mr) | checkpoints: [paths] or checkpoint_dir (mpmr)
-  n_earlier     mpmr: earlier checkpoints besides the final one (default 5)
+  n_earlier     mpmr: earlier checkpoints besides the final one (int >= 0, default 5)
   inference     object: runs_per_policy, step_budget, greedy, seed
   objective     object: alpha1, alpha2, tardiness_scale
   out           result JSONL path""",

@@ -28,7 +28,7 @@ from :func:`~swapsched.schedcore.combined_objective`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class InferenceResult:
             "strategy": self.strategy,
             "per_run_fc": self.per_run_fc,
             "best_permutation_1based": [int(j) + 1 for j in self.best_perm],
-            "objective_report": self.best_report.to_dict(),
+            "objective_report": asdict(self.best_report),
             "steps": self.steps,
             "checkpoint_digests": self.checkpoint_digests,
             "seed": self.seed,
@@ -250,13 +250,14 @@ def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
 
 def select_checkpoints(paths, n_earlier: int = 5) -> list:
     """Default multipolicy set: the final checkpoint plus the ``n_earlier``
-    most recent distinct earlier ones (by training step in the filename)."""
+    (an int >= 0) most recent distinct earlier ones (by training step in the
+    filename)."""
+    if type(n_earlier) is not int or n_earlier < 0:
+        raise ValueError(f"n_earlier must be an integer >= 0, got {n_earlier!r}")
     ordered = sorted(str(p) for p in paths)
     if not ordered:
         return []
-    final = ordered[-1]
-    earlier = ordered[:-1][-n_earlier:]
-    return earlier + [final]
+    return ordered[max(0, len(ordered) - 1 - n_earlier):-1] + [ordered[-1]]
 
 
 __all__ = ["InferenceConfig", "EpisodeResult", "InferenceResult", "run_lanes",

@@ -49,8 +49,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .operators import PairAction
-
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"SWSCK001"
 
@@ -83,13 +81,6 @@ class NetConfig:
             raise ValueError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
         if self.compat_init_gain <= 0:
             raise ValueError("compat_init_gain must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -185,21 +176,6 @@ def init_params(cfg: NetConfig, seed: int = 0, dtype=np.float32) -> dict:
 def zero_params(cfg: NetConfig, dtype=np.float32) -> dict:
     blocks = canonical_blocks(cfg)
     return flat_views(blocks, np.zeros(_block_size(blocks), dtype=dtype))
-
-
-def param_count(params: dict) -> int:
-    return int(sum(v.size for v in params.values()))
-
-
-def flatten_params(params: dict, cfg: NetConfig) -> np.ndarray:
-    return np.concatenate([params[name].ravel() for name, _ in canonical_blocks(cfg)])
-
-
-def unflatten_params(vec: np.ndarray, cfg: NetConfig, dtype=None) -> dict:
-    """Blocks of a copy of ``vec`` (cast to ``dtype`` if given), as :func:`flat_views`."""
-    vec = np.asarray(vec)
-    flat = vec.astype(dtype) if dtype is not None else vec.copy()
-    return flat_views(canonical_blocks(cfg), flat.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +596,13 @@ def sample_action(out: NetOutput, rng: np.random.Generator, greedy: bool = False
     """Draw a swap pair from one ``(N, N)`` probability matrix (or take the argmax).
 
     :func:`pick_actions` on one state with one ``rng.random()`` draw (none
-    when ``greedy``). Returns ``(PairAction, log_prob)``.
+    when ``greedy``). Returns ``((i, k), log_prob)`` with Python ints.
     """
     p = np.asarray(out.prob_matrix)
     if p.ndim != 2:
         raise ValueError("sample_action expects a single (N, N) probability matrix")
     i, k, logp = pick_actions(p[None], None if greedy else [rng.random()])
-    return PairAction(int(i[0]), int(k[0])), float(logp[0])
+    return (int(i[0]), int(k[0])), float(logp[0])
 
 
 def uniform_pair_probs(n: int) -> np.ndarray:
@@ -662,7 +638,7 @@ def save_checkpoint(path, params: dict, cfg: NetConfig, training_step: int = 0,
     blocks = canonical_blocks(cfg)
     header = {
         "format_version": 1,
-        "net_config": cfg.to_dict(),
+        "net_config": asdict(cfg),
         "training_step": int(training_step),
         "rng_state_digest": rng_state_digest,
         "experiment_config": experiment_config,
@@ -692,7 +668,7 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
         hlen = int.from_bytes(fh.read(4), "little")
         header = json.loads(fh.read(hlen).decode())
-        cfg = NetConfig.from_dict(header["net_config"])
+        cfg = NetConfig(**header["net_config"])
         expected = canonical_blocks(cfg)
         declared = [(b["name"], tuple(b["shape"])) for b in header["blocks"]]
         if declared != expected:
@@ -716,8 +692,7 @@ def checkpoint_digest(path) -> str:
 
 __all__ = [
     "LN_EPS", "NetConfig", "NetOutput", "canonical_blocks", "init_params",
-    "zero_params", "param_count", "flat_views", "flat_buffer", "flatten_params",
-    "unflatten_params",
+    "zero_params", "flat_views", "flat_buffer",
     "positional_encoding", "embed_jobs", "encoder_layer", "pool_and_integrate",
     "compatibility", "critic_value", "forward", "backward", "pick_actions",
     "sample_action", "uniform_pair_probs", "prob_entropy",

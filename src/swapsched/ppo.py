@@ -821,7 +821,7 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     experiment_config = {
-        "objective": asdict(obj_cfg), "net": net_cfg.to_dict(),
+        "objective": asdict(obj_cfg), "net": asdict(net_cfg),
         "ppo": asdict(ppo_cfg), "episode": asdict(ep_cfg),
         "pool_digest": pool_digest, "pool_size": len(pool),
     }

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,10 +113,6 @@ class ObjectiveReport:
     delta_f2: float
     fc: float
 
-    def to_dict(self) -> dict:
-        return {"f1": self.f1, "f2": self.f2, "delta_f1": self.delta_f1,
-                "delta_f2": self.delta_f2, "fc": self.fc}
-
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -184,26 +179,13 @@ def check_permutation(perm, n: int) -> np.ndarray:
 # objectives
 
 
-def completion_time(inst: Instance, pos: int) -> float:
-    """Completion time of the job at 0-based position ``pos``.
+def completion_times(inst: Instance) -> np.ndarray:
+    """All N completion times as a float64 vector.
 
     Positional only: on a paced line every job spends exactly one window per
-    station, so which job occupies the position does not matter.
+    station, so which job occupies a position does not matter.
     """
-    if not 0 <= pos < inst.n_jobs:
-        raise ValueError(f"position {pos} out of range [0, {inst.n_jobs})")
-    return inst.station_time * (inst.n_stations + pos)
-
-
-def completion_times(inst: Instance) -> np.ndarray:
-    """All N completion times as a float64 vector."""
     return inst.station_time * (inst.n_stations + np.arange(inst.n_jobs, dtype=np.float64))
-
-
-def tardiness(inst: Instance, perm, pos: int) -> float:
-    """Signed tardiness of the job at position ``pos``; negative means early."""
-    perm = check_permutation(perm, inst.n_jobs)
-    return completion_time(inst, pos) - inst.due[perm[pos]]
 
 
 def _weighted_tardiness_from_raw(raw: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
@@ -220,10 +202,6 @@ def weighted_tardiness_values(inst: Instance, perm, cfg: ObjectiveConfig) -> np.
     perm = check_permutation(perm, inst.n_jobs)
     raw = completion_times(inst) - inst.due[perm]
     return _weighted_tardiness_from_raw(raw, cfg)
-
-
-def weighted_tardiness(inst: Instance, perm, pos: int, cfg: ObjectiveConfig) -> float:
-    return float(weighted_tardiness_values(inst, perm, cfg)[pos])
 
 
 def _per_perm(values: np.ndarray):
@@ -398,7 +376,7 @@ def _feature_rows(inst: Instance, perm: np.ndarray, gt: np.ndarray) -> np.ndarra
     seq = inst.proc[perm]  # (..., N, W)
     diffs = np.zeros_like(seq)
     diffs[..., :-1, :] = seq[..., :-1, :] - seq[..., 1:, :]
-    c_last = completion_time(inst, inst.n_jobs - 1)
+    c_last = inst.station_time * (inst.n_stations + inst.n_jobs - 1)  # the last completion
     seq = seq / inst.station_time
     diffs = diffs / inst.station_time
     due = inst.due[perm] / c_last
@@ -469,9 +447,7 @@ def edd_sort(inst: Instance) -> np.ndarray:
 __all__ = [
     "EXP_CLAMP", "Job", "Instance", "ObjectiveConfig", "ObjectiveReport",
     "FeatureMatrix", "Violation", "validate_instance", "is_permutation",
-    "check_permutation", "completion_time",
-    "completion_times", "tardiness", "weighted_tardiness",
-    "weighted_tardiness_values", "objective_f1",
+    "check_permutation", "completion_times", "weighted_tardiness_values", "objective_f1",
     "objective_f2", "sequence_f2", "combined_objective", "job_features", "general_feature",
     "state_features", "instance_to_dict", "instance_from_dict",
     "save_instance", "load_instance", "edd_sort", "ObjectiveTables",

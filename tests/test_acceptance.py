@@ -18,8 +18,8 @@ import pytest
 from swapsched import baselines, bench, cli, inference, operators
 from swapsched import policynet as pn
 from swapsched import ppo
-from swapsched.schedcore import (ObjectiveConfig, combined_objective, edd_sort,
-                                 objective_f1, objective_f2)
+from swapsched.schedcore import (ObjectiveConfig, ObjectiveTables, combined_objective,
+                                 edd_sort, objective_f1, objective_f2)
 
 OBJ = ObjectiveConfig()
 
@@ -85,10 +85,11 @@ def test_criterion_2_objective_oracle_equivalence():
             if k >= i:
                 k += 1
             swapped = operators.swap(perm, (i, k))
-            d1 = operators.f1_swap_delta(inst, perm, (i, k), OBJ)
+            tables = ObjectiveTables(inst, OBJ)
+            d1 = tables.f1_swap_delta(perm.tolist(), i, k)
             full1 = objective_f1(inst, swapped, OBJ) - objective_f1(inst, perm, OBJ)
             assert abs(d1 - full1) <= 1e-9 * max(1.0, abs(full1))
-            d2 = operators.f2_swap_delta(inst, perm, (i, k))
+            d2 = tables.f2_swap_delta(perm.tolist(), i, k)
             full2 = objective_f2(inst, swapped) - objective_f2(inst, perm)
             assert abs(d2 - full2) <= 1e-9 * max(1.0, abs(full2))
         elapsed = time.perf_counter() - t0
@@ -146,11 +147,11 @@ def test_criterion_4_gradient_check():
 
         _, grads, _ = ppo.ppo_loss_and_grads(params, cfg, feats, gens, acts,
                                              logp_old, adv, targets, pcfg, denom=b)
-        vec = pn.flatten_params(params, cfg)
-        gvec = pn.flatten_params(grads, cfg)
+        vec = pn.flat_buffer(params)
+        gvec = pn.flat_buffer(grads)
 
         def loss_at(v):
-            p = pn.unflatten_params(v, cfg)
+            p = pn.flat_views(pn.canonical_blocks(cfg), v)
             loss, _, _ = ppo.ppo_loss_and_grads(p, cfg, feats, gens, acts, logp_old,
                                                 adv, targets, pcfg, denom=b,
                                                 compute_grads=False)
@@ -177,7 +178,7 @@ def test_criterion_5_parameter_count():
     with _Criterion(5, "reference config reports 450k..510k trainable scalars, "
                        "stable across runs"):
         cfg = pn.NetConfig(d_in=2 * 12 + 2, d_h=128, n_heads=2, n_layers=2, d_ff=512)
-        counts = {pn.param_count(pn.init_params(cfg, seed=s)) for s in (0, 1, 2)}
+        counts = {pn.flat_buffer(pn.init_params(cfg, seed=s)).size for s in (0, 1, 2)}
         assert len(counts) == 1
         count = counts.pop()
         assert 450_000 <= count <= 510_000, count
@@ -425,7 +426,7 @@ def test_criterion_11_heatmap_fidelity(tmp_path):
         svg_path = tmp_path / "hm.svg"
         bench.export_heatmap(inst, perm, csv_path, svg_path)
 
-        parsed = bench.read_heatmap_csv(csv_path)
+        parsed = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
         expected = inst.proc[perm] - inst.station_time
         assert parsed.shape == (20, 12)
         assert np.array_equal(parsed, expected)  # bit-exact round trip

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +232,7 @@ def sa_golden_record(tmp_path) -> str:
                                      bl.SAConfig(steps=2000, seed=seed, **temps), obj_cfg,
                                      trace_stride=7)
                 record = json.dumps({
-                    "best_perm": res.best_perm.tolist(), "report": res.best_report.to_dict(),
+                    "best_perm": res.best_perm.tolist(), "report": asdict(res.best_report),
                     "trace": res.trace, "accepted": res.accepted, "steps": res.steps})
                 cases[f"N{n}_{label}_seed{seed}"] = hashlib.sha256(record.encode()).hexdigest()
     insts = [generate_instance(GeneratorConfig(seed=60, count=3), i) for i in range(3)]

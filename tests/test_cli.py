@@ -169,6 +169,26 @@ def test_train_rejects_ppo_counts_below_one(tmp_path, inst_dir, capsys, field, v
     assert not (tmp_path / "run").exists()
 
 
+def test_train_loads_each_pool_file_once(tmp_path, inst_dir, monkeypatch):
+    loaded = []
+
+    def counted(path, _load=bench.load_instance):
+        loaded.append(path)
+        return _load(path)
+
+    monkeypatch.setattr(bench, "load_instance", counted)
+    cfg = write_cfg(tmp_path, "train.json", {
+        "instance_dir": str(inst_dir),
+        "net": {"d_h": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16},
+        "ppo": {"total_env_steps": 50, "train_batch_size": 50, "minibatch_size": 25},
+        "episode": {"step_budget": 5},
+        "out_dir": str(tmp_path / "run")})
+    assert cli.main(["train", "--config", cfg]) == 0
+    assert len(loaded) == 3  # the pool's size: the digest hashes the loaded pool
+    exp = json.loads((tmp_path / "run" / "experiment_config.json").read_text())
+    assert exp["pool_digest"] == bench.pool_digest(bench.load_pool(inst_dir))
+
+
 def test_train_and_infer_roundtrip(tmp_path, inst_dir, capsys):
     train_cfg = write_cfg(tmp_path, "train.json", {
         "instance_dir": str(inst_dir),
@@ -283,3 +303,54 @@ def test_seed_override_changes_output(tmp_path, inst_dir):
     m1 = json.loads((tmp_path / "s1" / "manifest.json").read_text())
     m2 = json.loads((tmp_path / "s2" / "manifest.json").read_text())
     assert m1["config_digest"] != m2["config_digest"]
+
+
+@pytest.fixture
+def ckpt_dir(tmp_path):
+    d = tmp_path / "ckpts"
+    d.mkdir()
+    net = policynet.NetConfig(d_in=6, d_h=8, n_heads=2, n_layers=1, d_ff=16)
+    params = policynet.init_params(net, seed=1)
+    for step in range(0, 700, 100):  # seven checkpoints
+        policynet.save_checkpoint(d / f"ckpt_{step:010d}.ckpt", params, net, training_step=step)
+    return d
+
+
+@pytest.mark.parametrize("n_earlier,want", [(0, 1), (2, 3), (10, 7)])
+def test_infer_mpmr_n_earlier_selects_final_plus_earlier(tmp_path, inst_dir, ckpt_dir,
+                                                         n_earlier, want):
+    cfg = write_cfg(tmp_path, "mpmr.json", {
+        "instance_dir": str(inst_dir), "strategy": "mpmr", "checkpoint_dir": str(ckpt_dir),
+        "n_earlier": n_earlier, "inference": {"runs_per_policy": 2, "step_budget": 2},
+        "out": str(tmp_path / "mpmr.jsonl")})
+    assert cli.main(["infer", "--config", cfg]) == 0
+    recs = [json.loads(l) for l in open(tmp_path / "mpmr.jsonl")]
+    assert [len(r["checkpoint_digests"]) for r in recs] == [want] * 3
+
+
+BAD_N_EARLIER = [-2, 2.5, True, "3"]
+
+
+@pytest.mark.parametrize("n_earlier", BAD_N_EARLIER)
+def test_infer_rejects_bad_n_earlier_before_writing(tmp_path, inst_dir, ckpt_dir, capsys,
+                                                     n_earlier):
+    cfg = write_cfg(tmp_path, "mpmr.json", {
+        "instance_dir": str(inst_dir), "strategy": "mpmr", "checkpoint_dir": str(ckpt_dir),
+        "n_earlier": n_earlier, "inference": {"runs_per_policy": 2, "step_budget": 2},
+        "out": str(tmp_path / "mpmr.jsonl")})
+    assert cli.main(["infer", "--config", cfg]) == 2
+    assert "n_earlier" in capsys.readouterr().err
+    assert not (tmp_path / "mpmr.jsonl").exists()
+
+
+@pytest.mark.parametrize("n_earlier", BAD_N_EARLIER)
+def test_bench_rejects_bad_n_earlier_before_writing(tmp_path, inst_dir, ckpt_dir, capsys,
+                                                    n_earlier):
+    cfg = write_cfg(tmp_path, "bench.json", {
+        "splits": {"test": {"instance_dir": str(inst_dir)}},
+        "methods": [{"type": "rl_mpmr", "checkpoint_dir": str(ckpt_dir),
+                     "n_earlier": n_earlier, "runs_per_policy": 2, "step_budget": 2}],
+        "out_dir": str(tmp_path / "bench_out"), "seed": 0})
+    assert cli.main(["bench", "--config", cfg]) == 2
+    assert "n_earlier" in capsys.readouterr().err
+    assert not (tmp_path / "bench_out").exists()

@@ -40,3 +40,34 @@ def test_package_reexports_resolve():
         module = importlib.import_module(f"swapsched.{module_name}")
         assert getattr(swapsched, name) is getattr(module, name), name
         assert name in module.__all__, f"{module_name}.{name}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; ``__all__`` entries count as reads."""
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("name", MODULES)  # submodules; __init__ imports to re-export
+def test_module_has_no_unused_imports(name):
+    path = Path(swapsched.__file__).with_name(f"{name}.py")
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_module_and_function_imports():
+    source = ("import math\nimport os.path\nfrom x import a, b as c\n"
+              "def f():\n    from y import d\n    return a + os.sep\n__all__ = ['c']\n")
+    assert _unused_imports(source) == ["d (line 5)", "math (line 1)"]

@@ -145,6 +145,24 @@ def test_select_checkpoints_final_plus_five():
     assert inf.select_checkpoints(paths[:2], n_earlier=5) == paths[:2]
 
 
+def test_select_checkpoints_counts_earlier_ones_from_zero():
+    paths = [f"ckpt_{i:010d}.ckpt" for i in range(0, 700, 100)]
+    assert inf.select_checkpoints(paths, n_earlier=0) == paths[-1:]
+    assert inf.select_checkpoints(paths, n_earlier=2) == paths[-3:]
+    assert inf.select_checkpoints(paths, n_earlier=6) == paths
+    assert inf.select_checkpoints(paths, n_earlier=99) == paths
+    assert inf.select_checkpoints(paths[:1], n_earlier=0) == paths[:1]
+    assert inf.select_checkpoints([], n_earlier=0) == []
+
+
+@pytest.mark.parametrize("n_earlier", [-1, -2, 2.5, 2.0, True, False, "3", None])
+def test_select_checkpoints_rejects_n_earlier_that_is_not_a_count(n_earlier):
+    paths = [f"ckpt_{i:010d}.ckpt" for i in range(0, 700, 100)]
+    for given in (paths, []):
+        with pytest.raises(ValueError, match="n_earlier"):
+            inf.select_checkpoints(given, n_earlier=n_earlier)
+
+
 def test_multipolicy_requires_configs(inst6, obj_cfg, checkpoints):
     with pytest.raises(TypeError):
         inf.multipolicy(inst6, checkpoints)
@@ -183,7 +201,7 @@ def _one_state_rollout(inst, params, net, obj_cfg, budget, rng, greedy):
         action, _ = pn.sample_action(pn.forward(params, net, fm.per_job, fm.general), rng,
                                      greedy=greedy)
         perm = operators.swap(perm, action)
-        actions.append(tuple(action))
+        actions.append(action)
         fc_log.append(combined_objective(inst, perm, sigma0, obj_cfg).fc)
     return actions, fc_log
 

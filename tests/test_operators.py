@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from swapsched import operators as ops
 from swapsched.bench import GeneratorConfig, generate_instance
-from swapsched.schedcore import ObjectiveConfig, is_permutation, objective_f1, objective_f2
+from swapsched.schedcore import (ObjectiveConfig, ObjectiveTables, is_permutation, objective_f1,
+                                 objective_f2)
 from tests.conftest import make_instance
 
 
@@ -23,7 +24,7 @@ def test_swap_structure_six_jobs():
 
 def test_swap_involution(rng):
     perm = rng.permutation(8)
-    a = ops.PairAction(1, 6)
+    a = (1, 6)
     assert np.array_equal(ops.swap(ops.swap(perm, a), a), perm)
 
 
@@ -46,7 +47,7 @@ def test_operators_preserve_bijection(n, data):
 
 
 # ---------------------------------------------------------------------------
-# incremental deltas vs full recomputation
+# table deltas vs full recomputation
 
 
 def _random_case(rng):
@@ -69,7 +70,7 @@ def test_f2_swap_delta_matches_recompute(seed):
     rng = np.random.default_rng(seed)
     for _ in range(500):
         inst, perm, action = _random_case(rng)
-        fast = ops.f2_swap_delta(inst, perm, action)
+        fast = ObjectiveTables(inst, ObjectiveConfig()).f2_swap_delta(perm.tolist(), *action)
         full = objective_f2(inst, ops.swap(perm, action)) - objective_f2(inst, perm)
         assert abs(fast - full) <= 1e-9 * max(1.0, abs(full))
 
@@ -80,7 +81,7 @@ def test_f1_swap_delta_matches_recompute(seed):
     cfg = ObjectiveConfig()
     for _ in range(500):
         inst, perm, action = _random_case(rng)
-        fast = ops.f1_swap_delta(inst, perm, action, cfg)
+        fast = ObjectiveTables(inst, cfg).f1_swap_delta(perm.tolist(), *action)
         full = (objective_f1(inst, ops.swap(perm, action), cfg)
                 - objective_f1(inst, perm, cfg))
         assert abs(fast - full) <= 1e-9 * max(1.0, abs(full))
@@ -88,17 +89,17 @@ def test_f1_swap_delta_matches_recompute(seed):
 
 def test_f2_delta_identical_jobs_zero():
     inst = make_instance([(4, 4), (4, 4), (2, 9)], [10, 20, 30], 10)
-    assert ops.f2_swap_delta(inst, np.arange(3), (0, 1)) == 0.0
+    assert ObjectiveTables(inst, ObjectiveConfig()).f2_swap_delta([0, 1, 2], 0, 1) == 0.0
 
 
 def test_f2_delta_two_job_instance_zero():
     inst = make_instance([(4, 1), (9, 3)], [10, 20], 10)
-    assert ops.f2_swap_delta(inst, np.arange(2), (0, 1)) == 0.0
+    assert ObjectiveTables(inst, ObjectiveConfig()).f2_swap_delta([0, 1], 0, 1) == 0.0
 
 
 def test_f1_delta_equal_due_dates_zero(obj_cfg):
     inst = make_instance([(4, 1), (9, 3), (2, 2)], [50.0, 50.0, 10.0], 10)
-    assert ops.f1_swap_delta(inst, np.arange(3), (0, 1), obj_cfg) == 0.0
+    assert ObjectiveTables(inst, obj_cfg).f1_swap_delta([0, 1, 2], 0, 1) == 0.0
 
 
 def test_fc_swap_delta_consistent(inst6, obj_cfg, rng):
@@ -110,3 +111,12 @@ def test_fc_swap_delta_consistent(inst6, obj_cfg, rng):
     before = combined_objective(inst6, perm, s0, obj_cfg).fc
     after = combined_objective(inst6, ops.swap(perm, action), s0, obj_cfg).fc
     assert delta == pytest.approx(after - before, abs=1e-9)
+
+
+@pytest.mark.parametrize("perm,action", [
+    (np.arange(6), (0, 6)), (np.arange(6), (-1, 2)), (np.arange(6), (3, 3)),
+    ([0, 1, 2, 3, 4, 4], (0, 1)), (np.arange(5), (0, 1))],
+    ids=["past_end", "negative", "same_position", "repeated_job", "short"])
+def test_fc_swap_delta_rejects_bad_input(inst6, obj_cfg, perm, action):
+    with pytest.raises(ValueError):
+        ops.fc_swap_delta(inst6, perm, action, obj_cfg)

@@ -304,8 +304,8 @@ def test_forward_length_flexibility():
 
 def test_parameter_count_reference_config():
     cfg = pn.NetConfig(d_in=26, d_h=128, n_heads=2, n_layers=2, d_ff=512)
-    n1 = pn.param_count(pn.init_params(cfg, seed=0))
-    n2 = pn.param_count(pn.init_params(cfg, seed=99))
+    n1 = pn.flat_buffer(pn.init_params(cfg, seed=0)).size
+    n2 = pn.flat_buffer(pn.init_params(cfg, seed=99)).size
     assert n1 == n2  # stable across runs
     assert 450_000 <= n1 <= 510_000
 
@@ -363,7 +363,8 @@ def test_sample_log_prob_matches_entry(rng):
     params = pn.init_params(cfg, seed=5)
     out = pn.forward(params, cfg, rng.normal(size=(5, cfg.d_in)).astype(np.float32), 0.2)
     action, logp = pn.sample_action(out, np.random.default_rng(1))
-    assert logp == pytest.approx(math.log(out.prob_matrix[action.i, action.k]), abs=1e-6)
+    assert type(action) is tuple and [type(j) for j in action] == [int, int]
+    assert logp == pytest.approx(math.log(out.prob_matrix[action]), abs=1e-6)
 
 
 def test_sample_degenerate_faults():
@@ -439,15 +440,16 @@ def test_backward_matches_finite_differences():
 
     _, cache = pn.forward(params, cfg, x, g, want_cache=True)
     grads = pn.backward(cache, wz, wv, params, cfg)
-    vec = pn.flatten_params(params, cfg)
-    gvec = pn.flatten_params(grads, cfg)
+    vec = pn.flat_buffer(params)
+    gvec = pn.flat_buffer(grads)
+    blocks = pn.canonical_blocks(cfg)
     eps = 1e-6
     idx = rng.choice(vec.size, size=150, replace=False)
     for i in idx:
         vp, vm = vec.copy(), vec.copy()
         vp[i] += eps
         vm[i] -= eps
-        fd = (loss_fn(pn.unflatten_params(vp, cfg)) - loss_fn(pn.unflatten_params(vm, cfg))) / (2 * eps)
+        fd = (loss_fn(pn.flat_views(blocks, vp)) - loss_fn(pn.flat_views(blocks, vm))) / (2 * eps)
         assert abs(fd - gvec[i]) <= 1e-6 * max(1.0, abs(fd))
 
 
@@ -707,14 +709,16 @@ def test_param_dict_views_share_one_flat_vector(tmp_path):
     cfg = tiny_cfg(d_h=8, n_heads=2)
     path = tmp_path / "net.ckpt"
     pn.save_checkpoint(path, pn.init_params(cfg, seed=53), cfg)
+    blocks = pn.canonical_blocks(cfg)
+    size = sum(math.prod(shape) for _, shape in blocks)
     for params in (pn.init_params(cfg, seed=53), pn.zero_params(cfg),
                    pn.load_checkpoint(path)[0],
-                   pn.unflatten_params(np.arange(pn.param_count(pn.zero_params(cfg)),
-                                                 dtype=np.float32), cfg)):
+                   pn.flat_views(blocks, np.arange(size, dtype=np.float32))):
         flat = pn.flat_buffer(params)
-        assert flat is not None and flat.size == pn.param_count(params)
-        assert list(params) == [name for name, _ in pn.canonical_blocks(cfg)]
-        assert flat.tobytes() == pn.flatten_params(params, cfg).tobytes()
+        assert flat is not None and flat.size == size
+        assert list(params) == [name for name, _ in blocks]
+        assert flat.tobytes() == np.concatenate([params[name].ravel()
+                                                 for name, _ in blocks]).tobytes()
         params["compat.wk"][1, 2] = 7.5  # a write through a view lands in the vector
         names = list(params)
         offset = sum(params[name].size for name in names[:names.index("compat.wk")])

@@ -47,32 +47,30 @@ def test_validate_too_few_jobs():
 
 def test_completion_time_reference_constants():
     inst = make_instance([[100] * 12] * 20, [1000] * 20, 208)
-    assert sc.completion_time(inst, 0) == 2496
-    assert sc.completion_time(inst, 19) == 6448
+    assert sc.completion_times(inst)[0] == 2496
+    assert sc.completion_times(inst)[19] == 6448
 
 
 def test_completion_time_identity_scale():
     inst = make_instance([[1], [1]], [1, 2], 1)
-    assert sc.completion_time(inst, 0) == 1
-
-
-def test_completion_time_out_of_range():
-    inst = make_instance([[1], [1]], [1, 2], 1)
-    with pytest.raises(ValueError):
-        sc.completion_time(inst, 2)
+    assert sc.completion_times(inst)[0] == 1
 
 
 def test_tardiness_signs():
     inst = make_instance([[100] * 12] * 20, [3000] + [2496] + [6000] * 18, 208)
+
+    def tardiness(perm, pos):  # signed: negative means early
+        return sc.completion_times(inst)[pos] - inst.due[perm[pos]]
+
     perm = np.arange(20)
-    assert sc.tardiness(inst, perm, 0) == 2496 - 3000 == -504
+    assert tardiness(perm, 0) == 2496 - 3000 == -504
     perm2 = perm.copy()
     perm2[0], perm2[1] = 1, 0
-    assert sc.tardiness(inst, perm2, 0) == 0.0
+    assert tardiness(perm2, 0) == 0.0
     # job with due date 6000 at the last position: C_20 = 6448
     perm3 = perm.copy()
     perm3[19], perm3[2] = perm[2], perm[19]
-    assert sc.tardiness(inst, perm3, 19) == 448
+    assert tardiness(perm3, 19) == 448
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +99,8 @@ def test_weighted_tardiness_clamps_instead_of_overflowing(obj_cfg):
 def test_gt_monotone_in_due_date(obj_cfg):
     inst_lo = make_instance([[1], [1]], [5.0, 9.0], 1.0)
     inst_hi = make_instance([[1], [1]], [6.0, 9.0], 1.0)
-    g_lo = sc.weighted_tardiness(inst_lo, np.arange(2), 0, obj_cfg)
-    g_hi = sc.weighted_tardiness(inst_hi, np.arange(2), 0, obj_cfg)
+    g_lo = sc.weighted_tardiness_values(inst_lo, np.arange(2), obj_cfg)[0]
+    g_hi = sc.weighted_tardiness_values(inst_hi, np.arange(2), obj_cfg)[0]
     assert g_hi < g_lo
 
 
