@@ -9,8 +9,12 @@ Simulated annealing (``sa_optimize``) maximizes the combined objective via
 random swaps under an exponentially cooling temperature, the plain variant
 used for step-budget-matched comparisons against the learned policy. Its
 random draws are those of ``np.random.default_rng(seed)``, bit for bit, but
-computed in Python from raw PCG64 words drawn in bulk (``_RawDraws``), which
-skips numpy's per-call overhead. ``sa_accept`` takes any object with a
+computed from raw PCG64 words drawn in bulk (``_RawDraws``), which skips
+numpy's per-call overhead: numpy decodes each chunk of words into the swap
+pairs drawn from them at once, and Python's integers take over for the rare
+word that Lemire's rule rejects. A proposal costs one ``swap_pair`` call and
+one ``ObjectiveTables.swap_deltas`` call, and the temperature is computed
+only for moves that lower fc. ``sa_accept`` takes any object with a
 ``.random()`` method, a ``Generator`` included.
 """
 
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
-                        check_permutation, combined_objective, edd_sort)
+                        check_count, check_permutation, combined_objective, edd_sort)
 
 __all__ = ["edd_sort", "SHConfig", "sh_schedule", "SAConfig", "SAResult",
            "sa_accept", "sa_temperature", "sa_optimize"]
@@ -36,10 +40,8 @@ class SHConfig:
     max_skip: int = 4
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.max_skip < 0:
-            raise ValueError("max_skip must be >= 0")
+        check_count("window", self.window, 1)
+        check_count("max_skip", self.max_skip, 0)
 
 
 def sh_schedule(inst: Instance, cfg: SHConfig) -> np.ndarray:
@@ -97,8 +99,7 @@ class SAConfig:
     def __post_init__(self):
         if not (0 < self.t_min <= self.t_max):
             raise ValueError("need 0 < t_min <= t_max")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        check_count("steps", self.steps, 0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,42 @@ def sa_accept(delta_e: float, temp: float, rng) -> bool:
 
 _CHUNK = 512  # raw words per refill: a few kB, never a batch-wide buffer
 _TWO_32 = 1 << 32
+_LOW_32 = 0xFFFFFFFF
+
+
+def _pair_decoder(n: int):
+    """Decode a chunk of raw words into the swap pairs ``sa_optimize`` draws
+    from them, with numpy in one pass.
+
+    For each word: ``i = integers(n)`` from the low half, ``k = integers(n - 1)``
+    from the high half, moved past ``i``, and whether Lemire's rule accepts
+    both halves. Below three jobs no pair is taken from one word
+    (``integers(1)`` draws nothing), so every flag is False.
+    """
+    if n < 3:
+        no_pairs = ([0] * _CHUNK, [0] * _CHUNK, [False] * _CHUNK)
+        return lambda words: no_pairs
+    low = np.uint64(_LOW_32)
+    r_i, r_k = np.uint64(n), np.uint64(n - 1)
+    floor_i, floor_k = np.uint64(_TWO_32 % n), np.uint64(_TWO_32 % (n - 1))
+
+    def decode(words):
+        m_i = (words & low) * r_i
+        m_k = (words >> np.uint64(32)) * r_k
+        i = m_i >> np.uint64(32)
+        k = m_k >> np.uint64(32)
+        k += k >= i
+        ok = ((m_i & low) >= floor_i) & ((m_k & low) >= floor_k)
+        return i.tolist(), k.tolist(), ok.tolist()
+
+    return decode
 
 
 class _RawDraws:
     """``integers(r)`` and ``random()`` of ``np.random.default_rng(seed)``, bit
-    for bit, computed in Python from raw PCG64 words drawn ``_CHUNK`` at a time.
+    for bit, computed in Python from raw PCG64 words drawn ``_CHUNK`` at a time,
+    plus ``sa_optimize``'s swap pairs on ``n`` positions decoded from them in
+    bulk.
 
     They follow numpy's algorithms. A bounded integer below 2**32 takes one
     32-bit half of a word: the low half first, the high half kept for the
@@ -143,20 +175,48 @@ class _RawDraws:
     maps the half ``x`` to ``(x * r) >> 32``, drawing again while
     ``(x * r) mod 2**32 < 2**32 mod r``; a one-value range draws nothing.
     ``random()`` is the top 53 bits of a whole word times 2**-53.
-    ``test_raw_draws_match_generator`` pins this to ``Generator``.
+
+    The stream is one of entries ``(word, i, k, ok)``: each raw word with the
+    swap pair :func:`_pair_decoder` makes of it. ``swap_pair`` takes the
+    decoded ``(i, k)`` while no half is kept and ``ok`` holds, and draws the
+    two scalar ``integers`` from the same word otherwise.
+    ``test_raw_draws_match_generator`` and ``test_swap_pairs_match_generator``
+    pin all of this to ``Generator``.
     """
 
-    __slots__ = ("_next_word", "_half")
+    __slots__ = ("_next_entry", "_half", "_n")
 
-    def __init__(self, seed):
+    def __init__(self, seed, n: int = 0):
         bit_generator = np.random.default_rng(seed).bit_generator
+        decode = _pair_decoder(n)
 
-        def words():
+        def entries():
             while True:
-                yield from bit_generator.random_raw(_CHUNK).tolist()
+                words = bit_generator.random_raw(_CHUNK)
+                yield from zip(words.tolist(), *decode(words))
 
-        self._next_word = words().__next__
+        self._next_entry = entries().__next__
         self._half = None  # the kept high half, if any
+        self._n = n
+
+    def _next_half(self) -> int:
+        x = self._half
+        if x is None:
+            word = self._next_entry()[0]
+            self._half = word >> 32
+            return word & _LOW_32
+        self._half = None
+        return x
+
+    def _bounded(self, x: int, r: int) -> int:
+        # Lemire's rule from the half x, drawing further halves on rejection
+        while True:
+            m = x * r
+            low = m & _LOW_32
+            # 2**32 mod r < r, so the modulo is only needed when low < r
+            if low >= r or low >= _TWO_32 % r:
+                return m >> 32
+            x = self._next_half()
 
     def integers(self, r: int) -> int:
         """An integer uniform on ``[0, r)``, as ``Generator.integers(r)``."""
@@ -164,23 +224,26 @@ class _RawDraws:
             return 0
         if not 1 <= r <= _TWO_32:
             raise ValueError("high <= 0" if r < 1 else f"range {r} exceeds 2**32")
-        while True:
-            x = self._half
-            if x is None:
-                word = self._next_word()
-                x = word & 0xFFFFFFFF
-                self._half = word >> 32
-            else:
-                self._half = None
-            m = x * r
-            low = m & 0xFFFFFFFF
-            # 2**32 mod r < r, so the modulo is only needed when low < r
-            if low >= r or low >= _TWO_32 % r:
-                return m >> 32
+        return self._bounded(self._next_half(), r)
+
+    def swap_pair(self) -> tuple[int, int]:
+        """``i = integers(n)`` and then ``k = integers(n - 1)``, moved past
+        ``i``: two distinct positions among the ``n`` of the constructor."""
+        if self._half is None:
+            word, i, k, ok = self._next_entry()
+            if ok:
+                return i, k
+            # the scalar draws, from the low half of this word on
+            self._half = word >> 32
+            i = self._bounded(word & _LOW_32, self._n)
+        else:
+            i = self.integers(self._n)
+        k = self.integers(self._n - 1)
+        return i, k + (k >= i)
 
     def random(self) -> float:
         """A float uniform on [0, 1), as ``Generator.random()``."""
-        return (self._next_word() >> 11) * 2.0 ** -53
+        return (self._next_entry()[0] >> 11) * 2.0 ** -53
 
 
 def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
@@ -196,10 +259,15 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
     ``(step, fc, accepted)``.
     """
     start = check_permutation(start, inst.n_jobs)
-    rng = _RawDraws(cfg.seed)
-    n = inst.n_jobs
+    rng = _RawDraws(cfg.seed, inst.n_jobs)
+    swap_pair = rng.swap_pair
     tables = ObjectiveTables(inst, obj_cfg, start)
-    swap_delta = tables.swap_delta
+    swap_deltas = tables.swap_deltas
+    # swap_delta's weighing and sa_temperature's schedule, with the
+    # constants hoisted: the same bits
+    neg_alpha1, alpha2 = -tables.alpha1, tables.alpha2
+    steps, t_max = cfg.steps, cfg.t_max
+    ratio = cfg.t_min / cfg.t_max
 
     current = start.tolist()  # validated once; list indexing keeps the loop cheap
     current_fc = tables.fc(start)
@@ -208,13 +276,13 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
     trace = []
     accepted_count = 0
 
-    for step in range(cfg.steps):
-        i = rng.integers(n)
-        k = rng.integers(n - 1)
-        if k >= i:
-            k += 1
-        delta_fc = swap_delta(current, i, k)
-        accepted = sa_accept(-delta_fc, sa_temperature(step, cfg), rng)
+    for step in range(steps):
+        i, k = swap_pair()
+        d1, d2 = swap_deltas(current, i, k)
+        delta_fc = neg_alpha1 * d1 + alpha2 * d2
+        # sa_accept takes every move that does not lower fc; the temperature
+        # is computed only for the others
+        accepted = delta_fc >= 0 or sa_accept(-delta_fc, t_max * ratio ** (step / steps), rng)
         if accepted:
             current[i], current[k] = current[k], current[i]
             current_fc += delta_fc

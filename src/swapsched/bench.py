@@ -30,15 +30,16 @@ import math
 import sys
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import inference, policynet
 from .baselines import SAConfig, SHConfig, sa_optimize, sh_schedule
-from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables, check_permutation,
-                        combined_objective, edd_sort, load_instance, save_instance)
+from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables, check_count,
+                        check_permutation, combined_objective, edd_sort, load_instance,
+                        save_instance)
 
 log = logging.getLogger(__name__)
 
@@ -55,16 +56,15 @@ class GeneratorConfig:
     count: int = 1
 
     def __post_init__(self):
-        if self.n_jobs < 2 or self.n_stations < 1:
-            raise ValueError("need n_jobs >= 2 and n_stations >= 1")
+        check_count("n_jobs", self.n_jobs, 2)
+        check_count("n_stations", self.n_stations, 1)
         if not 0 <= self.p_min_frac <= 1:
             raise ValueError("p_min_frac must lie in [0, 1]")
         if self.station_time_s <= 0:
             raise ValueError("station_time_s must be positive")
         if self.due_noise_s < 0:
             raise ValueError("due_noise_s must be non-negative")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        check_count("count", self.count, 1)
 
 
 def _config_digest(cfg: GeneratorConfig) -> str:
@@ -299,8 +299,9 @@ def _instance_seed(base_seed: int, split_idx: int, inst_idx: int) -> int:
 
 def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConfig,
                             seed: int, policy, multiruns: dict, digests: dict):
-    """Returns (best_perm, report, steps); ``policy()`` gives an RL-MR method's
-    ``(params, net_cfg)``, reading its checkpoint on the first call only,
+    """Returns (best_perm, report, steps) of a method resolved by
+    :func:`_resolve_methods`, run with ``seed``; ``policy()`` gives an RL-MR
+    method's ``(params, net_cfg)``, reading its checkpoint on the first call only,
     ``multiruns`` the RL multiruns on ``inst`` (see :func:`inference.reuse_multirun`),
     ``digests`` the checkpoint hashes already made (see :func:`inference.digest_once`)."""
     t = method["type"]
@@ -308,12 +309,10 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
     if t == "identity":
         return sigma0, combined_objective(inst, sigma0, sigma0, obj_cfg), 0
     if t == "sh":
-        cfg = SHConfig(window=method["window"], max_skip=method["max_skip"])
-        perm = sh_schedule(inst, cfg)
+        perm = sh_schedule(inst, method["_cfg"])
         return perm, combined_objective(inst, perm, sigma0, obj_cfg), 0
     if t == "sa":
-        cfg = SAConfig(t_max=method.get("t_max", 72.0), t_min=method.get("t_min", 2.2e-61),
-                       steps=method["steps"], seed=seed)
+        cfg = replace(method["_cfg"], seed=seed)
         stride = method.get("trace_stride", 0)
         res = sa_optimize(inst, sigma0, cfg, obj_cfg, trace_stride=stride)
         if stride and method.get("_trace_dir"):
@@ -324,9 +323,7 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
                                          "accepted": accepted}) + "\n")
         return res.best_perm, res.best_report, cfg.steps
     # rl_mr, rl_mpmr or random_mr: _resolve_methods admits no other type
-    icfg = inference.InferenceConfig(
-        runs_per_policy=method.get("runs_per_policy", 30),
-        step_budget=method.get("step_budget", 10), seed=seed)
+    icfg = replace(method["_cfg"], seed=seed)
     name = method_name(method)
     if t == "rl_mr":
         digest = inference.digest_once(digests, method["checkpoint"])
@@ -350,9 +347,25 @@ _METHOD_FIELDS = {"identity": (), "sh": ("window", "max_skip"), "sa": ("steps",)
                   "random_mr": (), "rl_mr": ("checkpoint",), "rl_mpmr": ()}
 
 
+def _method_config(m: dict):
+    """The config a method runs with, at seed 0 (each instance replaces the
+    seed); None for the due-date sort, which has none."""
+    t = m["type"]
+    if t == "identity":
+        return None
+    if t == "sh":
+        return SHConfig(window=m["window"], max_skip=m["max_skip"])
+    if t == "sa":
+        check_count("trace_stride", m.get("trace_stride", 0), 0)
+        return SAConfig(t_max=m.get("t_max", 72.0), t_min=m.get("t_min", 2.2e-61),
+                        steps=m["steps"])
+    return inference.InferenceConfig(runs_per_policy=m.get("runs_per_policy", 30),
+                                     step_budget=m.get("step_budget", 10))
+
+
 def _resolve_methods(methods: list[dict]) -> list[dict]:
-    """Reject malformed methods, expand checkpoint directories and flag
-    methods missing their files."""
+    """Reject malformed methods, build their configs, expand checkpoint
+    directories and flag methods missing their files."""
     out = []
     for number, m in enumerate(methods, 1):
         m = dict(m)
@@ -366,6 +379,10 @@ def _resolve_methods(methods: list[dict]) -> list[dict]:
         if absent:
             raise ValueError(f"bench method {number} ({t}) is missing field(s): "
                              f"{', '.join(absent)}")
+        try:
+            m["_cfg"] = _method_config(m)
+        except (TypeError, ValueError) as exc:  # a string where a number belongs
+            raise ValueError(f"bench method {number} ({t}): {exc}") from exc
         if t == "rl_mpmr" and "checkpoints" not in m:
             ckpt_dir = Path(m["checkpoint_dir"])
             paths = sorted(str(p) for p in ckpt_dir.glob("*.ckpt"))

@@ -23,7 +23,9 @@ forwards one state, since every lane starts at the due-date sort. Every layer
 is batch-invariant -- row r of a batch is bitwise equal to the same state
 evaluated alone -- so a lane reproduces exactly the rollout it would make on
 its own. :func:`run_episode` is the one-lane case. The final reports come
-from :func:`~swapsched.schedcore.combined_objective`.
+from one ``ObjectiveTables.reports`` call over every lane's best
+permutation, field for field what
+:func:`~swapsched.schedcore.combined_objective` returns.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import policynet
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
-                        combined_objective)
+                        check_count)
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,8 @@ class InferenceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.runs_per_policy < 1:
-            raise ValueError("runs_per_policy must be >= 1")
-        if self.step_budget < 1:
-            raise ValueError("step_budget must be >= 1")
+        check_count("runs_per_policy", self.runs_per_policy, 1)
+        check_count("step_budget", self.step_budget, 1)
 
 
 @dataclass
@@ -144,8 +144,8 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
         better = fc > best_fc
         best_fc[better] = fc[better]
         best_perms[better] = perms[better]
-    return [EpisodeResult(best_perm=best_perms[r].copy(),
-                          best_report=combined_objective(inst, best_perms[r], sigma0, obj_cfg),
+    reports = tables.reports(best_perms)
+    return [EpisodeResult(best_perm=best_perms[r].copy(), best_report=reports[r],
                           actions=[tuple(a) for a in actions[r].tolist()],
                           fc_log=fc_log[r].tolist())
             for r in range(n_lanes)]
@@ -252,8 +252,7 @@ def select_checkpoints(paths, n_earlier: int = 5) -> list:
     """Default multipolicy set: the final checkpoint plus the ``n_earlier``
     (an int >= 0) most recent distinct earlier ones (by training step in the
     filename)."""
-    if type(n_earlier) is not int or n_earlier < 0:
-        raise ValueError(f"n_earlier must be an integer >= 0, got {n_earlier!r}")
+    check_count("n_earlier", n_earlier, 0)
     ordered = sorted(str(p) for p in paths)
     if not ordered:
         return []

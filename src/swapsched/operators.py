@@ -6,7 +6,7 @@ Positions are 0-based; an action is an ``(i, k)`` pair of positions.
 ``fc_swap_delta`` checks its input and builds the full
 :class:`swapsched.schedcore.ObjectiveTables` on every call, which costs
 O(N^2 * W); loops (simulated annealing) build the tables once and call
-their O(1) ``swap_delta``, ``f1_swap_delta`` and ``f2_swap_delta`` directly.
+their O(1) ``swap_deltas`` kernel directly.
 """
 
 from __future__ import annotations

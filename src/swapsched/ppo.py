@@ -55,7 +55,7 @@ import numpy as np
 from . import policynet
 from .operators import check_pair
 from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig, ObjectiveTables,
-                        check_permutation, edd_sort, state_features)
+                        check_count, check_permutation, edd_sort, state_features)
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +69,7 @@ class EpisodeConfig:
     reward_mode: str = "dense"  # "dense" | "best_improvement"
 
     def __post_init__(self):
-        if self.step_budget < 1:
-            raise ValueError("step_budget must be >= 1")
+        check_count("step_budget", self.step_budget, 1)
         if not 0 <= self.gamma <= 1:
             raise ValueError("gamma must lie in [0, 1]")
         if self.reward_mode not in ("dense", "best_improvement"):
@@ -104,10 +103,11 @@ class PPOConfig:
         if not 0 < self.clip_param < 1:
             raise ValueError("clip_param must lie in (0, 1)")
         for name in ("n_rollout_workers", "train_batch_size", "minibatch_size", "epochs_per_batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be None or >= 1, got {self.checkpoint_every}")
+            check_count(name, getattr(self, name), 1)
+        for name in ("total_env_steps", "lr_warmup_env_steps", "entropy_warmup_env_steps"):
+            check_count(name, getattr(self, name))
+        if self.checkpoint_every is not None:
+            check_count("checkpoint_every", self.checkpoint_every, 1)
         if self.minibatch_size > self.train_batch_size:
             raise ValueError("minibatch_size must not exceed train_batch_size")
         if self.lr_end > self.lr_start:

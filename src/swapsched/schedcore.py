@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,6 +169,19 @@ def is_permutation(order: np.ndarray, n: int) -> bool:
     return order.shape == (n,) and np.array_equal(np.sort(order), np.arange(n))
 
 
+def check_count(name: str, value, minimum: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (bool,
+    float and str are not) of at least ``minimum``, if one is given.
+
+    Config fields that count something check themselves with this, so a
+    config file's ``2.5``, ``"300"`` or ``true`` fails where it is read.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
 def check_permutation(perm, n: int) -> np.ndarray:
     perm = np.asarray(perm, dtype=np.int64)
     if not is_permutation(perm, n):
@@ -255,11 +269,12 @@ class ObjectiveTables:
 
     :meth:`fc` is the one scorer of swap-search states (env steps, inference
     lanes, SA): it sums in ``objective_f1``/``objective_f2`` order, so each row
-    is bitwise :func:`combined_objective`'s fc. :meth:`evaluate`, the oracle's
-    block kernel, sums f2 over ``dist`` gathers instead: several times faster
-    on large blocks and exactly 0 for the reference, but ulps off
-    ``objective_f2``. ``combined_objective`` stays the independent
-    reference implementation. :meth:`state_features` builds the network input
+    is bitwise :func:`combined_objective`'s fc; :meth:`reports` gives the
+    whole report of each row the same way (the inference lanes' results).
+    :meth:`evaluate`, the oracle's block kernel, sums f2 over ``dist``
+    gathers instead: several times faster on large blocks and exactly 0 for
+    the reference, but ulps off ``objective_f2``. ``combined_objective``
+    stays the independent reference implementation. :meth:`state_features` builds the network input
     of search states from the same ``gt`` table.
     """
 
@@ -285,23 +300,22 @@ class ObjectiveTables:
         self._gt_rows, self._dist_rows = self.gt.tolist(), self.dist.tolist()
         return self._gt_rows, self._dist_rows
 
-    def f1_swap_delta(self, perm, i: int, k: int) -> float:
-        """f1 after swapping positions i and k minus f1 before."""
-        a, b = perm[i], perm[k]
-        gt_rows = self._gt_rows or self._rows()[0]
-        gi, gk = gt_rows[i], gt_rows[k]
-        return (gi[b] + gk[a]) - (gi[a] + gk[b])
+    def swap_deltas(self, perm, i: int, k: int) -> tuple[float, float]:
+        """``(f1 delta, f2 delta)`` of swapping positions i and k: each part
+        after the swap minus before. The one kernel of the swap deltas.
 
-    def f2_swap_delta(self, perm, i: int, k: int) -> float:
-        """f2 after swapping positions i and k minus f2 before.
-
-        Only the adjacencies of the outer neighbours change; the adjacency
-        between two neighbouring swapped jobs keeps its (symmetric) distance.
+        f1 changes at the two positions only; its sum is symmetric in i and
+        k. For f2 only the adjacencies of the outer neighbours change; the
+        adjacency between two neighbouring swapped jobs keeps its
+        (symmetric) distance.
         """
         if i > k:
             i, k = k, i
         a, b = perm[i], perm[k]
-        dist_rows = self._dist_rows or self._rows()[1]
+        gt_rows, dist_rows = self._gt_rows, self._dist_rows
+        if gt_rows is None:
+            gt_rows, dist_rows = self._rows()
+        gi, gk = gt_rows[i], gt_rows[k]
         before = after = 0.0
         if i > 0:
             row = dist_rows[perm[i - 1]]
@@ -318,21 +332,41 @@ class ObjectiveTables:
             row = dist_rows[perm[k - 1]]
             before += row[b]
             after += row[a]
-        return after - before
+        return (gi[b] + gk[a]) - (gi[a] + gk[b]), after - before
+
+    def f1_swap_delta(self, perm, i: int, k: int) -> float:
+        """f1 after swapping positions i and k minus f1 before."""
+        return self.swap_deltas(perm, i, k)[0]
+
+    def f2_swap_delta(self, perm, i: int, k: int) -> float:
+        """f2 after swapping positions i and k minus f2 before."""
+        return self.swap_deltas(perm, i, k)[1]
 
     def swap_delta(self, perm, i: int, k: int) -> float:
-        """fc after swapping positions i and k minus fc before (reference cancels)."""
-        return (-self.alpha1 * self.f1_swap_delta(perm, i, k)
-                + self.alpha2 * self.f2_swap_delta(perm, i, k))
+        """fc after swapping positions i and k minus fc before (reference
+        cancels); ``sa_optimize`` weighs :meth:`swap_deltas` the same way."""
+        d1, d2 = self.swap_deltas(perm, i, k)
+        return -self.alpha1 * d1 + self.alpha2 * d2
+
+    def _scores(self, perms):
+        # f1, f2, delta_f1, delta_f2 and fc, summed in objective_f1 /
+        # objective_f2 order and combined as combined_objective combines them
+        f1 = self.gt[self._pos, perms].sum(axis=-1)
+        f2 = sequence_f2(self._inst.proc[perms])
+        d1 = self.f1_ref - f1
+        d2 = f2 - self._f2_ref_seq
+        return f1, f2, d1, d2, self.alpha1 * d1 + self.alpha2 * d2
 
     def fc(self, perms):
         """fc of an ``(N,)`` permutation (a float) or a ``(B, N)`` block
         (a ``(B,)`` vector), bitwise ``combined_objective(...).fc`` row by row."""
-        perms = np.asarray(perms)
-        f1 = self.gt[self._pos, perms].sum(axis=-1)
-        f2 = sequence_f2(self._inst.proc[perms])
-        return _per_perm(self.alpha1 * (self.f1_ref - f1)
-                         + self.alpha2 * (f2 - self._f2_ref_seq))
+        return _per_perm(self._scores(np.asarray(perms))[4])
+
+    def reports(self, perms) -> list[ObjectiveReport]:
+        """``combined_objective(inst, p, ref, cfg)`` of every row ``p`` of a
+        ``(B, N)`` block, equal field for field, from one block evaluation."""
+        columns = (values.tolist() for values in self._scores(np.asarray(perms)))
+        return [ObjectiveReport(*row) for row in zip(*columns)]
 
     def state_features(self, perms, t: int, T: int) -> FeatureMatrix:
         """:func:`state_features` of an ``(N,)`` permutation or, row by row, a
@@ -447,8 +481,8 @@ def edd_sort(inst: Instance) -> np.ndarray:
 __all__ = [
     "EXP_CLAMP", "Job", "Instance", "ObjectiveConfig", "ObjectiveReport",
     "FeatureMatrix", "Violation", "validate_instance", "is_permutation",
-    "check_permutation", "completion_times", "weighted_tardiness_values", "objective_f1",
-    "objective_f2", "sequence_f2", "combined_objective", "job_features", "general_feature",
+    "check_count", "check_permutation", "completion_times", "weighted_tardiness_values",
+    "objective_f1", "objective_f2", "sequence_f2", "combined_objective", "job_features", "general_feature",
     "state_features", "instance_to_dict", "instance_from_dict",
     "save_instance", "load_instance", "edd_sort", "ObjectiveTables",
 ]

@@ -274,3 +274,53 @@ def test_raw_draws_match_generator():
 def test_raw_draws_reject_ranges_outside_32_bits(r):
     with pytest.raises(ValueError):
         bl._RawDraws(0).integers(r)
+
+
+# 2: integers(1) draws nothing, so no pair comes from one word; 3: the
+# smallest decoded range; 20: the paper's N; 2**31 + 1: about half of the low
+# halves are rejected, so the scalar draws after a rejection (and from a kept
+# half) run all the time
+SWAP_PAIR_NS = (2, 3, 20, 2**31 + 1)
+
+
+@pytest.mark.parametrize("n", SWAP_PAIR_NS)
+def test_swap_pairs_match_generator(n):
+    for seed in range(200):
+        plan = np.random.default_rng([seed, n, 7])  # the interleaving, not the draws
+        ref, raw = np.random.default_rng(seed), bl._RawDraws(seed, n)
+        for op in plan.integers(8, size=1200):
+            if op < 5:  # SA's proposal
+                i = int(ref.integers(n))
+                k = int(ref.integers(n - 1))
+                assert raw.swap_pair() == (i, k + (k >= i)), (seed, n)
+            elif op < 7:  # SA's Metropolis draw: a whole word, a kept half stays kept
+                assert raw.random() == ref.random(), (seed, n)
+            else:  # a lone bounded draw leaves a half kept
+                assert raw.integers(19) == ref.integers(19), (seed, n)
+        assert raw.random() == ref.random()  # 1200 ops take 700 to 1500 words
+
+
+def test_pair_decoder_flags_rejections():
+    words = np.random.default_rng(0).bit_generator.random_raw(bl._CHUNK)
+    i, k, ok = bl._pair_decoder(20)(words)
+    assert all(ok) and all(0 <= a < 20 and 0 <= b < 20 and a != b for a, b in zip(i, k))
+    # at 2**31 + 1 the low half is rejected with probability about 1/2 (the
+    # high half, for 2**31, never is)
+    assert 0.35 < np.mean(bl._pair_decoder(2**31 + 1)(words)[2]) < 0.65
+    assert not any(bl._pair_decoder(2)(words)[2])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("steps", 2.5), ("steps", "300"), ("steps", True), ("steps", -1), ("steps", None)])
+def test_sa_config_rejects_a_step_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=field):
+        bl.SAConfig(**{field: value})
+    assert bl.SAConfig(steps=np.int64(3)).steps == 3  # numpy integers are integers
+
+
+@pytest.mark.parametrize("field,value", [
+    ("window", 2.5), ("window", "4"), ("window", True), ("window", 0),
+    ("max_skip", 1.0), ("max_skip", "4"), ("max_skip", False), ("max_skip", -1)])
+def test_sh_config_rejects_counts_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        bl.SHConfig(**{field: value})

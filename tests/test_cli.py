@@ -354,3 +354,87 @@ def test_bench_rejects_bad_n_earlier_before_writing(tmp_path, inst_dir, ckpt_dir
     assert cli.main(["bench", "--config", cfg]) == 2
     assert "n_earlier" in capsys.readouterr().err
     assert not (tmp_path / "bench_out").exists()
+
+
+BAD_COUNTS = [2.5, "300", True]
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS)
+@pytest.mark.parametrize("method,field", [
+    ({"type": "sa"}, "steps"),
+    ({"type": "sa", "steps": 30}, "trace_stride"),
+    ({"type": "sh", "max_skip": 4}, "window"),
+    ({"type": "sh", "window": 4}, "max_skip"),
+    ({"type": "random_mr"}, "runs_per_policy"),
+    ({"type": "random_mr"}, "step_budget"),
+], ids=["sa-steps", "sa-trace_stride", "sh-window", "sh-max_skip", "runs_per_policy",
+        "step_budget"])
+def test_bench_rejects_a_count_that_is_not_an_integer_before_writing(tmp_path, inst_dir,
+                                                                     capsys, method, field,
+                                                                     value):
+    cfg = write_cfg(tmp_path, "bench.json", {
+        "splits": {"test": {"instance_dir": str(inst_dir)}},
+        "methods": [{"type": "identity", "name": "EDD"}, {**method, field: value}],
+        "out_dir": str(tmp_path / "bench_out"), "seed": 0})
+    assert cli.main(["bench", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "bench method 2" in err and field in err
+    assert not (tmp_path / "bench_out").exists()
+
+
+def test_bench_rejects_a_temperature_that_is_not_a_number_before_writing(tmp_path, inst_dir,
+                                                                         capsys):
+    cfg = write_cfg(tmp_path, "bench.json", {
+        "splits": {"test": {"instance_dir": str(inst_dir)}},
+        "methods": [{"type": "sa", "steps": 30, "t_max": "72"}],
+        "out_dir": str(tmp_path / "bench_out"), "seed": 0})
+    assert cli.main(["bench", "--config", cfg]) == 2
+    assert "bench method 1 (sa)" in capsys.readouterr().err
+    assert not (tmp_path / "bench_out").exists()
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS)
+def test_generate_rejects_a_count_that_is_not_an_integer_before_writing(tmp_path, capsys,
+                                                                        value):
+    cfg = write_cfg(tmp_path, "gen.json", {
+        "generator": {"n_jobs": 4, "n_stations": 2, "count": value},
+        "out_dir": str(tmp_path / "out")})
+    assert cli.main(["generate", "--config", cfg]) == 2
+    assert "count" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS)
+@pytest.mark.parametrize("section,field", [
+    ("ppo", "total_env_steps"), ("ppo", "train_batch_size"), ("ppo", "epochs_per_batch"),
+    ("ppo", "checkpoint_every"), ("ppo", "lr_warmup_env_steps"),
+    ("ppo", "entropy_warmup_env_steps"), ("ppo", "n_rollout_workers"),
+    ("episode", "step_budget")])
+def test_train_rejects_a_count_that_is_not_an_integer_before_writing(tmp_path, inst_dir,
+                                                                     capsys, section, field,
+                                                                     value):
+    payload = {
+        "instance_dir": str(inst_dir),
+        "net": {"d_h": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16},
+        "ppo": {"total_env_steps": 50, "train_batch_size": 50, "minibatch_size": 25,
+                "epochs_per_batch": 1},
+        "episode": {"step_budget": 5},
+        "out_dir": str(tmp_path / "run")}
+    payload[section][field] = value
+    assert cli.main(["train", "--config", write_cfg(tmp_path, "train.json", payload)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS)
+@pytest.mark.parametrize("field", ["runs_per_policy", "step_budget"])
+def test_infer_rejects_a_count_that_is_not_an_integer_before_writing(tmp_path, inst_dir,
+                                                                     ckpt_dir, capsys, field,
+                                                                     value):
+    inference = {"runs_per_policy": 2, "step_budget": 2, field: value}
+    cfg = write_cfg(tmp_path, "mpmr.json", {
+        "instance_dir": str(inst_dir), "strategy": "mpmr", "checkpoint_dir": str(ckpt_dir),
+        "inference": inference, "out": str(tmp_path / "mpmr.jsonl")})
+    assert cli.main(["infer", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "mpmr.jsonl").exists()

@@ -1,6 +1,6 @@
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +248,29 @@ def test_lanes_at_paper_scale_equal_single_episodes(inst20, obj_cfg):
     for r, lane in enumerate(lanes):
         ep = inf.run_episode(inst20, params, net, obj_cfg, 4, inf._run_rng(67, r))
         assert (lane.actions, lane.fc_log) == (ep.actions, ep.fc_log)
+
+
+@pytest.mark.parametrize("policy", ["network", "uniform"])
+def test_lane_reports_equal_combined_objective_field_for_field(inst20, policy):
+    obj_cfg = ObjectiveConfig(alpha1=0.7, alpha2=0.03)
+    net = pn.NetConfig(d_in=2 * inst20.n_stations + 2, d_h=16, n_heads=2, n_layers=1, d_ff=32)
+    params = pn.init_params(net, seed=19) if policy == "network" else None
+    lanes = inf.run_lanes(inst20, params, net, obj_cfg, 6,
+                          [inf._run_rng(83, r) for r in range(30)])
+    sigma0 = edd_sort(inst20)
+    for lane in lanes:
+        want = combined_objective(inst20, lane.best_perm, sigma0, obj_cfg)
+        assert [v.hex() for v in astuple(lane.best_report)] == [v.hex() for v in astuple(want)]
+        assert lane.best_report.fc == max([0.0] + lane.fc_log)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("runs_per_policy", 2.5), ("runs_per_policy", "30"), ("runs_per_policy", True),
+    ("runs_per_policy", 0), ("step_budget", 10.0), ("step_budget", "10"),
+    ("step_budget", False), ("step_budget", 0)])
+def test_inference_config_rejects_counts_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        inf.InferenceConfig(**{field: value})
 
 
 def test_multirun_per_run_fc_is_a_prefix(inst6, obj_cfg):

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ from swapsched import policynet as pn
 from swapsched import ppo
 from swapsched.bench import GeneratorConfig, generate_instance
 from swapsched.schedcore import ObjectiveConfig, combined_objective, edd_sort, state_features
+from tests.test_bench import BENCH_GOLDEN, paper_bench_record
 
 
 def small_pool(count=3, seed=60):
@@ -775,6 +777,35 @@ def desk_training_record(out) -> str:
 def test_desk_training_matches_golden(tmp_path):
     # byte identity holds for a fixed BLAS thread count (see README)
     assert desk_training_record(tmp_path / "run") == TRAIN_GOLDEN.read_text()
+
+
+def _set_blas_threads():
+    """numpy's bundled scipy-openblas ``set_num_threads``, or None without it."""
+    try:
+        from numpy._core import _multiarray_umath
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, AttributeError, OSError):  # numpy < 2 or another BLAS
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return set_threads
+
+
+def test_goldens_hold_with_one_blas_thread(tmp_path):
+    # the paper-scale bench golden and the short desk training golden give the
+    # same bytes with one OpenBLAS thread as with the default count; longer
+    # desk runs do not (see README, "Training reproducibility")
+    set_threads = _set_blas_threads()
+    if set_threads is None:
+        pytest.skip("numpy's bundled scipy-openblas is not loaded")
+    before = ppo._blas_threads()
+    set_threads(1)
+    try:
+        assert ppo._blas_threads() == 1
+        assert paper_bench_record(tmp_path) == BENCH_GOLDEN.read_text()
+        assert desk_training_record(tmp_path / "run") == TRAIN_GOLDEN.read_text()
+    finally:
+        set_threads(before)
+    assert ppo._blas_threads() == before
 
 
 WORKERS_GOLDEN = Path(__file__).parent / "data" / "train_golden_desk_workers.json"

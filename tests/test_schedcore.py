@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -252,6 +253,40 @@ def test_tables_swap_delta_matches_full_recompute_every_pair(seed):
             assert tables.swap_delta(perm, i, k) == pytest.approx(after.fc - before.fc, abs=1e-9)
             assert tables.f1_swap_delta(perm, i, k) == pytest.approx(after.f1 - before.f1, abs=1e-9)
             assert tables.f2_swap_delta(perm, i, k) == pytest.approx(after.f2 - before.f2, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_swap_delta_is_the_weighted_sum_of_its_parts_bitwise(seed):
+    rng = np.random.default_rng([seed, 5])
+    cfg = sc.ObjectiveConfig(alpha1=float(rng.uniform(0.1, 2)), alpha2=float(rng.uniform(0, 0.1)))
+    for n in (2, 3, 9, 20):
+        inst = _random_instance(rng, n)
+        tables = sc.ObjectiveTables(inst, cfg, rng.permutation(n))
+        for _ in range(3):
+            perm = rng.permutation(n).tolist()
+            for i, k in itertools.permutations(range(n), 2):
+                d1, d2 = tables.swap_deltas(perm, i, k)
+                assert (d1, d2) == (tables.f1_swap_delta(perm, i, k),
+                                    tables.f2_swap_delta(perm, i, k))
+                assert (d1, d2) == tables.swap_deltas(perm, k, i)  # bitwise symmetric
+                assert tables.swap_delta(perm, i, k) == -cfg.alpha1 * d1 + cfg.alpha2 * d2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tables_reports_equal_combined_objective_field_for_field(seed):
+    rng = np.random.default_rng([seed, 6])
+    cfg = sc.ObjectiveConfig(alpha1=float(rng.uniform(0.1, 2)), alpha2=float(rng.uniform(0, 0.1)))
+    for n in (2, 7, 20):
+        inst = _random_instance(rng, n)
+        ref = rng.permutation(n)
+        tables = sc.ObjectiveTables(inst, cfg, ref)
+        block = np.array([rng.permutation(n) for _ in range(30)] + [ref])
+        reports = tables.reports(block)
+        assert len(reports) == len(block)
+        for p, got in zip(block, reports):
+            want = sc.combined_objective(inst, p, ref, cfg)
+            assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
+        assert reports[-1].fc == 0.0
 
 
 def test_tables_evaluate_matches_combined_objective(inst20, rng):
