@@ -43,7 +43,7 @@ print(f"  delta_f1={report.delta_f1:+.4f}  delta_f2={report.delta_f2:+.1f}  fc={
 # ObjectiveTables costs O(N^2 * W) once; each delta is then O(1), which is
 # how a search loop scores its candidate swaps.
 action = (0, 4)
-fast = ObjectiveTables(inst, cfg).f2_swap_delta(sigma0.tolist(), *action)
+fast = ObjectiveTables(inst, cfg).swap_deltas(sigma0.tolist(), *action)[1]  # (f1, f2) deltas
 full = objective_f2(inst, operators.swap(sigma0, action)) - objective_f2(inst, sigma0)
 print(f"\nincremental f2 delta for swap{action}: {fast:+.1f} (full recompute {full:+.1f})")
 

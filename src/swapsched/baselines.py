@@ -100,6 +100,7 @@ class SAConfig:
         if not (0 < self.t_min <= self.t_max):
             raise ValueError("need 0 < t_min <= t_max")
         check_count("steps", self.steps, 0)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ class GeneratorConfig:
         if self.due_noise_s < 0:
             raise ValueError("due_noise_s must be non-negative")
         check_count("count", self.count, 1)
+        check_count("seed", self.seed, 0)
 
 
 def _config_digest(cfg: GeneratorConfig) -> str:
@@ -127,8 +128,8 @@ def pool_digest(insts) -> str:
 # brute force
 
 BRUTE_FORCE_MAX_JOBS = 9
-# the oracles' objectives, in the column order of ObjectiveTables.evaluate
-OBJECTIVES = ("fc", "f1", "f2")
+# the oracles' objectives and their columns in ObjectiveTables.scores
+OBJECTIVES = {"fc": 4, "f1": 0, "f2": 1}
 # permutations per batched evaluation; larger blocks buy little speed and
 # raise peak memory
 ORACLE_CHUNK = 1024
@@ -139,11 +140,11 @@ def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = 
     reference of :func:`held_karp_best`; no CLI path calls it.
 
     Maximizes ``fc`` or ``f2``, minimizes ``f1``; ties keep the
-    lexicographically smallest permutation. Returns ``(perm, value)``.
-    Permutations are enumerated in lexicographic order and evaluated in
-    blocks of ``ORACLE_CHUNK`` through :class:`ObjectiveTables`; the first
-    optimum of a block is taken, and a later block replaces the incumbent
-    only when strictly better.
+    lexicographically smallest permutation. Returns ``(perm, value)`` like
+    :func:`held_karp_best`. Permutations are enumerated in lexicographic
+    order and scored in blocks of ``ORACLE_CHUNK`` by
+    :meth:`ObjectiveTables.scores`; the first optimum of a block is taken,
+    and a later block replaces the incumbent only when strictly better.
     """
     n = inst.n_jobs
     if n > BRUTE_FORCE_MAX_JOBS:
@@ -154,7 +155,7 @@ def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = 
         raise ValueError(f"objective must be fc, f1 or f2, got {objective!r}")
 
     tables = ObjectiveTables(inst, obj_cfg)  # reference: the due-date sort
-    column = OBJECTIVES.index(objective)
+    column = OBJECTIVES[objective]
     minimize = objective == "f1"
     perms = itertools.permutations(range(n))
     best_perm, best_val = None, None
@@ -163,7 +164,7 @@ def brute_force_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = 
                             dtype=np.int64).reshape(-1, n)
         if not len(block):
             return best_perm, best_val
-        vals = tables.evaluate(block)[column]
+        vals = tables.scores(block)[column]
         j = int(np.argmin(vals) if minimize else np.argmax(vals))
         val = float(vals[j])
         if best_val is None or (val < best_val if minimize else val > best_val):
@@ -193,8 +194,9 @@ def held_karp_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = "f
     time from the end of the sequence. Reconstruction then walks forward and
     takes the smallest job whose best completion stays within
     ``ORACLE_REL_TOL`` of the optimum: the lexicographically smallest optimum
-    up to rounding. ``value`` is :meth:`ObjectiveTables.evaluate`'s for that
-    permutation. Runs in O(2^N * N^2) time and O(2^N * N) memory.
+    up to rounding. ``value`` is :meth:`ObjectiveTables.scores`' for that
+    permutation: bitwise ``combined_objective(...).fc``, ``objective_f1`` or
+    ``objective_f2``. Runs in O(2^N * N^2) time and O(2^N * N) memory.
     """
     n = inst.n_jobs
     if n > ORACLE_MAX_JOBS:
@@ -252,8 +254,7 @@ def held_karp_best(inst: Instance, obj_cfg: ObjectiveConfig, objective: str = "f
         rest ^= 1 << perm[-1]
         target = best[perm[-1], rest]
     perm = np.array(perm, dtype=np.int64)
-    value = tables.evaluate(perm[None, :])[OBJECTIVES.index(objective)]
-    return perm, float(value[0])
+    return perm, float(tables.scores(perm)[OBJECTIVES[objective]])
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +385,8 @@ def _resolve_methods(methods: list[dict]) -> list[dict]:
         except (TypeError, ValueError) as exc:  # a string where a number belongs
             raise ValueError(f"bench method {number} ({t}): {exc}") from exc
         if t == "rl_mpmr" and "checkpoints" not in m:
-            ckpt_dir = Path(m["checkpoint_dir"])
-            paths = sorted(str(p) for p in ckpt_dir.glob("*.ckpt"))
-            m["checkpoints"] = inference.select_checkpoints(paths, m.get("n_earlier", 5))
+            m["checkpoints"] = inference.checkpoints_in(m["checkpoint_dir"],
+                                                        m.get("n_earlier", 5))
         missing = False
         if t == "rl_mr":
             missing = not Path(m["checkpoint"]).exists()
@@ -401,16 +401,18 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
                   seed: int, out_dir) -> list[BenchmarkRow]:
     """Run every method on every split; write table, JSONL, and timings.
 
-    ``splits`` maps split name to a list of instances. A malformed method
-    raises ValueError before any output is written; methods missing their
-    checkpoint files are kept as warning rows with empty metrics. Every
-    method gets the same seed per instance, so a checkpoint's multirun is the
-    same in RL-MR and RL-MPMR: each is run once per instance and shared for
-    the duration of the call, as is each checkpoint file's sha256. Outputs:
+    ``splits`` maps split name to a list of instances. A malformed method or
+    a ``seed`` other than an integer >= 0 raises ValueError before any output
+    is written; methods missing their checkpoint files are kept as warning
+    rows with empty metrics. Every method gets the same seed per instance, so
+    a checkpoint's multirun is the same in RL-MR and RL-MPMR: each is run
+    once per instance and shared for the duration of the call, as is each
+    checkpoint file's sha256. Outputs:
     ``results.jsonl`` (one record per method x instance), ``table.csv`` and
     ``table.txt`` (deterministic), ``timings.csv`` (wall-clock sidecar,
     reported but never asserted on).
     """
+    check_count("seed", seed, 0)
     methods = _resolve_methods(methods)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

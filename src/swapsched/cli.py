@@ -52,12 +52,12 @@ def _load_config(path) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _pool_from_config(cfg: dict) -> list:
+def _pool_from_config(cfg: dict, where: str = "config") -> list:
     if "instances" in cfg:
         return bench.load_pool(cfg["instances"])
     if "instance_dir" in cfg:
         return bench.load_pool(cfg["instance_dir"])
-    raise ValueError("config needs instances or instance_dir")
+    raise ValueError(f"{where} needs instances or instance_dir")
 
 
 def _objective(cfg: dict) -> ObjectiveConfig:
@@ -125,10 +125,8 @@ def cmd_infer(cfg: dict, seed) -> int:
             records.append(inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
                                               checkpoint_digest=digest).to_record())
     elif strategy == "mpmr":
-        paths = cfg.get("checkpoints")
-        if not paths:
-            all_ckpts = sorted(str(p) for p in Path(cfg["checkpoint_dir"]).glob("*.ckpt"))
-            paths = inference.select_checkpoints(all_ckpts, cfg.get("n_earlier", 5))
+        paths = cfg.get("checkpoints") or inference.checkpoints_in(
+            cfg["checkpoint_dir"], cfg.get("n_earlier", 5))
         if not paths:
             raise ValueError("no checkpoints found for mpmr strategy")
         digests = {}  # each checkpoint file is hashed once, not once per instance
@@ -146,7 +144,7 @@ def cmd_infer(cfg: dict, seed) -> int:
 
 def cmd_bench(cfg: dict, seed) -> int:
     obj_cfg = _objective(cfg)
-    splits = {name: bench.load_pool(spec.get("instances") or spec["instance_dir"])
+    splits = {name: _pool_from_config(spec, f"bench split {name!r}")
               for name, spec in cfg["splits"].items()}
     rows = bench.run_benchmark(splits, cfg["methods"], obj_cfg,
                                seed if seed is not None else cfg.get("seed", 0),
@@ -211,7 +209,8 @@ config fields:
 config fields:
   instances | instance_dir   training pool
   objective     object: alpha1, alpha2, tardiness_scale
-  net           object: d_h, n_heads, n_layers, d_ff (d_in derived from W)
+  net           object: d_h, n_heads, n_layers, d_ff, compat_init_gain,
+                d_gen (must be 1; d_in derived from W)
   ppo           object: clip_param, gae_lambda, train_batch_size,
                 minibatch_size, epochs_per_batch, lr_start, lr_end,
                 lr_warmup_env_steps, total_env_steps, value_coeff,

@@ -31,6 +31,7 @@ permutation, field for field what
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +50,7 @@ class InferenceConfig:
     def __post_init__(self):
         check_count("runs_per_policy", self.runs_per_policy, 1)
         check_count("step_budget", self.step_budget, 1)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -259,6 +261,11 @@ def select_checkpoints(paths, n_earlier: int = 5) -> list:
     return ordered[max(0, len(ordered) - 1 - n_earlier):-1] + [ordered[-1]]
 
 
+def checkpoints_in(ckpt_dir, n_earlier: int = 5) -> list:
+    """:func:`select_checkpoints` of the ``*.ckpt`` files in ``ckpt_dir``."""
+    return select_checkpoints(Path(ckpt_dir).glob("*.ckpt"), n_earlier)
+
+
 __all__ = ["InferenceConfig", "EpisodeResult", "InferenceResult", "run_lanes",
            "run_episode", "multirun", "reuse_multirun", "digest_once", "multipolicy",
-           "select_checkpoints"]
+           "select_checkpoints", "checkpoints_in"]

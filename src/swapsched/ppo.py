@@ -108,6 +108,7 @@ class PPOConfig:
             check_count(name, getattr(self, name))
         if self.checkpoint_every is not None:
             check_count("checkpoint_every", self.checkpoint_every, 1)
+        check_count("seed", self.seed, 0)
         if self.minibatch_size > self.train_batch_size:
             raise ValueError("minibatch_size must not exceed train_batch_size")
         if self.lr_end > self.lr_start:

@@ -267,15 +267,14 @@ class ObjectiveTables:
     fancy indexing. The kernels do not validate their inputs; callers check
     permutations and positions once, outside their loops.
 
-    :meth:`fc` is the one scorer of swap-search states (env steps, inference
-    lanes, SA): it sums in ``objective_f1``/``objective_f2`` order, so each row
-    is bitwise :func:`combined_objective`'s fc; :meth:`reports` gives the
-    whole report of each row the same way (the inference lanes' results).
-    :meth:`evaluate`, the oracle's block kernel, sums f2 over ``dist``
-    gathers instead: several times faster on large blocks and exactly 0 for
-    the reference, but ulps off ``objective_f2``. ``combined_objective``
-    stays the independent reference implementation. :meth:`state_features` builds the network input
-    of search states from the same ``gt`` table.
+    :meth:`scores` is the one block scorer: it sums in
+    ``objective_f1``/``objective_f2`` order, so each row is bitwise
+    :func:`combined_objective`'s report. :meth:`fc` (swap-search states: env
+    steps, inference lanes, SA) and :meth:`reports` (the inference lanes'
+    results) read it, and so do the oracles in :mod:`swapsched.bench`.
+    ``combined_objective`` stays the independent reference implementation.
+    :meth:`state_features` builds the network input of search states from
+    the same ``gt`` table.
     """
 
     def __init__(self, inst: Instance, cfg: ObjectiveConfig, ref_perm=None):
@@ -289,8 +288,7 @@ class ObjectiveTables:
         self.dist = np.abs(inst.proc[:, None, :] - inst.proc[None, :, :]).sum(axis=2)
         self._pos = np.arange(inst.n_jobs)
         self.f1_ref = float(self.gt[self._pos, ref].sum())
-        self.f2_ref = float(self.dist[ref[:-1], ref[1:]].sum())
-        self._f2_ref_seq = sequence_f2(inst.proc[ref])  # objective_f2's bits
+        self.f2_ref = sequence_f2(inst.proc[ref])  # objective_f2's bits
         self._gt_rows = self._dist_rows = None  # see _rows
 
     def _rows(self) -> tuple[list, list]:
@@ -334,38 +332,33 @@ class ObjectiveTables:
             after += row[a]
         return (gi[b] + gk[a]) - (gi[a] + gk[b]), after - before
 
-    def f1_swap_delta(self, perm, i: int, k: int) -> float:
-        """f1 after swapping positions i and k minus f1 before."""
-        return self.swap_deltas(perm, i, k)[0]
-
-    def f2_swap_delta(self, perm, i: int, k: int) -> float:
-        """f2 after swapping positions i and k minus f2 before."""
-        return self.swap_deltas(perm, i, k)[1]
-
     def swap_delta(self, perm, i: int, k: int) -> float:
         """fc after swapping positions i and k minus fc before (reference
         cancels); ``sa_optimize`` weighs :meth:`swap_deltas` the same way."""
         d1, d2 = self.swap_deltas(perm, i, k)
         return -self.alpha1 * d1 + self.alpha2 * d2
 
-    def _scores(self, perms):
-        # f1, f2, delta_f1, delta_f2 and fc, summed in objective_f1 /
-        # objective_f2 order and combined as combined_objective combines them
+    def scores(self, perms):
+        """``(f1, f2, delta_f1, delta_f2, fc)`` of an ``(N,)`` permutation
+        (scalars) or a ``(B, N)`` block (``(B,)`` vectors), the fields of
+        :class:`ObjectiveReport` in order: summed in ``objective_f1`` /
+        ``objective_f2`` order and combined as :func:`combined_objective`
+        combines them, so each row is its report bit for bit."""
         f1 = self.gt[self._pos, perms].sum(axis=-1)
         f2 = sequence_f2(self._inst.proc[perms])
         d1 = self.f1_ref - f1
-        d2 = f2 - self._f2_ref_seq
+        d2 = f2 - self.f2_ref
         return f1, f2, d1, d2, self.alpha1 * d1 + self.alpha2 * d2
 
     def fc(self, perms):
         """fc of an ``(N,)`` permutation (a float) or a ``(B, N)`` block
         (a ``(B,)`` vector), bitwise ``combined_objective(...).fc`` row by row."""
-        return _per_perm(self._scores(np.asarray(perms))[4])
+        return _per_perm(self.scores(np.asarray(perms))[4])
 
     def reports(self, perms) -> list[ObjectiveReport]:
         """``combined_objective(inst, p, ref, cfg)`` of every row ``p`` of a
         ``(B, N)`` block, equal field for field, from one block evaluation."""
-        columns = (values.tolist() for values in self._scores(np.asarray(perms)))
+        columns = (values.tolist() for values in self.scores(np.asarray(perms)))
         return [ObjectiveReport(*row) for row in zip(*columns)]
 
     def state_features(self, perms, t: int, T: int) -> FeatureMatrix:
@@ -377,13 +370,6 @@ class ObjectiveTables:
         """
         return FeatureMatrix(per_job=_feature_rows(self._inst, perms, self.gt[self._pos, perms]),
                              general=general_feature(t, T))
-
-    def evaluate(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(fc, f1, f2)`` vectors for a ``(B, N)`` block of permutations."""
-        f1 = self.gt[self._pos, perms].sum(axis=1)
-        f2 = self.dist[perms[:, :-1], perms[:, 1:]].sum(axis=1)
-        fc = self.alpha1 * (self.f1_ref - f1) + self.alpha2 * (f2 - self.f2_ref)
-        return fc, f1, f2
 
 
 # ---------------------------------------------------------------------------

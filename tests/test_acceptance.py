@@ -5,12 +5,10 @@ per criterion. Criterion 8 trains a small policy (a few minutes of CPU);
 criterion 9 reuses its checkpoints.
 """
 
-import itertools
 import json
 import math
 import time
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +16,8 @@ import pytest
 from swapsched import baselines, bench, cli, inference, operators
 from swapsched import policynet as pn
 from swapsched import ppo
-from swapsched.schedcore import (ObjectiveConfig, ObjectiveTables, combined_objective,
-                                 edd_sort, objective_f1, objective_f2)
+from swapsched.schedcore import (ObjectiveConfig, ObjectiveTables, edd_sort, objective_f1,
+                                 objective_f2)
 
 OBJ = ObjectiveConfig()
 
@@ -85,11 +83,9 @@ def test_criterion_2_objective_oracle_equivalence():
             if k >= i:
                 k += 1
             swapped = operators.swap(perm, (i, k))
-            tables = ObjectiveTables(inst, OBJ)
-            d1 = tables.f1_swap_delta(perm.tolist(), i, k)
+            d1, d2 = ObjectiveTables(inst, OBJ).swap_deltas(perm.tolist(), i, k)
             full1 = objective_f1(inst, swapped, OBJ) - objective_f1(inst, perm, OBJ)
             assert abs(d1 - full1) <= 1e-9 * max(1.0, abs(full1))
-            d2 = tables.f2_swap_delta(perm.tolist(), i, k)
             full2 = objective_f2(inst, swapped) - objective_f2(inst, perm)
             assert abs(d2 - full2) <= 1e-9 * max(1.0, abs(full2))
         elapsed = time.perf_counter() - t0

@@ -10,8 +10,7 @@ import pytest
 from swapsched import baselines as bl
 from swapsched.bench import (GeneratorConfig, brute_force_best, generate_instance,
                              run_benchmark)
-from swapsched.schedcore import (ObjectiveConfig, edd_sort, is_permutation,
-                                 objective_f1)
+from swapsched.schedcore import ObjectiveConfig, is_permutation, objective_f1
 from tests.conftest import make_instance
 
 

@@ -14,8 +14,8 @@ from swapsched import bench
 from swapsched import inference
 from swapsched import policynet as pn
 from swapsched.schedcore import (ObjectiveConfig, ObjectiveTables, check_permutation,
-                                 combined_objective, edd_sort, load_instance, objective_f1,
-                                 objective_f2, validate_instance)
+                                 combined_objective, edd_sort, objective_f1, objective_f2,
+                                 validate_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +192,11 @@ def test_held_karp_f2_takes_lexicographically_smallest_near_tie(obj_cfg):
         bf_perm, bf_val = bench.brute_force_best(inst, obj_cfg, objective="f2")
         tables = ObjectiveTables(inst, obj_cfg)
         everything = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        vals = tables.evaluate(everything)[2]
+        vals = tables.scores(everything)[1]
         top = vals.max()
         first = int(np.argmax(vals >= top - bench.ORACLE_REL_TOL * abs(top)))
         assert perm.tolist() == everything[first].tolist(), (n, w)
-        assert val == tables.evaluate(perm[None, :])[2][0]
+        assert val == objective_f2(inst, perm)
         assert abs(val - bf_val) <= bench.ORACLE_REL_TOL * abs(bf_val)
         if w > 1:
             assert perm.tolist() == min(bf_perm.tolist(), bf_perm[::-1].tolist()), (n, w)
@@ -215,13 +215,34 @@ def test_held_karp_ties_keep_lexicographically_smallest(objective):
     assert val == want_val
 
 
+def _reference_value(inst, perm, obj_cfg, objective):
+    if objective == "f1":
+        return objective_f1(inst, perm, obj_cfg)
+    if objective == "f2":
+        return objective_f2(inst, perm)
+    return combined_objective(inst, perm, edd_sort(inst), obj_cfg).fc
+
+
+@pytest.mark.parametrize("oracle", [bench.held_karp_best, bench.brute_force_best])
+@pytest.mark.parametrize("objective", ["fc", "f1", "f2"])
+def test_oracle_value_is_the_reference_objective_bitwise(oracle, objective, obj_cfg):
+    # the value an oracle reports is the one every other method reports for
+    # the same permutation, so an optimum found elsewhere shows a gap of 0
+    cases = [(inst, obj_cfg) for _, _, inst in _oracle_instances()]
+    cases.append((_tied_instance(), ObjectiveConfig(tardiness_scale=20.0)))
+    for inst, cfg in cases:
+        perm, val = oracle(inst, cfg, objective=objective)
+        want = _reference_value(inst, perm, cfg, objective)
+        assert val.hex() == want.hex(), (inst.n_jobs, inst.n_stations)
+
+
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_held_karp_beyond_brute_force_dominates_sa(n, obj_cfg):
     from swapsched.baselines import SAConfig, sa_optimize
     inst = bench.generate_instance(bench.GeneratorConfig(n_jobs=n, n_stations=12, seed=n), 0)
     perm, val = bench.held_karp_best(inst, obj_cfg, objective="fc")
     check_permutation(perm, n)
-    assert val == ObjectiveTables(inst, obj_cfg).evaluate(perm[None, :])[0][0]
+    assert val == combined_objective(inst, perm, edd_sort(inst), obj_cfg).fc
     sa = sa_optimize(inst, edd_sort(inst), SAConfig(steps=10000, seed=0), obj_cfg)
     assert val >= sa.best_report.fc - 1e-9
 

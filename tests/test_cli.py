@@ -1,10 +1,10 @@
 import json
-from pathlib import Path
+import re
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
-from swapsched import bench, cli, policynet
+from swapsched import bench, cli, inference, policynet, ppo
 from swapsched.bench import GeneratorConfig, brute_force_best, generate_instances
 from swapsched.schedcore import ObjectiveConfig, load_instance
 
@@ -438,3 +438,83 @@ def test_infer_rejects_a_count_that_is_not_an_integer_before_writing(tmp_path, i
     assert cli.main(["infer", "--config", cfg]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "mpmr.jsonl").exists()
+
+
+BAD_SEEDS = [2.5, -1, "3", True]
+
+
+def _seeded_config(command, tmp_path, inst_dir, ckpt_dir, seed):
+    """A small config of ``command`` with ``seed`` in its seed field, and the
+    path of the output it writes."""
+    if command == "generate":
+        out = tmp_path / "out"
+        return {"generator": {"n_jobs": 4, "n_stations": 2, "seed": seed},
+                "out_dir": str(out)}, out
+    if command == "train":
+        out = tmp_path / "run"
+        return {"instance_dir": str(inst_dir),
+                "net": {"d_h": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16},
+                "ppo": {"total_env_steps": 50, "train_batch_size": 50, "minibatch_size": 25,
+                        "epochs_per_batch": 1, "seed": seed},
+                "out_dir": str(out)}, out
+    if command == "infer":
+        out = tmp_path / "mpmr.jsonl"
+        return {"instance_dir": str(inst_dir), "strategy": "mpmr",
+                "checkpoint_dir": str(ckpt_dir),
+                "inference": {"runs_per_policy": 2, "step_budget": 2, "seed": seed},
+                "out": str(out)}, out
+    out = tmp_path / "bench_out"
+    return {"splits": {"test": {"instance_dir": str(inst_dir)}},
+            "methods": [{"type": "identity", "name": "EDD"}],
+            "out_dir": str(out), "seed": seed}, out
+
+
+SEEDED_COMMANDS = ["generate", "train", "infer", "bench"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_a_seed_that_is_not_a_count_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys,
+                                                          command, seed):
+    payload, out = _seeded_config(command, tmp_path, inst_dir, ckpt_dir, seed)
+    assert cli.main([command, "--config", write_cfg(tmp_path, "seeded.json", payload)]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_a_negative_seed_override_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys,
+                                                        command):
+    payload, out = _seeded_config(command, tmp_path, inst_dir, ckpt_dir, 0)
+    cfg = write_cfg(tmp_path, "seeded.json", payload)
+    assert cli.main([command, "--config", cfg, "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_split_without_instances_names_the_split(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "bench.json", {
+        "splits": {"test": {}}, "methods": [{"type": "identity"}],
+        "out_dir": str(tmp_path / "bench_out")})
+    assert cli.main(["bench", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "data error: bench split 'test' needs instances or instance_dir" in err
+    assert not (tmp_path / "bench_out").exists()
+
+
+# the config dataclasses each subcommand builds from its config file
+CONFIG_CLASSES = {
+    "generate": [GeneratorConfig],
+    "train": [ObjectiveConfig, policynet.NetConfig, ppo.PPOConfig, ppo.EpisodeConfig],
+    "infer": [ObjectiveConfig, inference.InferenceConfig],
+    "bench": [ObjectiveConfig],
+    "oracle": [ObjectiveConfig],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CLASSES))
+def test_help_names_every_config_field(command):
+    docs = cli.CONFIG_DOCS[command]
+    missing = [f"{cls.__name__}.{f.name}" for cls in CONFIG_CLASSES[command]
+               for f in fields(cls) if not re.search(rf"\b{f.name}\b", docs)]
+    assert missing == []

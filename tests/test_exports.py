@@ -2,7 +2,8 @@
 
 A deleted function can leave its name behind in a module's ``__all__`` or in
 the package's re-exports; ``from swapsched.x import *`` then fails at import
-time in the caller. These checks catch such stale entries.
+time in the caller. These checks catch such stale entries, and imports that
+nothing reads in the package, the demos and the tests.
 """
 
 import ast
@@ -15,6 +16,10 @@ import pytest
 import swapsched
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(swapsched.__path__))
+ROOT = Path(__file__).resolve().parents[1]
+# the demos and the test files, as paths from the repository root
+SCRIPTS = sorted(p.relative_to(ROOT).as_posix()
+                 for pattern in ("demos/*.py", "tests/*.py") for p in ROOT.glob(pattern))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -61,9 +66,10 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("name", MODULES)  # submodules; __init__ imports to re-export
+# submodules (__init__ imports to re-export), demos and tests
+@pytest.mark.parametrize("name", MODULES + SCRIPTS)
 def test_module_has_no_unused_imports(name):
-    path = Path(swapsched.__file__).with_name(f"{name}.py")
+    path = Path(swapsched.__file__).with_name(f"{name}.py") if name in MODULES else ROOT / name
     assert _unused_imports(path.read_text()) == []
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsched import operators as ops
-from swapsched.bench import GeneratorConfig, generate_instance
 from swapsched.schedcore import (ObjectiveConfig, ObjectiveTables, is_permutation, objective_f1,
                                  objective_f2)
 from tests.conftest import make_instance
@@ -66,22 +65,22 @@ def _random_case(rng):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_f2_swap_delta_matches_recompute(seed):
+def test_f2_delta_matches_recompute(seed):
     rng = np.random.default_rng(seed)
     for _ in range(500):
         inst, perm, action = _random_case(rng)
-        fast = ObjectiveTables(inst, ObjectiveConfig()).f2_swap_delta(perm.tolist(), *action)
+        fast = ObjectiveTables(inst, ObjectiveConfig()).swap_deltas(perm.tolist(), *action)[1]
         full = objective_f2(inst, ops.swap(perm, action)) - objective_f2(inst, perm)
         assert abs(fast - full) <= 1e-9 * max(1.0, abs(full))
 
 
 @pytest.mark.parametrize("seed", [2, 3])
-def test_f1_swap_delta_matches_recompute(seed):
+def test_f1_delta_matches_recompute(seed):
     rng = np.random.default_rng(seed)
     cfg = ObjectiveConfig()
     for _ in range(500):
         inst, perm, action = _random_case(rng)
-        fast = ObjectiveTables(inst, cfg).f1_swap_delta(perm.tolist(), *action)
+        fast = ObjectiveTables(inst, cfg).swap_deltas(perm.tolist(), *action)[0]
         full = (objective_f1(inst, ops.swap(perm, action), cfg)
                 - objective_f1(inst, perm, cfg))
         assert abs(fast - full) <= 1e-9 * max(1.0, abs(full))
@@ -89,17 +88,17 @@ def test_f1_swap_delta_matches_recompute(seed):
 
 def test_f2_delta_identical_jobs_zero():
     inst = make_instance([(4, 4), (4, 4), (2, 9)], [10, 20, 30], 10)
-    assert ObjectiveTables(inst, ObjectiveConfig()).f2_swap_delta([0, 1, 2], 0, 1) == 0.0
+    assert ObjectiveTables(inst, ObjectiveConfig()).swap_deltas([0, 1, 2], 0, 1)[1] == 0.0
 
 
 def test_f2_delta_two_job_instance_zero():
     inst = make_instance([(4, 1), (9, 3)], [10, 20], 10)
-    assert ObjectiveTables(inst, ObjectiveConfig()).f2_swap_delta([0, 1], 0, 1) == 0.0
+    assert ObjectiveTables(inst, ObjectiveConfig()).swap_deltas([0, 1], 0, 1)[1] == 0.0
 
 
 def test_f1_delta_equal_due_dates_zero(obj_cfg):
     inst = make_instance([(4, 1), (9, 3), (2, 2)], [50.0, 50.0, 10.0], 10)
-    assert ObjectiveTables(inst, obj_cfg).f1_swap_delta([0, 1, 2], 0, 1) == 0.0
+    assert ObjectiveTables(inst, obj_cfg).swap_deltas([0, 1, 2], 0, 1)[0] == 0.0
 
 
 def test_fc_swap_delta_consistent(inst6, obj_cfg, rng):

@@ -251,8 +251,9 @@ def test_tables_swap_delta_matches_full_recompute_every_pair(seed):
             swapped[i], swapped[k] = swapped[k], swapped[i]
             after = sc.combined_objective(inst, swapped, ref, cfg)
             assert tables.swap_delta(perm, i, k) == pytest.approx(after.fc - before.fc, abs=1e-9)
-            assert tables.f1_swap_delta(perm, i, k) == pytest.approx(after.f1 - before.f1, abs=1e-9)
-            assert tables.f2_swap_delta(perm, i, k) == pytest.approx(after.f2 - before.f2, abs=1e-9)
+            d1, d2 = tables.swap_deltas(perm, i, k)
+            assert d1 == pytest.approx(after.f1 - before.f1, abs=1e-9)
+            assert d2 == pytest.approx(after.f2 - before.f2, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -266,8 +267,6 @@ def test_swap_delta_is_the_weighted_sum_of_its_parts_bitwise(seed):
             perm = rng.permutation(n).tolist()
             for i, k in itertools.permutations(range(n), 2):
                 d1, d2 = tables.swap_deltas(perm, i, k)
-                assert (d1, d2) == (tables.f1_swap_delta(perm, i, k),
-                                    tables.f2_swap_delta(perm, i, k))
                 assert (d1, d2) == tables.swap_deltas(perm, k, i)  # bitwise symmetric
                 assert tables.swap_delta(perm, i, k) == -cfg.alpha1 * d1 + cfg.alpha2 * d2
 
@@ -289,17 +288,20 @@ def test_tables_reports_equal_combined_objective_field_for_field(seed):
         assert reports[-1].fc == 0.0
 
 
-def test_tables_evaluate_matches_combined_objective(inst20, rng):
+def test_tables_scores_match_combined_objective_bitwise(inst20, rng):
     cfg = sc.ObjectiveConfig()
     ref = sc.edd_sort(inst20)
     tables = sc.ObjectiveTables(inst20, cfg)  # the due-date sort by default
+    assert (tables.f1_ref, tables.f2_ref) == (sc.objective_f1(inst20, ref, cfg),
+                                             sc.objective_f2(inst20, ref))
     perms = np.array([rng.permutation(inst20.n_jobs) for _ in range(16)] + [ref])
-    fc, f1, f2 = tables.evaluate(perms)
-    assert (tables.f1_ref, tables.f2_ref) == (f1[-1], f2[-1])
-    assert fc[-1] == 0.0
-    for p, got in zip(perms, zip(fc, f1, f2)):
-        rep = sc.combined_objective(inst20, p, ref, cfg)
-        assert got == pytest.approx((rep.fc, rep.f1, rep.f2), abs=1e-9)
+    columns = tables.scores(perms)
+    assert columns[4][-1] == 0.0
+    for p, got in zip(perms, zip(*columns)):
+        want = astuple(sc.combined_objective(inst20, p, ref, cfg))
+        assert [float(v).hex() for v in got] == [v.hex() for v in want]
+        # one permutation gets the same bits as its row of a block
+        assert [float(v).hex() for v in tables.scores(p)] == [v.hex() for v in want]
 
 
 def test_tables_reject_invalid_reference(inst6, obj_cfg):
