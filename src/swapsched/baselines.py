@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
-                        check_count, check_permutation, combined_objective, edd_sort)
+                        check_count, check_permutation, edd_sort)
 
 __all__ = ["edd_sort", "SHConfig", "sh_schedule", "SAConfig", "SAResult",
            "sa_accept", "sa_temperature", "sa_optimize"]
@@ -255,7 +255,9 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
     Metropolis rule minimizes energy and thereby maximizes fc. Proposals are
     uniform over all unordered position pairs; ``steps`` counts proposals,
     matching the step budgets used when comparing against policy rollouts.
-    The best permutation ever visited (including ``start``) is returned. With
+    The best permutation ever visited (including ``start``) is returned, with
+    its report from the same tables (bitwise ``combined_objective`` against
+    ``start``). With
     ``trace_stride > 0``, every stride-th step is recorded as
     ``(step, fc, accepted)``.
     """
@@ -300,5 +302,5 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
             trace.append((step, current_fc, accepted))
 
     return SAResult(best_perm=best,
-                    best_report=combined_objective(inst, best, start, obj_cfg),
+                    best_report=tables.reports(best[None])[0],
                     trace=trace, accepted=accepted_count, steps=cfg.steps)

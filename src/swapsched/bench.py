@@ -38,8 +38,7 @@ import numpy as np
 from . import inference, policynet
 from .baselines import SAConfig, SHConfig, sa_optimize, sh_schedule
 from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables, check_count,
-                        check_permutation, combined_objective, edd_sort, load_instance,
-                        save_instance)
+                        check_permutation, edd_sort, load_instance, save_instance)
 
 log = logging.getLogger(__name__)
 
@@ -307,11 +306,9 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
     ``digests`` the checkpoint hashes already made (see :func:`inference.digest_once`)."""
     t = method["type"]
     sigma0 = edd_sort(inst)
-    if t == "identity":
-        return sigma0, combined_objective(inst, sigma0, sigma0, obj_cfg), 0
-    if t == "sh":
-        perm = sh_schedule(inst, method["_cfg"])
-        return perm, combined_objective(inst, perm, sigma0, obj_cfg), 0
+    if t in ("identity", "sh"):
+        perm = sigma0 if t == "identity" else sh_schedule(inst, method["_cfg"])
+        return perm, ObjectiveTables(inst, obj_cfg).reports(perm[None])[0], 0
     if t == "sa":
         cfg = replace(method["_cfg"], seed=seed)
         stride = method.get("trace_stride", 0)

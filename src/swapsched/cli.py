@@ -73,6 +73,9 @@ def cmd_generate(cfg: dict, seed) -> int:
 
 
 def cmd_validate(cfg: dict, seed) -> int:
+    # the files one by one, not _pool_from_config: invalid ones are reported
+    if not (cfg.get("instances") or "instance_dir" in cfg):
+        raise ValueError("config needs instances or instance_dir")
     paths = cfg.get("instances") or sorted(
         p for p in Path(cfg["instance_dir"]).glob("*.json") if p.name != "manifest.json")
     bad = 0
@@ -118,6 +121,8 @@ def cmd_infer(cfg: dict, seed) -> int:
     out_path = cfg.get("out", "results.jsonl")
     records = []
     if strategy == "mr":
+        if "checkpoint" not in cfg:
+            raise ValueError("infer strategy 'mr' needs checkpoint")
         ckpt = cfg["checkpoint"]
         params, net_cfg, _ = policynet.load_checkpoint(ckpt)
         digest = policynet.checkpoint_digest(ckpt)
@@ -125,6 +130,8 @@ def cmd_infer(cfg: dict, seed) -> int:
             records.append(inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
                                               checkpoint_digest=digest).to_record())
     elif strategy == "mpmr":
+        if not (cfg.get("checkpoints") or "checkpoint_dir" in cfg):
+            raise ValueError("infer strategy 'mpmr' needs checkpoints or checkpoint_dir")
         paths = cfg.get("checkpoints") or inference.checkpoints_in(
             cfg["checkpoint_dir"], cfg.get("n_earlier", 5))
         if not paths:

@@ -55,7 +55,7 @@ import numpy as np
 from . import policynet
 from .operators import check_pair
 from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig, ObjectiveTables,
-                        check_count, check_permutation, edd_sort, state_features)
+                        check_count, check_permutation)
 
 log = logging.getLogger(__name__)
 
@@ -152,9 +152,9 @@ class SwapEnv:
 
     Each instance's :class:`ObjectiveTables` (reference: its due-date sort)
     is built on its first episode and reused. A step checks only the action
-    pair, scores the new permutation with :meth:`ObjectiveTables.fc` (bitwise
-    what :func:`combined_objective` returns) and builds its features with
-    :meth:`ObjectiveTables.state_features` (bitwise :func:`state_features`).
+    pair, scores the new permutation with :meth:`ObjectiveTables.fc` and
+    builds its features with :meth:`ObjectiveTables.state_features` (bitwise
+    the test oracles ``schedcore.combined_objective`` and ``state_features``).
     The permutation is checked where it enters: the reference when its
     tables are built, a restored one in :meth:`set_state`.
     """
@@ -453,8 +453,7 @@ def ppo_loss_and_grads(params, net_cfg, features, generals, action_flat,
     out, cache = policynet.forward(params, net_cfg, x, generals, want_cache=True)
     b, n = x.shape[0], x.shape[1]
     prob = out.prob_matrix  # (B, N, N)
-    flat_prob = prob.reshape(b, -1)
-    p_a = np.maximum(flat_prob[np.arange(b), action_flat], 1e-45)
+    p_a = np.maximum(prob.reshape(b, -1)[np.arange(b), action_flat], 1e-45)
     logp_new = np.log(p_a.astype(np.float64))
 
     ratio = np.exp(logp_new - logp_old)
@@ -467,8 +466,8 @@ def ppo_loss_and_grads(params, net_cfg, features, generals, action_flat,
     verr = v - targets
     value_loss = np.sum(verr ** 2) / denom
 
-    entropy = policynet.prob_entropy(prob)
-    entropy = np.atleast_1d(entropy)
+    p64 = prob.astype(np.float64)  # the one float64 copy of the (B, N, N) block
+    entropy = np.atleast_1d(policynet.prob_entropy(p64))
     mean_entropy = np.sum(entropy) / denom
 
     loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * mean_entropy
@@ -487,12 +486,11 @@ def ppo_loss_and_grads(params, net_cfg, features, generals, action_flat,
     dlogp = np.where(unclipped_active, -adv * ratio, 0.0) / denom
 
     # chain through the global softmax: d logp_a / d z = onehot(a) - P
-    dz_flat = -flat_prob.astype(np.float64) * dlogp[:, None]
+    dz_flat = -p64.reshape(b, -1) * dlogp[:, None]
     dz_flat[np.arange(b), action_flat] += dlogp
     dz = dz_flat.reshape(b, n, n)
 
     if cfg.entropy_coeff != 0.0:
-        p64 = prob.astype(np.float64)
         logp64 = np.where(p64 > 0, np.log(np.where(p64 > 0, p64, 1.0)), 0.0)
         dH_dz = -p64 * (logp64 + entropy[:, None, None])
         dz += (-cfg.entropy_coeff / denom) * dH_dz
@@ -833,8 +831,8 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
                              np.random.SeedSequence([ppo_cfg.seed, 1000 + w]))
                for w in range(ppo_cfg.n_rollout_workers)]
     update_rng = np.random.default_rng(np.random.SeedSequence([ppo_cfg.seed, 7]))
-    probe_states = [state_features(inst, edd_sort(inst), obj_cfg, 0, ep_cfg.step_budget)
-                    for inst in pool[:3]]
+    probe_states = [tables.state_features(tables.ref, 0, ep_cfg.step_budget)
+                    for tables in (ObjectiveTables(inst, obj_cfg) for inst in pool[:3])]
 
     metrics_path = out_dir / "metrics.jsonl"
     if resume_from is not None:

@@ -272,7 +272,7 @@ class ObjectiveTables:
     :func:`combined_objective`'s report. :meth:`fc` (swap-search states: env
     steps, inference lanes, SA) and :meth:`reports` (the inference lanes'
     results) read it, and so do the oracles in :mod:`swapsched.bench`.
-    ``combined_objective`` stays the independent reference implementation.
+    ``combined_objective`` stays the reference: a test oracle no other module calls.
     :meth:`state_features` builds the network input of search states from
     the same ``gt`` table.
     """

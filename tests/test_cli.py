@@ -492,14 +492,24 @@ def test_a_negative_seed_override_exits_2_before_writing(tmp_path, inst_dir, ckp
     assert not out.exists()
 
 
-def test_bench_split_without_instances_names_the_split(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "bench.json", {
-        "splits": {"test": {}}, "methods": [{"type": "identity"}],
-        "out_dir": str(tmp_path / "bench_out")})
-    assert cli.main(["bench", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "data error: bench split 'test' needs instances or instance_dir" in err
-    assert not (tmp_path / "bench_out").exists()
+@pytest.mark.parametrize("command,payload,message", [
+    ("bench", {"splits": {"test": {}}, "methods": [{"type": "identity"}]},
+     "bench split 'test' needs instances or instance_dir"),
+    ("validate", {}, "config needs instances or instance_dir"),
+    ("infer", {"strategy": "mr"}, "infer strategy 'mr' needs checkpoint"),
+    ("infer", {"strategy": "mpmr"}, "infer strategy 'mpmr' needs checkpoints or checkpoint_dir"),
+], ids=["bench", "validate", "infer-mr", "infer-mpmr"])
+def test_a_config_without_its_inputs_names_the_missing_field(tmp_path, inst_dir, capsys, command,
+                                                             payload, message):
+    out = tmp_path / "out"
+    if command == "bench":
+        payload = {**payload, "out_dir": str(out)}
+    if command == "infer":
+        payload = {**payload, "instance_dir": str(inst_dir), "out": str(out)}
+    cfg = write_cfg(tmp_path, f"{command}.json", payload)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # the config dataclasses each subcommand builds from its config file

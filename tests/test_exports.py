@@ -73,6 +73,22 @@ def test_module_has_no_unused_imports(name):
     assert _unused_imports(path.read_text()) == []
 
 
+# the reference objectives and features: test oracles, bitwise what
+# ObjectiveTables computes, which is the one scorer the other modules call
+REFERENCE_NAMES = {"combined_objective", "objective_f1", "objective_f2", "state_features",
+                   "job_features", "weighted_tardiness_values"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "schedcore"])
+def test_only_schedcore_uses_the_reference_objectives(name):
+    tree = ast.parse(Path(swapsched.__file__).with_name(f"{name}.py").read_text())
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "schedcore"}
+    assert sorted(used & REFERENCE_NAMES) == []
+
+
 def test_unused_import_check_sees_module_and_function_imports():
     source = ("import math\nimport os.path\nfrom x import a, b as c\n"
               "def f():\n    from y import d\n    return a + os.sep\n__all__ = ['c']\n")

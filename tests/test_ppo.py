@@ -808,6 +808,40 @@ def test_goldens_hold_with_one_blas_thread(tmp_path):
     assert ppo._blas_threads() == before
 
 
+BACKWARD_GOLDEN = Path(__file__).parent / "data" / "backward_golden_paper.json"
+
+
+def paper_backward_digest(golden: dict) -> str:
+    """sha256 of the flat gradient of one paper-scale backward (the paper's
+    default net, d_h=128, d_ff=512) on seeded features and head gradients."""
+    net = pn.NetConfig(d_in=golden["d_in"])
+    params = pn.init_params(net, seed=golden["param_seed"])
+    rng = np.random.default_rng(golden["data_seed"])
+    b, n = golden["batch"], golden["n_jobs"]
+    x = rng.standard_normal((b, n, net.d_in)).astype(np.float32)
+    _, cache = pn.forward(params, net, x, rng.random(b), want_cache=True)
+    d_logits = rng.standard_normal((b, n, n)).astype(np.float32)
+    d_value = rng.standard_normal(b).astype(np.float32)
+    grads = pn.backward(cache, d_logits, d_value, params, net)
+    return hashlib.sha256(pn.flat_buffer(grads).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_paper_backward_matches_golden(threads):
+    # at these shapes the gradient bytes do not depend on the thread count;
+    # at the desk shape (B=100, N=6) they do, so no desk digest is pinned
+    set_threads = _set_blas_threads()
+    if set_threads is None:
+        pytest.skip("numpy's bundled scipy-openblas is not loaded")
+    golden = json.loads(BACKWARD_GOLDEN.read_text())
+    before = ppo._blas_threads()
+    set_threads(threads)
+    try:
+        assert paper_backward_digest(golden) == golden["sha256"]
+    finally:
+        set_threads(before)
+
+
 WORKERS_GOLDEN = Path(__file__).parent / "data" / "train_golden_desk_workers.json"
 
 
