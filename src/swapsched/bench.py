@@ -101,16 +101,21 @@ def generate_instances(cfg: GeneratorConfig, out_dir) -> dict:
     return manifest
 
 
-def load_pool(dir_or_paths) -> list[Instance]:
-    """Load a pool from a manifest directory, a directory, or explicit paths."""
+def pool_files(dir_or_paths) -> list:
+    """The instance files of a pool: explicit paths as given; in a directory, its
+    manifest's ``files``, else its ``*.json`` files but the manifest, sorted."""
     if isinstance(dir_or_paths, (list, tuple)):
-        return [load_instance(p) for p in dir_or_paths]
+        return list(dir_or_paths)
     d = Path(dir_or_paths)
     manifest = d / "manifest.json"
     if manifest.exists():
-        names = json.loads(manifest.read_text())["files"]
-        return [load_instance(d / n) for n in names]
-    return [load_instance(p) for p in sorted(d.glob("*.json")) if p.name != "manifest.json"]
+        return [d / n for n in json.loads(manifest.read_text())["files"]]
+    return sorted(p for p in d.glob("*.json") if p.name != "manifest.json")
+
+
+def load_pool(dir_or_paths) -> list[Instance]:
+    """Load the instances of :func:`pool_files`, in its order."""
+    return [load_instance(p) for p in pool_files(dir_or_paths)]
 
 
 def pool_digest(insts) -> str:
@@ -333,7 +338,7 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
 
         res = inference.reuse_multirun(multiruns, digest, icfg, load_and_run)
     elif t == "rl_mpmr":
-        res = inference.multipolicy(inst, method["checkpoints"], icfg, obj_cfg,
+        res = inference.multipolicy(inst, method["_checkpoints"], icfg, obj_cfg,
                                     strategy_name=name, multiruns=multiruns, digests=digests)
     else:  # uniform pair distribution
         res = inference.multirun(inst, None, None, icfg, obj_cfg, strategy_name=name)
@@ -362,8 +367,8 @@ def _method_config(m: dict):
 
 
 def _resolve_methods(methods: list[dict]) -> list[dict]:
-    """Reject malformed methods, build their configs, expand checkpoint
-    directories and flag methods missing their files."""
+    """Reject malformed methods, build their configs, read RL-MPMR's
+    checkpoint set and flag methods missing their files."""
     out = []
     for number, m in enumerate(methods, 1):
         m = dict(m)
@@ -372,8 +377,6 @@ def _resolve_methods(methods: list[dict]) -> list[dict]:
             raise ValueError(f"bench method {number}: unknown type {t!r} "
                              f"(use one of {', '.join(_METHOD_FIELDS)})")
         absent = [f for f in _METHOD_FIELDS[t] if f not in m]
-        if t == "rl_mpmr" and "checkpoints" not in m and "checkpoint_dir" not in m:
-            absent.append("checkpoints or checkpoint_dir")
         if absent:
             raise ValueError(f"bench method {number} ({t}) is missing field(s): "
                              f"{', '.join(absent)}")
@@ -381,15 +384,11 @@ def _resolve_methods(methods: list[dict]) -> list[dict]:
             m["_cfg"] = _method_config(m)
         except (TypeError, ValueError) as exc:  # a string where a number belongs
             raise ValueError(f"bench method {number} ({t}): {exc}") from exc
-        if t == "rl_mpmr" and "checkpoints" not in m:
-            m["checkpoints"] = inference.checkpoints_in(m["checkpoint_dir"],
-                                                        m.get("n_earlier", 5))
-        missing = False
-        if t == "rl_mr":
-            missing = not Path(m["checkpoint"]).exists()
-        elif t == "rl_mpmr":
-            missing = not m["checkpoints"] or not all(Path(p).exists() for p in m["checkpoints"])
-        m["_skip"] = missing
+        m["_skip"] = t == "rl_mr" and not Path(m["checkpoint"]).exists()
+        if t == "rl_mpmr":
+            files = inference.checkpoint_files(m, f"bench method {number} ({t})")
+            m["_checkpoints"] = files
+            m["_skip"] = not files or not all(Path(p).exists() for p in files)
         out.append(m)
     return out
 
@@ -550,7 +549,7 @@ def export_heatmap(inst: Instance, perm, csv_path, svg_path) -> np.ndarray:
 
 
 __all__ = [
-    "GeneratorConfig", "generate_instance", "generate_instances", "load_pool",
+    "GeneratorConfig", "generate_instance", "generate_instances", "pool_files", "load_pool",
     "pool_digest", "BRUTE_FORCE_MAX_JOBS", "OBJECTIVES", "ORACLE_CHUNK", "brute_force_best",
     "ORACLE_MAX_JOBS", "ORACLE_REL_TOL", "held_karp_best", "BenchmarkRow",
     "TABLE_COLUMNS", "method_name", "run_benchmark", "export_heatmap",

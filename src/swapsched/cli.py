@@ -40,7 +40,12 @@ def _dataclass_from(cls, data: dict, override_seed=None):
     kwargs = dict(data)
     if override_seed is not None and "seed" in names:
         kwargs["seed"] = override_seed
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # JSON text or a list where a number belongs
+        wrong = [k for k, v in kwargs.items()
+                 if isinstance(v, (str, list, dict)) and not isinstance(getattr(cls, k, 0), str)]
+        raise ValueError(f"{cls.__name__} field(s) {wrong}: {exc}") from exc
 
 
 def _load_config(path) -> dict:
@@ -52,12 +57,23 @@ def _load_config(path) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _pool_from_config(cfg: dict, where: str = "config") -> list:
+def _instance_files(cfg: dict, where: str = "config") -> list:
+    """The instance set of a config or bench split, named ``where`` in
+    errors: ``instances`` if present, else ``instance_dir``'s pool files."""
     if "instances" in cfg:
-        return bench.load_pool(cfg["instances"])
-    if "instance_dir" in cfg:
-        return bench.load_pool(cfg["instance_dir"])
-    raise ValueError(f"{where} needs instances or instance_dir")
+        key, files = "instances", cfg["instances"]
+        if not (isinstance(files, list) and all(isinstance(p, str) for p in files)):
+            raise ValueError(f"{where}: instances must be a list of file paths, got {files!r}")
+    elif "instance_dir" in cfg:
+        key, d = "instance_dir", cfg["instance_dir"]
+        if not (isinstance(d, str) and Path(d).is_dir()):
+            raise ValueError(f"{where}: instance_dir {d!r} is not a directory")
+        files = bench.pool_files(d)
+    else:
+        raise ValueError(f"{where} needs instances or instance_dir")
+    if not files:
+        raise ValueError(f"{where}: {key} names no instance files")
+    return files
 
 
 def _objective(cfg: dict) -> ObjectiveConfig:
@@ -73,13 +89,9 @@ def cmd_generate(cfg: dict, seed) -> int:
 
 
 def cmd_validate(cfg: dict, seed) -> int:
-    # the files one by one, not _pool_from_config: invalid ones are reported
-    if not (cfg.get("instances") or "instance_dir" in cfg):
-        raise ValueError("config needs instances or instance_dir")
-    paths = cfg.get("instances") or sorted(
-        p for p in Path(cfg["instance_dir"]).glob("*.json") if p.name != "manifest.json")
+    # the files one by one, not bench.load_pool: invalid ones are reported
     bad = 0
-    for path in paths:
+    for path in _instance_files(cfg):
         try:
             data = json.loads(Path(path).read_text())
             inst = instance_from_dict(data)
@@ -98,7 +110,7 @@ def cmd_validate(cfg: dict, seed) -> int:
 
 
 def cmd_train(cfg: dict, seed) -> int:
-    pool = _pool_from_config(cfg)
+    pool = bench.load_pool(_instance_files(cfg))
     obj_cfg = _objective(cfg)
     net_raw = dict(cfg.get("net", {}))
     net_raw.setdefault("d_in", 2 * pool[0].n_stations + 2)
@@ -113,7 +125,7 @@ def cmd_train(cfg: dict, seed) -> int:
 
 
 def cmd_infer(cfg: dict, seed) -> int:
-    pool = _pool_from_config(cfg)
+    pool = bench.load_pool(_instance_files(cfg))
     obj_cfg = _objective(cfg)
     icfg_raw = dict(cfg.get("inference", {}))
     icfg = _dataclass_from(inference.InferenceConfig, icfg_raw, override_seed=seed)
@@ -130,12 +142,7 @@ def cmd_infer(cfg: dict, seed) -> int:
             records.append(inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
                                               checkpoint_digest=digest).to_record())
     elif strategy == "mpmr":
-        if not (cfg.get("checkpoints") or "checkpoint_dir" in cfg):
-            raise ValueError("infer strategy 'mpmr' needs checkpoints or checkpoint_dir")
-        paths = cfg.get("checkpoints") or inference.checkpoints_in(
-            cfg["checkpoint_dir"], cfg.get("n_earlier", 5))
-        if not paths:
-            raise ValueError("no checkpoints found for mpmr strategy")
+        paths = inference.checkpoint_files(cfg, "infer strategy 'mpmr'")
         digests = {}  # each checkpoint file is hashed once, not once per instance
         for inst in pool:
             records.append(inference.multipolicy(inst, paths, icfg, obj_cfg,
@@ -151,7 +158,7 @@ def cmd_infer(cfg: dict, seed) -> int:
 
 def cmd_bench(cfg: dict, seed) -> int:
     obj_cfg = _objective(cfg)
-    splits = {name: _pool_from_config(spec, f"bench split {name!r}")
+    splits = {name: bench.load_pool(_instance_files(spec, f"bench split {name!r}"))
               for name, spec in cfg["splits"].items()}
     rows = bench.run_benchmark(splits, cfg["methods"], obj_cfg,
                                seed if seed is not None else cfg.get("seed", 0),
@@ -202,19 +209,26 @@ COMMANDS = {
 }
 
 
+_INSTANCE_SET = """\
+  instances | instance_dir   a list of instance files, which wins, or else a
+                directory: its manifest's files or its *.json (none: exit 2)"""
+_CHECKPOINT_SET = """\
+  checkpoints | checkpoint_dir   a list, which wins, or else a directory: its
+                last *.ckpt by name and the n_earlier (int >= 0, default 5) before;
+                none exits 2 in infer, none or a missing file is a bench warning row"""
+
 CONFIG_DOCS = {
     "generate": """\
 config fields:
   generator     object: n_jobs, n_stations, station_time_s, p_min_frac,
                 due_slack_s, due_noise_s, seed, count
   out_dir       directory for instance files + manifest.json""",
-    "validate": """\
+    "validate": f"""\
 config fields:
-  instances     list of instance file paths, OR
-  instance_dir  directory of instance files""",
-    "train": """\
-config fields:
-  instances | instance_dir   training pool
+{_INSTANCE_SET}""",
+    "train": f"""\
+config fields (instances: the training pool):
+{_INSTANCE_SET}
   objective     object: alpha1, alpha2, tardiness_scale
   net           object: d_h, n_heads, n_layers, d_ff, compat_init_gain,
                 d_gen (must be 1; d_in derived from W)
@@ -227,24 +241,25 @@ config fields:
   episode       object: step_budget, gamma, reward_mode
   out_dir       checkpoints + metrics.jsonl destination
   resume_from   optional checkpoint path to continue exactly""",
-    "infer": """\
+    "infer": f"""\
 config fields:
-  instances | instance_dir   evaluation instances
-  strategy      "mr" (single checkpoint) or "mpmr" (checkpoint set)
-  checkpoint    path (mr) | checkpoints: [paths] or checkpoint_dir (mpmr)
-  n_earlier     mpmr: earlier checkpoints besides the final one (int >= 0, default 5)
+{_INSTANCE_SET}
+  strategy      "mr" (checkpoint: one path) or "mpmr" (a checkpoint set)
+{_CHECKPOINT_SET}
   inference     object: runs_per_policy, step_budget, greedy, seed
   objective     object: alpha1, alpha2, tardiness_scale
   out           result JSONL path""",
-    "bench": """\
+    "bench": f"""\
 config fields:
-  splits        {name: {instances|instance_dir}} per split
+  splits        {{name: {{instances|instance_dir}}}}, each read as:
+{_INSTANCE_SET}
   methods       list of method objects:
-                {type: identity} | {type: sh, window, max_skip}
-                {type: sa, steps, t_max, t_min, trace_stride}
-                {type: random_mr, runs_per_policy, step_budget}
-                {type: rl_mr, checkpoint, runs_per_policy, step_budget}
-                {type: rl_mpmr, checkpoints|checkpoint_dir, n_earlier, ...}
+                {{type: identity}} | {{type: sh, window, max_skip}}
+                {{type: sa, steps, t_max, t_min, trace_stride}}
+                {{type: random_mr, runs_per_policy, step_budget}}
+                {{type: rl_mr, checkpoint, runs_per_policy, step_budget}}
+                {{type: rl_mpmr, checkpoints|checkpoint_dir, n_earlier, ...}}
+{_CHECKPOINT_SET}
   objective     object: alpha1, alpha2, tardiness_scale
   seed          base seed (per-instance streams derived from it)
   out_dir       results.jsonl, table.csv, table.txt, timings.csv""",

@@ -48,6 +48,8 @@ class InferenceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.greedy, bool):
+            raise ValueError(f"greedy must be true or false, got {self.greedy!r}")
         check_count("runs_per_policy", self.runs_per_policy, 1)
         check_count("step_budget", self.step_budget, 1)
         check_count("seed", self.seed, 0)
@@ -222,7 +224,7 @@ def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
     instances.
     """
     if not checkpoint_paths:
-        raise ValueError("multipolicy needs at least one checkpoint")
+        raise ValueError("no checkpoints found: multipolicy needs at least one")
     multiruns = {} if multiruns is None else multiruns
     digests = {} if digests is None else digests
     per_run_all, per_policy_best, run_digests = [], [], []
@@ -261,11 +263,19 @@ def select_checkpoints(paths, n_earlier: int = 5) -> list:
     return ordered[max(0, len(ordered) - 1 - n_earlier):-1] + [ordered[-1]]
 
 
-def checkpoints_in(ckpt_dir, n_earlier: int = 5) -> list:
-    """:func:`select_checkpoints` of the ``*.ckpt`` files in ``ckpt_dir``."""
-    return select_checkpoints(Path(ckpt_dir).glob("*.ckpt"), n_earlier)
+def checkpoint_files(cfg: dict, where: str) -> list:
+    """The checkpoint set (maybe empty) of a config or bench method ``where``:
+    ``checkpoints`` if present, else :func:`select_checkpoints` of ``checkpoint_dir``."""
+    if "checkpoints" in cfg:
+        files = cfg["checkpoints"]
+        if not (isinstance(files, list) and all(isinstance(p, str) for p in files)):
+            raise ValueError(f"{where}: checkpoints must be a list of file paths, got {files!r}")
+        return files
+    if "checkpoint_dir" not in cfg:
+        raise ValueError(f"{where} needs checkpoints or checkpoint_dir")
+    return select_checkpoints(Path(cfg["checkpoint_dir"]).glob("*.ckpt"), cfg.get("n_earlier", 5))
 
 
 __all__ = ["InferenceConfig", "EpisodeResult", "InferenceResult", "run_lanes",
            "run_episode", "multirun", "reuse_multirun", "digest_once", "multipolicy",
-           "select_checkpoints", "checkpoints_in"]
+           "select_checkpoints", "checkpoint_files"]

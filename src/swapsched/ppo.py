@@ -818,15 +818,11 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
     if threads is not None:
         log.info("train: OpenBLAS threads %d", threads)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     experiment_config = {
         "objective": asdict(obj_cfg), "net": asdict(net_cfg),
         "ppo": asdict(ppo_cfg), "episode": asdict(ep_cfg),
         "pool_digest": pool_digest, "pool_size": len(pool),
     }
-    (out_dir / "experiment_config.json").write_text(
-        json.dumps(experiment_config, sort_keys=True, indent=2) + "\n")
-
     workers = [RolloutWorker(pool, obj_cfg, ep_cfg,
                              np.random.SeedSequence([ppo_cfg.seed, 1000 + w]))
                for w in range(ppo_cfg.n_rollout_workers)]
@@ -859,6 +855,10 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
             _redraw_compat(params, net_cfg, [ppo_cfg.seed, 65537, actor_resets])
         if actor_resets:
             log.info("redrew dead action head %d time(s) at init", actor_resets)
+    # written only now that a resume point is loaded and checked: a refused one changes nothing
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "experiment_config.json").write_text(
+        json.dumps(experiment_config, sort_keys=True, indent=2) + "\n")
 
     checkpoint_paths = []
     quota = ppo_cfg.train_batch_size // ppo_cfg.n_rollout_workers

@@ -492,24 +492,131 @@ def test_a_negative_seed_override_exits_2_before_writing(tmp_path, inst_dir, ckp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,payload,message", [
-    ("bench", {"splits": {"test": {}}, "methods": [{"type": "identity"}]},
-     "bench split 'test' needs instances or instance_dir"),
-    ("validate", {}, "config needs instances or instance_dir"),
-    ("infer", {"strategy": "mr"}, "infer strategy 'mr' needs checkpoint"),
-    ("infer", {"strategy": "mpmr"}, "infer strategy 'mpmr' needs checkpoints or checkpoint_dir"),
-], ids=["bench", "validate", "infer-mr", "infer-mpmr"])
-def test_a_config_without_its_inputs_names_the_missing_field(tmp_path, inst_dir, capsys, command,
-                                                             payload, message):
-    out = tmp_path / "out"
-    if command == "bench":
-        payload = {**payload, "out_dir": str(out)}
-    if command == "infer":
-        payload = {**payload, "instance_dir": str(inst_dir), "out": str(out)}
-    cfg = write_cfg(tmp_path, f"{command}.json", payload)
-    assert cli.main([command, "--config", cfg]) == 2
-    assert f"data error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+def _patched(payload, place, patch):
+    """``payload`` with ``patch`` merged into ``place``: the top level (None),
+    a config object such as "ppo", the bench split "a" or a bench rl_mpmr
+    method; a None value in ``patch`` deletes its key."""
+    if place == "split":
+        payload["splits"] = {"a": dict(payload["splits"]["test"])}
+        target = payload["splits"]["a"]
+    elif place == "method":
+        payload["methods"] = [{"type": "rl_mpmr", "runs_per_policy": 2, "step_budget": 2}]
+        target = payload["methods"][0]
+    else:
+        target = payload if place is None else payload.setdefault(place, {})
+    for key, value in patch.items():
+        target.pop(key, None)
+        if value is not None:
+            target[key] = value
+    return payload
+
+
+MISSING, CKPT_DIR, INST_DIR = "<missing>", "<ckpt_dir>", "<inst_dir>"
+
+
+# every case names the config it reads and the field at fault
+@pytest.mark.parametrize("command,place,patch,message", [
+    ("bench", "split", {"instance_dir": None}, "bench split 'a' needs instances or instance_dir"),
+    ("validate", None, {"instance_dir": None}, "config needs instances or instance_dir"),
+    ("infer", None, {"strategy": "mr"}, "infer strategy 'mr' needs checkpoint"),
+    ("infer", None, {"checkpoint_dir": None},
+     "infer strategy 'mpmr' needs checkpoints or checkpoint_dir"),
+    ("train", None, {"instances": [], "instance_dir": None}, "config: instances names no"),
+    ("infer", None, {"instances": [], "instance_dir": None}, "config: instances names no"),
+    ("bench", "split", {"instances": [], "instance_dir": None},
+     "bench split 'a': instances names no"),
+    ("validate", None, {"instances": [], "instance_dir": INST_DIR}, "config: instances names no"),
+    ("train", None, {"instances": [], "instance_dir": INST_DIR}, "config: instances names no"),
+    ("validate", None, {"instance_dir": MISSING}, "config: instance_dir"),
+    ("infer", None, {"instance_dir": MISSING}, "config: instance_dir"),
+    ("validate", None, {"instances": "a.json"}, "config: instances must be a list"),
+    ("infer", None, {"instances": "a.json"}, "config: instances must be a list"),
+    ("infer", None, {"checkpoints": "a.ckpt"},
+     "infer strategy 'mpmr': checkpoints must be a list"),
+    ("bench", "method", {"checkpoints": "a.ckpt"},
+     "bench method 1 (rl_mpmr): checkpoints must be a list"),
+    ("infer", None, {"checkpoints": [], "checkpoint_dir": CKPT_DIR},
+     "no checkpoints found"),
+    ("train", "objective", {"alpha1": "1"}, "ObjectiveConfig field(s) ['alpha1']"),
+    ("train", "ppo", {"clip_param": "0.2"}, "PPOConfig field(s) ['clip_param']"),
+    ("train", "ppo", {"lr_start": "5e-4"}, "PPOConfig field(s) ['lr_start']"),
+    ("train", "net", {"d_h": "32"}, "NetConfig field(s) ['d_h']"),
+    ("train", "episode", {"gamma": "0.9"}, "EpisodeConfig field(s) ['gamma']"),
+    ("generate", "generator", {"station_time_s": "208"},
+     "GeneratorConfig field(s) ['station_time_s']"),
+    ("infer", "inference", {"greedy": "no"}, "greedy must be true or false"),
+], ids=["bench", "validate", "infer-mr", "infer-mpmr", "train-empty", "infer-empty",
+        "bench-empty", "validate-empty-over-dir", "train-empty-over-dir", "validate-missing-dir",
+        "infer-missing-dir", "validate-string", "infer-string", "infer-checkpoints-string",
+        "bench-checkpoints-string", "infer-empty-checkpoints-over-dir", "alpha1", "clip_param",
+        "lr_start", "d_h", "gamma", "station_time_s", "greedy"])
+def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys, command,
+                                                   place, patch, message):
+    if command == "validate":
+        payload, out = {"instance_dir": str(inst_dir)}, None
+    else:
+        payload, out = _seeded_config(command, tmp_path, inst_dir, ckpt_dir, 0)
+    names = {MISSING: str(tmp_path / "missing"), CKPT_DIR: str(ckpt_dir),
+             INST_DIR: str(inst_dir)}
+    patch = {k: names.get(v, v) if isinstance(v, str) else v for k, v in patch.items()}
+    payload = _patched(payload, place, patch)
+    assert cli.main([command, "--config", write_cfg(tmp_path, "bad.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert f"data error: {message}" in captured.err
+    assert captured.out == ""  # not one instance checked, not one record or table
+    assert out is None or not out.exists()
+
+
+def test_bench_takes_an_empty_checkpoint_list_over_checkpoint_dir_as_a_warning_row(
+        tmp_path, inst_dir, ckpt_dir, capsys):
+    payload, out = _seeded_config("bench", tmp_path, inst_dir, ckpt_dir, 0)
+    payload = _patched(payload, "method", {"checkpoints": [], "checkpoint_dir": str(ckpt_dir)})
+    assert cli.main(["bench", "--config", write_cfg(tmp_path, "bench.json", payload)]) == 0
+    assert "skipping RL-MPMR" in capsys.readouterr().err
+    assert (out / "table.csv").read_text().splitlines()[1:] == ["RL-MPMR,test,,,,,"]
+
+
+def test_validate_checks_exactly_the_files_train_loads(tmp_path, inst_dir, capsys, monkeypatch):
+    # a stray instance file the manifest does not list, which train never loads
+    (inst_dir / "stray.json").write_text(json.dumps({"id": "stray", "station_time_s": 100,
+                                                     "jobs": [{"p_s": [150.0], "due_s": 1.0}]}))
+    assert cli.main(["validate", "--config",
+                     write_cfg(tmp_path, "v.json", {"instance_dir": str(inst_dir)})]) == 0
+    checked = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+
+    loaded = []
+
+    def counted(path, _load=bench.load_instance):
+        loaded.append(str(path))
+        return _load(path)
+
+    monkeypatch.setattr(bench, "load_instance", counted)
+    payload, _ = _seeded_config("train", tmp_path, inst_dir, None, 0)
+    payload["episode"] = {"step_budget": 5}
+    assert cli.main(["train", "--config", write_cfg(tmp_path, "t.json", payload)]) == 0
+    assert checked == loaded and len(loaded) == 3
+
+
+def _tree_bytes(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@pytest.mark.parametrize("change", ["net", "resume_from"])
+def test_a_refused_resume_leaves_the_run_directory_as_it_was(tmp_path, inst_dir, capsys, change):
+    payload, run = _seeded_config("train", tmp_path, inst_dir, None, 0)
+    payload["episode"] = {"step_budget": 5}
+    assert cli.main(["train", "--config", write_cfg(tmp_path, "t.json", payload)]) == 0
+    before = _tree_bytes(run)
+    payload["ppo"]["total_env_steps"] = 100  # the resumed run goes on
+    payload["resume_from"] = str(run / "ckpt_0000000050.ckpt")
+    if change == "net":
+        payload["net"]["d_h"] = 16
+    else:
+        payload["resume_from"] = str(run / "ckpt_0000000040.ckpt")
+    assert cli.main(["train", "--config", write_cfg(tmp_path, "r.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert ("different net config" if change == "net" else "ckpt_0000000040") in err
+    assert _tree_bytes(run) == before
 
 
 # the config dataclasses each subcommand builds from its config file

@@ -89,6 +89,41 @@ def test_only_schedcore_uses_the_reference_objectives(name):
     assert sorted(used & REFERENCE_NAMES) == []
 
 
+# the config keys of the instance and checkpoint sets, the patterns that list
+# their directories, and the one reader of each set (with its listing helper)
+SET_KEYS = {"instances", "instance_dir", "checkpoints", "checkpoint_dir", "*.json", "*.ckpt"}
+SET_READERS = {("cli", "_instance_files"), ("bench", "pool_files"),
+               ("inference", "checkpoint_files")}
+
+
+def _set_reads(name: str, source: str) -> list[str]:
+    """``function: key`` for each set key or directory glob in a function of
+    module ``name`` other than the readers; module-level strings are not
+    read (``cli.CONFIG_DOCS`` documents the keys)."""
+    reads = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or (name, fn.name) in SET_READERS:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Constant) and node.value in SET_KEYS:
+                reads.append(f"{fn.name}: {node.value}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("glob", "rglob", "iglob"):
+                reads.append(f"{fn.name}: .{node.attr}")
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_the_set_readers_read_instance_and_checkpoint_sets(name):
+    source = Path(swapsched.__file__).with_name(f"{name}.py").read_text()
+    assert _set_reads(name, source) == []
+
+
+def test_set_read_check_sees_keys_and_globs_outside_the_readers():
+    source = ("def f(cfg):\n    return cfg.get('instances') or d.glob('*.ckpt')\n"
+              "def pool_files(d):\n    return d.glob('*.json')\nDOCS = 'checkpoints'\n")
+    assert _set_reads("bench", source) == ["f: *.ckpt", "f: .glob", "f: instances"]
+
+
 def test_unused_import_check_sees_module_and_function_imports():
     source = ("import math\nimport os.path\nfrom x import a, b as c\n"
               "def f():\n    from y import d\n    return a + os.sep\n__all__ = ['c']\n")
