@@ -21,11 +21,9 @@ can be.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
-import logging
 import math
 import sys
 import time
@@ -35,12 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import inference, policynet
+from . import inference
 from .baselines import SAConfig, SHConfig, sa_optimize, sh_schedule
 from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables, check_count,
                         check_permutation, edd_sort, load_instance, save_instance)
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -303,12 +299,12 @@ def _instance_seed(base_seed: int, split_idx: int, inst_idx: int) -> int:
 
 
 def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConfig,
-                            seed: int, policy, multiruns: dict, digests: dict):
+                            seed: int, multiruns: dict, digests: dict, held: dict):
     """Returns (best_perm, report, steps) of a method resolved by
-    :func:`_resolve_methods`, run with ``seed``; ``policy()`` gives an RL-MR
-    method's ``(params, net_cfg)``, reading its checkpoint on the first call only,
-    ``multiruns`` the RL multiruns on ``inst`` (see :func:`inference.reuse_multirun`),
-    ``digests`` the checkpoint hashes already made (see :func:`inference.digest_once`)."""
+    :func:`_resolve_methods`, run with ``seed``. RL-MR and RL-MPMR run
+    :func:`inference.multipolicy` over their checkpoint sets with its dicts:
+    ``multiruns`` the RL multiruns on ``inst``, ``digests`` the checkpoint
+    hashes already made and ``held`` the method's policy slot."""
     t = method["type"]
     sigma0 = edd_sort(inst)
     if t in ("identity", "sh"):
@@ -328,18 +324,9 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
     # rl_mr, rl_mpmr or random_mr: _resolve_methods admits no other type
     icfg = replace(method["_cfg"], seed=seed)
     name = method_name(method)
-    if t == "rl_mr":
-        digest = inference.digest_once(digests, method["checkpoint"])
-
-        def load_and_run():
-            params, net_cfg = policy()
-            return inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
-                                      strategy_name=name, checkpoint_digest=digest)
-
-        res = inference.reuse_multirun(multiruns, digest, icfg, load_and_run)
-    elif t == "rl_mpmr":
-        res = inference.multipolicy(inst, method["_checkpoints"], icfg, obj_cfg,
-                                    strategy_name=name, multiruns=multiruns, digests=digests)
+    if t in ("rl_mr", "rl_mpmr"):
+        res = inference.multipolicy(inst, method["_checkpoints"], icfg, obj_cfg, strategy_name=name,
+                                    multiruns=multiruns, digests=digests, held=held)
     else:  # uniform pair distribution
         res = inference.multirun(inst, None, None, icfg, obj_cfg, strategy_name=name)
     return res.best_perm, res.best_report, res.steps
@@ -367,8 +354,9 @@ def _method_config(m: dict):
 
 
 def _resolve_methods(methods: list[dict]) -> list[dict]:
-    """Reject malformed methods, build their configs, read RL-MPMR's
-    checkpoint set and flag methods missing their files."""
+    """Reject malformed methods, build their configs, read the RL methods'
+    checkpoint sets (RL-MR's is its one checkpoint) and flag methods missing
+    their files."""
     out = []
     for number, m in enumerate(methods, 1):
         m = dict(m)
@@ -384,9 +372,10 @@ def _resolve_methods(methods: list[dict]) -> list[dict]:
             m["_cfg"] = _method_config(m)
         except (TypeError, ValueError) as exc:  # a string where a number belongs
             raise ValueError(f"bench method {number} ({t}): {exc}") from exc
-        m["_skip"] = t == "rl_mr" and not Path(m["checkpoint"]).exists()
-        if t == "rl_mpmr":
-            files = inference.checkpoint_files(m, f"bench method {number} ({t})")
+        m["_skip"] = False
+        if t in ("rl_mr", "rl_mpmr"):
+            files = ([m["checkpoint"]] if t == "rl_mr"
+                     else inference.checkpoint_files(m, f"bench method {number} ({t})"))
             m["_checkpoints"] = files
             m["_skip"] = not files or not all(Path(p).exists() for p in files)
         out.append(m)
@@ -423,15 +412,11 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
         for m in methods:
             name = method_name(m)
             if m["_skip"]:
-                log.warning("skipping %s: checkpoint file(s) missing", name)
                 print(f"warning: skipping {name}: checkpoint file(s) missing", file=sys.stderr)
                 for split_idx, split in enumerate(sorted(splits)):
                     rows.append(BenchmarkRow(name, split, None, None, None, None, None, skipped=True))
                 continue
-            # RL-MR reads its checkpoint on its first multirun miss, if any, and
-            # holds it until the next method rebinds the name; RL-MPMR loads its
-            # checkpoints one at a time inside inference.multipolicy
-            policy = functools.cache(lambda m=m: policynet.load_checkpoint(m["checkpoint"])[:2])
+            held = {}  # the policy this method read last, kept across instances
             for split_idx, split in enumerate(sorted(splits)):
                 insts = splits[split]
                 fcs, f1s, f2s, steps_used = [], [], [], 0
@@ -439,8 +424,8 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
                 for inst_idx, inst in enumerate(insts):
                     iseed = _instance_seed(seed, split_idx, inst_idx)
                     perm, report, steps_used = _run_method_on_instance(
-                        m, inst, obj_cfg, iseed, policy,
-                        multiruns.setdefault((split_idx, inst_idx), {}), digests)
+                        m, inst, obj_cfg, iseed,
+                        multiruns.setdefault((split_idx, inst_idx), {}), digests, held)
                     fcs.append(report.fc)
                     f1s.append(report.f1)
                     f2s.append(report.f2)

@@ -50,16 +50,22 @@ def _dataclass_from(cls, data: dict, override_seed=None):
 
 def _load_config(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ValueError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, not {type(cfg).__name__}: {path}")
+    return cfg
 
 
 def _instance_files(cfg: dict, where: str = "config") -> list:
     """The instance set of a config or bench split, named ``where`` in
     errors: ``instances`` if present, else ``instance_dir``'s pool files."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where} must be an object with instances or instance_dir, "
+                         f"got {cfg!r}")
     if "instances" in cfg:
         key, files = "instances", cfg["instances"]
         if not (isinstance(files, list) and all(isinstance(p, str) for p in files)):
@@ -143,10 +149,10 @@ def cmd_infer(cfg: dict, seed) -> int:
                                               checkpoint_digest=digest).to_record())
     elif strategy == "mpmr":
         paths = inference.checkpoint_files(cfg, "infer strategy 'mpmr'")
-        digests = {}  # each checkpoint file is hashed once, not once per instance
+        digests, held = {}, {}  # each file hashed once; a set of one is read once
         for inst in pool:
             records.append(inference.multipolicy(inst, paths, icfg, obj_cfg,
-                                                 digests=digests).to_record())
+                                                 digests=digests, held=held).to_record())
     else:
         raise ValueError(f"unknown strategy {strategy!r} (use 'mr' or 'mpmr')")
     with open(out_path, "w") as fh:
@@ -158,6 +164,9 @@ def cmd_infer(cfg: dict, seed) -> int:
 
 def cmd_bench(cfg: dict, seed) -> int:
     obj_cfg = _objective(cfg)
+    if not isinstance(cfg["splits"], dict):
+        raise ValueError(f"config: splits must be an object of named instance sets, "
+                         f"got {cfg['splits']!r}")
     splits = {name: bench.load_pool(_instance_files(spec, f"bench split {name!r}"))
               for name, spec in cfg["splits"].items()}
     rows = bench.run_benchmark(splits, cfg["methods"], obj_cfg,
@@ -257,7 +266,8 @@ config fields:
                 {{type: identity}} | {{type: sh, window, max_skip}}
                 {{type: sa, steps, t_max, t_min, trace_stride}}
                 {{type: random_mr, runs_per_policy, step_budget}}
-                {{type: rl_mr, checkpoint, runs_per_policy, step_budget}}
+                {{type: rl_mr, checkpoint, runs_per_policy, step_budget}}: a
+                checkpoint set of one, skipped as rl_mpmr's set is
                 {{type: rl_mpmr, checkpoints|checkpoint_dir, n_earlier, ...}}
 {_CHECKPOINT_SET}
   objective     object: alpha1, alpha2, tardiness_scale

@@ -11,8 +11,11 @@ which policy is being evaluated, so the multipolicy runs of the final
 checkpoint coincide exactly with plain multirun -- making "multipolicy never
 loses to multirun on the same instance" a hard guarantee instead of a
 statistical tendency. It also lets a caller run such a checkpoint once and
-report the result for both strategies (:func:`reuse_multirun`), as
-:func:`swapsched.bench.run_benchmark` does for RL-MR and RL-MPMR.
+report the result for both strategies, as :func:`swapsched.bench.run_benchmark`
+does for RL-MR (multipolicy over a set of one checkpoint) and RL-MPMR.
+:func:`multipolicy` is the one function here that hashes and loads
+checkpoints; a slot the caller owns keeps the policy it read last, so a set of
+one is read once, not once per instance.
 
 All runs of one policy step in lockstep as lanes of one engine
 (:func:`run_lanes`): each lane draws its uniforms from its own generator up
@@ -188,58 +191,41 @@ def multirun(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig |
         seed=cfg.seed)
 
 
-def reuse_multirun(multiruns: dict, digest: str, cfg: InferenceConfig, run) -> InferenceResult:
-    """The multirun of the checkpoint with sha256 ``digest`` under ``cfg``.
-
-    ``multiruns`` holds the multiruns already made on one instance with one
-    objective; ``run()`` makes the missing one, which is stored for later
-    requests.
-    """
-    key = (digest, cfg)
-    if key not in multiruns:
-        multiruns[key] = run()
-    return multiruns[key]
-
-
-def digest_once(digests: dict, path) -> str:
-    """sha256 of the checkpoint file at ``path``, read and hashed only if
-    ``digests`` (path -> digest) does not hold it yet; stored there."""
-    key = str(path)
-    if key not in digests:
-        digests[key] = policynet.checkpoint_digest(path)
-    return digests[key]
-
-
 def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
                 obj_cfg: ObjectiveConfig, strategy_name: str = "RL-MPMR",
-                multiruns: dict | None = None, digests: dict | None = None) -> InferenceResult:
+                multiruns: dict | None = None, digests: dict | None = None,
+                held: dict | None = None) -> InferenceResult:
     """Multirun over several checkpoints; global best wins.
 
     ``checkpoint_paths`` is ordered with the final policy last, matching the
-    convention of the training output directory. One policy is in memory at
-    a time. ``multiruns`` (see :func:`reuse_multirun`) lets a caller share
-    multiruns on ``inst`` between strategies: a checkpoint whose multirun it
-    holds is neither loaded nor run again. ``digests`` (see
-    :func:`digest_once`) lets a caller hash each checkpoint file once across
-    instances.
+    convention of the training output directory. A caller's dicts share work
+    between calls: ``multiruns`` ((sha256, cfg) -> multirun on ``inst``) skips
+    loading and running a checkpoint whose multirun it holds, ``digests``
+    (path -> sha256) hashes each file once, and ``held`` (path -> ``(params,
+    net_cfg)``) is the slot of the policy read last. The slot is emptied
+    before another checkpoint is read, so one policy is in memory at a time.
     """
     if not checkpoint_paths:
         raise ValueError("no checkpoints found: multipolicy needs at least one")
     multiruns = {} if multiruns is None else multiruns
     digests = {} if digests is None else digests
+    held = {} if held is None else held
     per_run_all, per_policy_best, run_digests = [], [], []
     best: InferenceResult | None = None
     for path in checkpoint_paths:
-        digest = digest_once(digests, path)
+        key = str(path)
+        if key not in digests:
+            digests[key] = policynet.checkpoint_digest(path)
+        digest = digests[key]
         run_digests.append(digest)
-
-        def load_and_run():
-            # the policy is freed on return, before the next checkpoint is read
-            params, net_cfg, _ = policynet.load_checkpoint(path)
-            return multirun(inst, params, net_cfg, cfg, obj_cfg,
-                            strategy_name=strategy_name, checkpoint_digest=digest)
-
-        res = reuse_multirun(multiruns, digest, cfg, load_and_run)
+        if (digest, cfg) not in multiruns:
+            if key not in held:
+                held.clear()  # free the last policy before the next is read
+                held[key] = policynet.load_checkpoint(path)[:2]
+            multiruns[digest, cfg] = multirun(inst, *held[key], cfg, obj_cfg,
+                                              strategy_name=strategy_name,
+                                              checkpoint_digest=digest)
+        res = multiruns[digest, cfg]
         per_run_all.extend(res.per_run_fc)
         per_policy_best.append(res.best_report.fc)
         if best is None or res.best_report.fc > best.best_report.fc:
@@ -266,6 +252,8 @@ def select_checkpoints(paths, n_earlier: int = 5) -> list:
 def checkpoint_files(cfg: dict, where: str) -> list:
     """The checkpoint set (maybe empty) of a config or bench method ``where``:
     ``checkpoints`` if present, else :func:`select_checkpoints` of ``checkpoint_dir``."""
+    n_earlier = cfg.get("n_earlier", 5)
+    check_count(f"{where}: n_earlier", n_earlier, 0)  # also where checkpoints wins
     if "checkpoints" in cfg:
         files = cfg["checkpoints"]
         if not (isinstance(files, list) and all(isinstance(p, str) for p in files)):
@@ -273,9 +261,9 @@ def checkpoint_files(cfg: dict, where: str) -> list:
         return files
     if "checkpoint_dir" not in cfg:
         raise ValueError(f"{where} needs checkpoints or checkpoint_dir")
-    return select_checkpoints(Path(cfg["checkpoint_dir"]).glob("*.ckpt"), cfg.get("n_earlier", 5))
+    return select_checkpoints(Path(cfg["checkpoint_dir"]).glob("*.ckpt"), n_earlier)
 
 
 __all__ = ["InferenceConfig", "EpisodeResult", "InferenceResult", "run_lanes",
-           "run_episode", "multirun", "reuse_multirun", "digest_once", "multipolicy",
+           "run_episode", "multirun", "multipolicy",
            "select_checkpoints", "checkpoint_files"]

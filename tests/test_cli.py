@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -495,7 +499,10 @@ def test_a_negative_seed_override_exits_2_before_writing(tmp_path, inst_dir, ckp
 def _patched(payload, place, patch):
     """``payload`` with ``patch`` merged into ``place``: the top level (None),
     a config object such as "ppo", the bench split "a" or a bench rl_mpmr
-    method; a None value in ``patch`` deletes its key."""
+    method; a None value in ``patch`` deletes its key. Place "array" wraps
+    the payload in a JSON array."""
+    if place == "array":
+        return [payload]
     if place == "split":
         payload["splits"] = {"a": dict(payload["splits"]["test"])}
         target = payload["splits"]["a"]
@@ -511,7 +518,7 @@ def _patched(payload, place, patch):
     return payload
 
 
-MISSING, CKPT_DIR, INST_DIR = "<missing>", "<ckpt_dir>", "<inst_dir>"
+MISSING, CKPT_DIR, INST_DIR, CKPTS = "<missing>", "<ckpt_dir>", "<inst_dir>", "<ckpts>"
 
 
 # every case names the config it reads and the field at fault
@@ -545,26 +552,44 @@ MISSING, CKPT_DIR, INST_DIR = "<missing>", "<ckpt_dir>", "<inst_dir>"
     ("generate", "generator", {"station_time_s": "208"},
      "GeneratorConfig field(s) ['station_time_s']"),
     ("infer", "inference", {"greedy": "no"}, "greedy must be true or false"),
+    ("generate", "array", {}, "config must be a JSON object"),
+    ("bench", "array", {}, "config must be a JSON object"),
+    ("heatmap", "array", {}, "config must be a JSON object"),
+    ("oracle", "array", {}, "config must be a JSON object"),
+    ("bench", None, {"splits": [{"instance_dir": "instances"}]},
+     "config: splits must be an object"),
+    ("bench", None, {"splits": {"a": "instances"}},
+     "bench split 'a' must be an object with instances or instance_dir"),
+    ("infer", None, {"checkpoints": CKPTS, "n_earlier": "x"},
+     "infer strategy 'mpmr': n_earlier must be an integer >= 0"),
+    ("bench", "method", {"checkpoints": CKPTS, "n_earlier": "x"},
+     "bench method 1 (rl_mpmr): n_earlier must be an integer >= 0"),
 ], ids=["bench", "validate", "infer-mr", "infer-mpmr", "train-empty", "infer-empty",
         "bench-empty", "validate-empty-over-dir", "train-empty-over-dir", "validate-missing-dir",
         "infer-missing-dir", "validate-string", "infer-string", "infer-checkpoints-string",
         "bench-checkpoints-string", "infer-empty-checkpoints-over-dir", "alpha1", "clip_param",
-        "lr_start", "d_h", "gamma", "station_time_s", "greedy"])
+        "lr_start", "d_h", "gamma", "station_time_s", "greedy", "generate-array", "bench-array",
+        "heatmap-array", "oracle-array", "bench-splits-array", "bench-split-string",
+        "infer-n_earlier-beside-checkpoints", "bench-n_earlier-beside-checkpoints"])
 def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys, command,
                                                    place, patch, message):
     if command == "validate":
         payload, out = {"instance_dir": str(inst_dir)}, None
+    elif command in ("heatmap", "oracle"):
+        out = tmp_path / "out"
+        payload = {"instance": str(bench.pool_files(inst_dir)[0]),
+                   "out_base" if command == "heatmap" else "out": str(out)}
     else:
         payload, out = _seeded_config(command, tmp_path, inst_dir, ckpt_dir, 0)
     names = {MISSING: str(tmp_path / "missing"), CKPT_DIR: str(ckpt_dir),
-             INST_DIR: str(inst_dir)}
+             INST_DIR: str(inst_dir), CKPTS: sorted(str(p) for p in ckpt_dir.glob("*.ckpt"))}
     patch = {k: names.get(v, v) if isinstance(v, str) else v for k, v in patch.items()}
     payload = _patched(payload, place, patch)
     assert cli.main([command, "--config", write_cfg(tmp_path, "bad.json", payload)]) == 2
     captured = capsys.readouterr()
     assert f"data error: {message}" in captured.err
     assert captured.out == ""  # not one instance checked, not one record or table
-    assert out is None or not out.exists()
+    assert out is None or not any(tmp_path.glob(f"{out.name}*"))  # heatmap: out.csv, out.svg
 
 
 def test_bench_takes_an_empty_checkpoint_list_over_checkpoint_dir_as_a_warning_row(
@@ -574,6 +599,38 @@ def test_bench_takes_an_empty_checkpoint_list_over_checkpoint_dir_as_a_warning_r
     assert cli.main(["bench", "--config", write_cfg(tmp_path, "bench.json", payload)]) == 0
     assert "skipping RL-MPMR" in capsys.readouterr().err
     assert (out / "table.csv").read_text().splitlines()[1:] == ["RL-MPMR,test,,,,,"]
+
+
+def test_bench_prints_its_missing_checkpoint_warning_once(tmp_path, inst_dir):
+    # a subprocess, so an unconfigured logger would write to stderr as well
+    payload, out = _seeded_config("bench", tmp_path, inst_dir, None, 0)
+    payload["methods"].append({"type": "rl_mr", "checkpoint": str(tmp_path / "missing.ckpt")})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "swapsched.cli", "bench", "--config",
+                           write_cfg(tmp_path, "bench.json", payload)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert [l for l in done.stderr.splitlines() if "skipping" in l] == [
+        "warning: skipping RL-MR: checkpoint file(s) missing"]
+    assert (out / "table.csv").read_text().splitlines()[-1] == "RL-MR,test,,,,,"
+
+
+def test_infer_mpmr_reads_a_one_file_checkpoint_set_once(tmp_path, inst_dir, ckpt_dir,
+                                                         monkeypatch):
+    payload, out = _seeded_config("infer", tmp_path, inst_dir, ckpt_dir, 0)
+    payload["checkpoints"] = [str(ckpt_dir / "ckpt_0000000600.ckpt")]
+    loads = []
+
+    def counted(path, _load=policynet.load_checkpoint):
+        loads.append(path)
+        return _load(path)
+
+    monkeypatch.setattr(policynet, "load_checkpoint", counted)
+    assert cli.main(["infer", "--config", write_cfg(tmp_path, "mpmr.json", payload)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert loads == payload["checkpoints"]  # once for 3 instances, not once per instance
 
 
 def test_validate_checks_exactly_the_files_train_loads(tmp_path, inst_dir, capsys, monkeypatch):

@@ -124,6 +124,44 @@ def test_set_read_check_sees_keys_and_globs_outside_the_readers():
     assert _set_reads("bench", source) == ["f: *.ckpt", "f: .glob", "f: instances"]
 
 
+# the calls that read a checkpoint file, which in bench and inference only
+# inference.multipolicy makes: it alone hashes, reuses and loads policies
+CHECKPOINT_READS = {"load_checkpoint", "checkpoint_digest"}
+
+
+def _checkpoint_reads(source: str) -> list[str]:
+    """``function: name`` for each checkpoint read (``x.load_checkpoint`` or an
+    import of the name) outside ``multipolicy`` and the functions nested in
+    it; ``<module>`` for one at module level."""
+    reads = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "multipolicy":
+            continue
+        where = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            names = ([node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+            reads += [f"{where}: {n}" for n in names if n in CHECKPOINT_READS]
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("name", ["bench", "inference"])
+def test_only_multipolicy_reads_checkpoints(name):
+    source = Path(swapsched.__file__).with_name(f"{name}.py").read_text()
+    assert _checkpoint_reads(source) == []
+
+
+def test_checkpoint_read_check_sees_reads_outside_multipolicy():
+    source = ("def multipolicy(path):\n    def run():\n"
+              "        return policynet.load_checkpoint(path)\n    return run()\n"
+              "def f(path, checkpoint_digest=''):\n"
+              "    return checkpoint_digest or policynet.checkpoint_digest(path)\n"
+              "from .policynet import load_checkpoint\n"
+              "load = functools.cache(lambda path: pn.load_checkpoint(path))\n")
+    assert _checkpoint_reads(source) == ["<module>: load_checkpoint",
+                                         "<module>: load_checkpoint", "f: checkpoint_digest"]
+
+
 def test_unused_import_check_sees_module_and_function_imports():
     source = ("import math\nimport os.path\nfrom x import a, b as c\n"
               "def f():\n    from y import d\n    return a + os.sep\n__all__ = ['c']\n")
