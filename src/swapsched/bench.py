@@ -323,12 +323,11 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
         return res.best_perm, res.best_report, cfg.steps
     # rl_mr, rl_mpmr or random_mr: _resolve_methods admits no other type
     icfg = replace(method["_cfg"], seed=seed)
-    name = method_name(method)
     if t in ("rl_mr", "rl_mpmr"):
-        res = inference.multipolicy(inst, method["_checkpoints"], icfg, obj_cfg, strategy_name=name,
+        res = inference.multipolicy(inst, method["_checkpoints"], icfg, obj_cfg,
                                     multiruns=multiruns, digests=digests, held=held)
     else:  # uniform pair distribution
-        res = inference.multirun(inst, None, None, icfg, obj_cfg, strategy_name=name)
+        res = inference.multirun(inst, None, None, icfg, obj_cfg)
     return res.best_perm, res.best_report, res.steps
 
 
@@ -347,36 +346,36 @@ def _method_config(m: dict):
         return SHConfig(window=m["window"], max_skip=m["max_skip"])
     if t == "sa":
         check_count("trace_stride", m.get("trace_stride", 0), 0)
-        return SAConfig(t_max=m.get("t_max", 72.0), t_min=m.get("t_min", 2.2e-61),
-                        steps=m["steps"])
-    return inference.InferenceConfig(runs_per_policy=m.get("runs_per_policy", 30),
-                                     step_budget=m.get("step_budget", 10))
+        return SAConfig(**{k: m[k] for k in ("t_max", "t_min", "steps") if k in m})
+    return inference.InferenceConfig(**{k: m[k] for k in ("runs_per_policy", "step_budget")
+                                        if k in m})
 
 
 def _resolve_methods(methods: list[dict]) -> list[dict]:
     """Reject malformed methods, build their configs, read the RL methods'
     checkpoint sets (RL-MR's is its one checkpoint) and flag methods missing
     their files."""
+    if not isinstance(methods, list):
+        raise ValueError(f"methods must be a list of method objects, got {methods!r}")
     out = []
     for number, m in enumerate(methods, 1):
+        if not isinstance(m, dict):
+            raise ValueError(f"bench method {number} must be an object, got {m!r}")
         m = dict(m)
         t = m.get("type")
         if t not in _METHOD_FIELDS:
             raise ValueError(f"bench method {number}: unknown type {t!r} "
                              f"(use one of {', '.join(_METHOD_FIELDS)})")
+        where = f"bench method {number} ({t})"
         absent = [f for f in _METHOD_FIELDS[t] if f not in m]
         if absent:
-            raise ValueError(f"bench method {number} ({t}) is missing field(s): "
-                             f"{', '.join(absent)}")
+            raise ValueError(f"{where} is missing field(s): {', '.join(absent)}")
         try:
             m["_cfg"] = _method_config(m)
         except (TypeError, ValueError) as exc:  # a string where a number belongs
-            raise ValueError(f"bench method {number} ({t}): {exc}") from exc
-        m["_skip"] = False
+            raise ValueError(f"{where}: {exc}") from exc
         if t in ("rl_mr", "rl_mpmr"):
-            files = ([m["checkpoint"]] if t == "rl_mr"
-                     else inference.checkpoint_files(m, f"bench method {number} ({t})"))
-            m["_checkpoints"] = files
+            m["_checkpoints"] = files = inference.checkpoint_files(m, where)
             m["_skip"] = not files or not all(Path(p).exists() for p in files)
         out.append(m)
     return out
@@ -411,7 +410,7 @@ def run_benchmark(splits: dict, methods: list[dict], obj_cfg: ObjectiveConfig,
     with open(out_dir / "results.jsonl", "w") as jl:
         for m in methods:
             name = method_name(m)
-            if m["_skip"]:
+            if m.get("_skip"):
                 print(f"warning: skipping {name}: checkpoint file(s) missing", file=sys.stderr)
                 for split_idx, split in enumerate(sorted(splits)):
                     rows.append(BenchmarkRow(name, split, None, None, None, None, None, skipped=True))

@@ -82,6 +82,15 @@ def _instance_files(cfg: dict, where: str = "config") -> list:
     return files
 
 
+def _path(cfg: dict, key: str, *default):
+    """``cfg[key]`` if a path string (``open`` takes a number for a file
+    descriptor), or the ``default`` given for an absent field."""
+    value = cfg.get(key, *default) if default else cfg[key]
+    if not (isinstance(value, str) or value in default):
+        raise ValueError(f"config: {key} must be a file path, got {value!r}")
+    return value
+
+
 def _objective(cfg: dict) -> ObjectiveConfig:
     return _dataclass_from(ObjectiveConfig, cfg.get("objective", {}))
 
@@ -125,7 +134,7 @@ def cmd_train(cfg: dict, seed) -> int:
     ep_cfg = _dataclass_from(ppo.EpisodeConfig, cfg.get("episode", {}))
     result = ppo.train(pool, net_cfg, ppo_cfg, ep_cfg, obj_cfg, cfg["out_dir"],
                        pool_digest=bench.pool_digest(pool),
-                       resume_from=cfg.get("resume_from"))
+                       resume_from=_path(cfg, "resume_from", None))
     print(f"trained {result.env_steps} env steps; final checkpoint {result.final_checkpoint}")
     return 0
 
@@ -133,31 +142,20 @@ def cmd_train(cfg: dict, seed) -> int:
 def cmd_infer(cfg: dict, seed) -> int:
     pool = bench.load_pool(_instance_files(cfg))
     obj_cfg = _objective(cfg)
-    icfg_raw = dict(cfg.get("inference", {}))
-    icfg = _dataclass_from(inference.InferenceConfig, icfg_raw, override_seed=seed)
+    icfg = _dataclass_from(inference.InferenceConfig, cfg.get("inference", {}), override_seed=seed)
     strategy = cfg.get("strategy", "mr")
-    out_path = cfg.get("out", "results.jsonl")
-    records = []
-    if strategy == "mr":
-        if "checkpoint" not in cfg:
-            raise ValueError("infer strategy 'mr' needs checkpoint")
-        ckpt = cfg["checkpoint"]
-        params, net_cfg, _ = policynet.load_checkpoint(ckpt)
-        digest = policynet.checkpoint_digest(ckpt)
-        for inst in pool:
-            records.append(inference.multirun(inst, params, net_cfg, icfg, obj_cfg,
-                                              checkpoint_digest=digest).to_record())
-    elif strategy == "mpmr":
-        paths = inference.checkpoint_files(cfg, "infer strategy 'mpmr'")
-        digests, held = {}, {}  # each file hashed once; a set of one is read once
-        for inst in pool:
-            records.append(inference.multipolicy(inst, paths, icfg, obj_cfg,
-                                                 digests=digests, held=held).to_record())
-    else:
+    if strategy not in ("mr", "mpmr"):
         raise ValueError(f"unknown strategy {strategy!r} (use 'mr' or 'mpmr')")
-    with open(out_path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    paths = inference.checkpoint_files(cfg, f"infer strategy {strategy!r}")
+    out_path = _path(cfg, "out", "results.jsonl")
+    records, digests, held = [], {}, {}  # each file hashed once, a set of one read once
+    for inst in pool:
+        res = inference.multipolicy(inst, paths, icfg, obj_cfg, f"RL-{strategy.upper()}",
+                                    digests=digests, held=held)
+        if strategy == "mr":
+            res.per_policy_best = []  # an mr record has no per_policy_best_fc
+        records.append(res.to_record())
+    Path(out_path).write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     print(f"wrote {len(records)} result record(s) to {out_path}")
     return 0
 
@@ -169,15 +167,14 @@ def cmd_bench(cfg: dict, seed) -> int:
                          f"got {cfg['splits']!r}")
     splits = {name: bench.load_pool(_instance_files(spec, f"bench split {name!r}"))
               for name, spec in cfg["splits"].items()}
-    rows = bench.run_benchmark(splits, cfg["methods"], obj_cfg,
-                               seed if seed is not None else cfg.get("seed", 0),
-                               cfg["out_dir"])
+    bench.run_benchmark(splits, cfg["methods"], obj_cfg,
+                        seed if seed is not None else cfg.get("seed", 0), cfg["out_dir"])
     print(Path(cfg["out_dir"], "table.txt").read_text(), end="")
     return 0
 
 
 def cmd_heatmap(cfg: dict, seed) -> int:
-    inst = load_instance(cfg["instance"])
+    inst = load_instance(_path(cfg, "instance"))
     perm_spec = cfg.get("permutation", "edd")
     if perm_spec == "edd":
         perm = edd_sort(inst)
@@ -194,7 +191,7 @@ def cmd_heatmap(cfg: dict, seed) -> int:
 
 
 def cmd_oracle(cfg: dict, seed) -> int:
-    inst = load_instance(cfg["instance"])
+    inst = load_instance(_path(cfg, "instance"))
     obj_cfg = _objective(cfg)
     objective = cfg.get("objective_name", "fc")
     perm, value = bench.held_karp_best(inst, obj_cfg, objective=objective)
@@ -202,7 +199,7 @@ def cmd_oracle(cfg: dict, seed) -> int:
               "best_permutation_1based": [int(j) + 1 for j in perm]}
     out = json.dumps(record, sort_keys=True)
     if "out" in cfg:
-        Path(cfg["out"]).write_text(out + "\n")
+        Path(_path(cfg, "out")).write_text(out + "\n")
     print(out)
     return 0
 
@@ -253,7 +250,7 @@ config fields (instances: the training pool):
     "infer": f"""\
 config fields:
 {_INSTANCE_SET}
-  strategy      "mr" (checkpoint: one path) or "mpmr" (a checkpoint set)
+  strategy      "mr" (default; checkpoint: a set of one path) or "mpmr":
 {_CHECKPOINT_SET}
   inference     object: runs_per_policy, step_budget, greedy, seed
   objective     object: alpha1, alpha2, tardiness_scale

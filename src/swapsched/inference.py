@@ -10,12 +10,9 @@ global best. Run r always uses the stream derived from (seed, r) regardless of
 which policy is being evaluated, so the multipolicy runs of the final
 checkpoint coincide exactly with plain multirun -- making "multipolicy never
 loses to multirun on the same instance" a hard guarantee instead of a
-statistical tendency. It also lets a caller run such a checkpoint once and
-report the result for both strategies, as :func:`swapsched.bench.run_benchmark`
-does for RL-MR (multipolicy over a set of one checkpoint) and RL-MPMR.
-:func:`multipolicy` is the one function here that hashes and loads
-checkpoints; a slot the caller owns keeps the policy it read last, so a set of
-one is read once, not once per instance.
+statistical tendency. It also lets a caller run such a checkpoint once for
+both strategies: RL-MR, in ``bench`` and ``infer``, is :func:`multipolicy`
+over a set of one, the one function here that hashes and loads checkpoints.
 
 All runs of one policy step in lockstep as lanes of one engine
 (:func:`run_lanes`): each lane draws its uniforms from its own generator up
@@ -222,9 +219,7 @@ def multipolicy(inst: Instance, checkpoint_paths, cfg: InferenceConfig,
             if key not in held:
                 held.clear()  # free the last policy before the next is read
                 held[key] = policynet.load_checkpoint(path)[:2]
-            multiruns[digest, cfg] = multirun(inst, *held[key], cfg, obj_cfg,
-                                              strategy_name=strategy_name,
-                                              checkpoint_digest=digest)
+            multiruns[digest, cfg] = multirun(inst, *held[key], cfg, obj_cfg)
         res = multiruns[digest, cfg]
         per_run_all.extend(res.per_run_fc)
         per_policy_best.append(res.best_report.fc)
@@ -250,8 +245,14 @@ def select_checkpoints(paths, n_earlier: int = 5) -> list:
 
 
 def checkpoint_files(cfg: dict, where: str) -> list:
-    """The checkpoint set (maybe empty) of a config or bench method ``where``:
-    ``checkpoints`` if present, else :func:`select_checkpoints` of ``checkpoint_dir``."""
+    """The checkpoint set (maybe empty) of a config or bench method ``where``."""
+    for key in ("checkpoint", "checkpoint_dir"):  # open() takes a number for a descriptor
+        if not isinstance(cfg.get(key, ""), str):
+            raise ValueError(f"{where}: {key} must be a path, got {cfg[key]!r}")
+    if cfg.get("type", cfg.get("strategy", "mr")) in ("mr", "rl_mr"):
+        if "checkpoint" not in cfg:
+            raise ValueError(f"{where} needs checkpoint")
+        return [cfg["checkpoint"]]
     n_earlier = cfg.get("n_earlier", 5)
     check_count(f"{where}: n_earlier", n_earlier, 0)  # also where checkpoints wins
     if "checkpoints" in cfg:

@@ -47,6 +47,7 @@ import ctypes
 import json
 import logging
 import os
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -202,12 +203,6 @@ class SwapEnv:
     def _state(self) -> FeatureMatrix:
         return self.tables.state_features(self.perm, self.t, self.ep_cfg.step_budget)
 
-    def spawn(self) -> SwapEnv:
-        """A new env (no episode started) over the same pool and table cache."""
-        env = copy.copy(self)
-        env.episode_log = []
-        return env
-
     def step(self, action) -> tuple[FeatureMatrix, float, bool, dict]:
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
@@ -303,10 +298,14 @@ def compute_gae(rewards, values, dones, bootstrap_value, gamma, lam):
     return adv, adv + values
 
 
+# the episode log of a lane whose env a collect drops: appends to it vanish
+_NO_LOG = deque(maxlen=0)
+
+
 class _Lane:
     """One episode segment of a worker's slice in a lockstep collect."""
 
-    __slots__ = ("env", "state", "rec", "slot", "u", "prior", "keep_log")
+    __slots__ = ("env", "state", "rec", "slot", "u", "prior")
 
     def __init__(self, env: SwapEnv, state: FeatureMatrix, rec: TrajectoryBatch, slot: int,
                  u: np.ndarray, prior: list):
@@ -314,7 +313,6 @@ class _Lane:
         self.slot = slot  # index of the lane's first transition in the slice
         self.u = u  # the uniforms of its action draws, one per step
         self.prior = prior  # the episode's rewards before this collect
-        self.keep_log = True
 
 
 def _by_jobs(states) -> list[list[int]]:
@@ -353,14 +351,13 @@ class RolloutWorker:
                                self.ep_rewards))
             slot = length
         while slot < n_steps:
-            lane_env = env.spawn()
-            state = lane_env.reset(self.rng)
+            lane_env = copy.copy(env)  # the same pool and table cache
+            state = lane_env.reset(self.rng)  # a new episode, log included
             length = min(budget, n_steps - slot)
             lanes.append(_Lane(lane_env, state, rec, slot, self.rng.random(length), []))
             slot += length
-        for lane in lanes[:-1]:  # only the worker's last episode keeps its log
-            lane.keep_log = False
-            lane.env.episode_log.clear()
+        for lane in lanes[:-1]:  # only the last episode outlives the collect
+            lane.env.episode_log = _NO_LOG
         return lanes
 
     def _finish(self, lanes, rec: TrajectoryBatch, gamma: float) -> None:
@@ -412,8 +409,6 @@ class RolloutWorker:
                     rec.values[t] = out.value[r]
                     lane.state, rec.rewards[t], rec.dones[t], _ = lane.env.step(
                         (int(i[r]), int(k[r])))
-                    if not lane.keep_log:
-                        lane.env.episode_log.clear()
 
         gamma = workers[0].env.ep_cfg.gamma
         for w, plan, rec in zip(workers, plans, recs):

@@ -519,6 +519,7 @@ def _patched(payload, place, patch):
 
 
 MISSING, CKPT_DIR, INST_DIR, CKPTS = "<missing>", "<ckpt_dir>", "<inst_dir>", "<ckpts>"
+NUMBER = 999  # above any file descriptor a test holds open
 
 
 # every case names the config it reads and the field at fault
@@ -564,13 +565,34 @@ MISSING, CKPT_DIR, INST_DIR, CKPTS = "<missing>", "<ckpt_dir>", "<inst_dir>", "<
      "infer strategy 'mpmr': n_earlier must be an integer >= 0"),
     ("bench", "method", {"checkpoints": CKPTS, "n_earlier": "x"},
      "bench method 1 (rl_mpmr): n_earlier must be an integer >= 0"),
+    # a number where a path belongs, which open() would take for a file descriptor
+    ("infer", None, {"strategy": "mr", "checkpoint": NUMBER},
+     f"infer strategy 'mr': checkpoint must be a path, got {NUMBER}"),
+    ("infer", None, {"checkpoint_dir": NUMBER},
+     f"infer strategy 'mpmr': checkpoint_dir must be a path, got {NUMBER}"),
+    ("bench", None, {"methods": [{"type": "rl_mr", "checkpoint": NUMBER}]},
+     "bench method 1 (rl_mr): checkpoint must be a path"),
+    ("bench", "method", {"checkpoint_dir": NUMBER},
+     "bench method 1 (rl_mpmr): checkpoint_dir must be a path"),
+    ("infer", None, {"out": NUMBER}, f"config: out must be a file path, got {NUMBER}"),
+    ("train", None, {"resume_from": NUMBER}, "config: resume_from must be a file path"),
+    ("oracle", None, {"out": NUMBER}, "config: out must be a file path"),
+    ("heatmap", None, {"instance": NUMBER}, "config: instance must be a file path"),
+    ("oracle", None, {"instance": NUMBER}, "config: instance must be a file path"),
+    ("bench", None, {"methods": ["sa"]}, "bench method 1 must be an object, got 'sa'"),
+    ("bench", None, {"methods": {"type": "sa", "steps": 30}},
+     "methods must be a list of method objects"),
 ], ids=["bench", "validate", "infer-mr", "infer-mpmr", "train-empty", "infer-empty",
         "bench-empty", "validate-empty-over-dir", "train-empty-over-dir", "validate-missing-dir",
         "infer-missing-dir", "validate-string", "infer-string", "infer-checkpoints-string",
         "bench-checkpoints-string", "infer-empty-checkpoints-over-dir", "alpha1", "clip_param",
         "lr_start", "d_h", "gamma", "station_time_s", "greedy", "generate-array", "bench-array",
         "heatmap-array", "oracle-array", "bench-splits-array", "bench-split-string",
-        "infer-n_earlier-beside-checkpoints", "bench-n_earlier-beside-checkpoints"])
+        "infer-n_earlier-beside-checkpoints", "bench-n_earlier-beside-checkpoints",
+        "infer-checkpoint-number", "infer-checkpoint_dir-number", "bench-checkpoint-number",
+        "bench-checkpoint_dir-number", "infer-out-number", "train-resume_from-number",
+        "oracle-out-number", "heatmap-instance-number", "oracle-instance-number",
+        "bench-method-string", "bench-methods-object"])
 def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys, command,
                                                    place, patch, message):
     if command == "validate":
@@ -590,6 +612,26 @@ def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir,
     assert f"data error: {message}" in captured.err
     assert captured.out == ""  # not one instance checked, not one record or table
     assert out is None or not any(tmp_path.glob(f"{out.name}*"))  # heatmap: out.csv, out.svg
+
+
+@pytest.mark.parametrize("command,key", [("infer", "out"), ("infer", "checkpoint"),
+                                         ("train", "resume_from")])
+def test_an_open_file_descriptor_number_is_not_taken_for_a_path(tmp_path, inst_dir, ckpt_dir,
+                                                               capsys, command, key):
+    # open() takes an int for a file descriptor of the calling process: it would
+    # write into, or read, that file and then close the descriptor
+    held = tmp_path / "held.txt"
+    held.write_text("held\n")
+    payload, out = _seeded_config(command, tmp_path, inst_dir, ckpt_dir, 0)
+    if key == "checkpoint":
+        payload["strategy"] = "mr"
+    with open(held, "r+") as fh:
+        payload[key] = fh.fileno()
+        assert cli.main([command, "--config", write_cfg(tmp_path, "fd.json", payload)]) == 2
+        assert "must be a" in capsys.readouterr().err
+        os.fstat(fh.fileno())  # OSError once the descriptor is closed
+    assert held.read_text() == "held\n"
+    assert not out.exists()
 
 
 def test_bench_takes_an_empty_checkpoint_list_over_checkpoint_dir_as_a_warning_row(

@@ -91,7 +91,8 @@ def test_only_schedcore_uses_the_reference_objectives(name):
 
 # the config keys of the instance and checkpoint sets, the patterns that list
 # their directories, and the one reader of each set (with its listing helper)
-SET_KEYS = {"instances", "instance_dir", "checkpoints", "checkpoint_dir", "*.json", "*.ckpt"}
+SET_KEYS = {"instances", "instance_dir", "checkpoint", "checkpoints", "checkpoint_dir", "*.json",
+            "*.ckpt"}
 SET_READERS = {("cli", "_instance_files"), ("bench", "pool_files"),
                ("inference", "checkpoint_files")}
 
@@ -124,8 +125,8 @@ def test_set_read_check_sees_keys_and_globs_outside_the_readers():
     assert _set_reads("bench", source) == ["f: *.ckpt", "f: .glob", "f: instances"]
 
 
-# the calls that read a checkpoint file, which in bench and inference only
-# inference.multipolicy makes: it alone hashes, reuses and loads policies
+# the calls that read a checkpoint file, which in bench, cli and inference
+# only inference.multipolicy makes: it alone hashes, reuses and loads policies
 CHECKPOINT_READS = {"load_checkpoint", "checkpoint_digest"}
 
 
@@ -145,7 +146,7 @@ def _checkpoint_reads(source: str) -> list[str]:
     return sorted(reads)
 
 
-@pytest.mark.parametrize("name", ["bench", "inference"])
+@pytest.mark.parametrize("name", ["bench", "cli", "inference"])
 def test_only_multipolicy_reads_checkpoints(name):
     source = Path(swapsched.__file__).with_name(f"{name}.py").read_text()
     assert _checkpoint_reads(source) == []
