@@ -16,11 +16,22 @@ word that Lemire's rule rejects. A proposal costs one ``swap_pair`` call and
 one ``ObjectiveTables.swap_deltas`` call, and the temperature is computed
 only for moves that lower fc. ``sa_accept`` takes any object with a
 ``.random()`` method, a ``Generator`` included.
+
+Most proposals of a cooled schedule are turned down by ``sa_accept``'s
+``-700`` cut, which draws nothing and changes nothing. So between scalar
+steps, while no half-word is kept, ``sa_optimize`` screens the undrawn rest
+of the current chunk (``_rejected_run``) and commits the leading run of
+certain rejections at once: the step, the stream (``_RawDraws.skip``) and
+the trace advance together, and the first other proposal takes the scalar
+step as before. A screen that commits nothing doubles the scalar steps
+before the next one, so hot schedules, where most steps draw, skip it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +108,12 @@ class SAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.t_min <= self.t_max):
-            raise ValueError("need 0 < t_min <= t_max")
+        if not (0 < self.t_min <= self.t_max < math.inf):
+            raise ValueError(f"need 0 < t_min <= t_max < inf, got t_min={self.t_min!r}, "
+                             f"t_max={self.t_max!r}")
+        if self.t_min / self.t_max == 0:  # the schedule would divide by zero
+            raise ValueError(f"t_min / t_max underflows to 0: t_min={self.t_min!r}, "
+                             f"t_max={self.t_max!r}")
         check_count("steps", self.steps, 0)
         check_count("seed", self.seed, 0)
 
@@ -146,7 +161,8 @@ def _pair_decoder(n: int):
     (``integers(1)`` draws nothing), so every flag is False.
     """
     if n < 3:
-        no_pairs = ([0] * _CHUNK, [0] * _CHUNK, [False] * _CHUNK)
+        zeros = np.zeros(_CHUNK, dtype=np.intp)
+        no_pairs = (zeros, zeros, zeros.astype(bool))
         return lambda words: no_pairs
     low = np.uint64(_LOW_32)
     r_i, r_k = np.uint64(n), np.uint64(n - 1)
@@ -159,7 +175,7 @@ def _pair_decoder(n: int):
         k = m_k >> np.uint64(32)
         k += k >= i
         ok = ((m_i & low) >= floor_i) & ((m_k & low) >= floor_k)
-        return i.tolist(), k.tolist(), ok.tolist()
+        return i.astype(np.intp), k.astype(np.intp), ok
 
     return decode
 
@@ -183,22 +199,51 @@ class _RawDraws:
     two scalar ``integers`` from the same word otherwise.
     ``test_raw_draws_match_generator`` and ``test_swap_pairs_match_generator``
     pin all of this to ``Generator``.
+
+    A run of proposals that each take their decoded pair and draw no
+    ``random()`` consumes one entry each, so ``sa_optimize`` can commit such
+    a run from :meth:`pending` (the undrawn rest of the chunk, as the list
+    iterator's length hint counts it) and drop its entries with :meth:`skip`
+    (``itertools.islice`` on the chunk's ``zip``), leaving the per-entry path
+    a generator's ``__next__`` as before.
     """
 
-    __slots__ = ("_next_entry", "_half", "_n")
+    __slots__ = ("_next_entry", "_half", "_n", "_chunk")
 
     def __init__(self, seed, n: int = 0):
         bit_generator = np.random.default_rng(seed).bit_generator
         decode = _pair_decoder(n)
+        chunk = [None]  # the current chunk's entry iterators and decoded arrays
 
         def entries():
             while True:
                 words = bit_generator.random_raw(_CHUNK)
-                yield from zip(words.tolist(), *decode(words))
+                arrays = decode(words)
+                lists = [a.tolist() for a in arrays]
+                rest = iter(words.tolist())  # its length hint: the undrawn entries
+                chunk[0] = (rest, zip(rest, *lists), arrays, lists)
+                yield from chunk[0][1]
 
         self._next_entry = entries().__next__
         self._half = None  # the kept high half, if any
         self._n = n
+        self._chunk = chunk
+
+    def pending(self):
+        """``(start, arrays, lists)`` after the first draw: the decoded
+        ``(i, k, ok)`` of the current chunk as numpy arrays and as lists, and
+        the index of its first undrawn entry (``_CHUNK`` once all are drawn).
+        None while a half is kept: the next swap pair draws from it."""
+        if self._half is not None:
+            return None
+        rest, _, arrays, lists = self._chunk[0]
+        return _CHUNK - rest.__length_hint__(), arrays, lists
+
+    def skip(self, count: int) -> None:
+        """Draw the next ``count`` entries of the current chunk unread: the
+        draws of ``count`` proposals that each took their decoded pair.
+        ``count`` is at most the number of undrawn entries :meth:`pending` shows."""
+        next(itertools.islice(self._chunk[0][1], count, count), None)
 
     def _next_half(self) -> int:
         x = self._half
@@ -247,6 +292,44 @@ class _RawDraws:
         return (self._next_entry()[0] >> 11) * 2.0 ** -53
 
 
+# sa_accept's cut, with a margin for the rounding of pow and of the division
+_CERTAIN_CUT = -700.0 * (1 + 1e-9)
+_SCAN = 128  # proposals screened one by one before a block screen is likely to pay
+_SCREEN_WAIT_MAX = 1024  # scalar steps between screens at most
+
+
+def _rejected_run(tables: ObjectiveTables, current: list, draws, step: int,
+                  cfg: SAConfig, scan: bool) -> int:
+    """The number of leading undrawn proposals of ``draws`` (see
+    :meth:`_RawDraws.pending`), made from ``current`` at steps ``step``,
+    ``step + 1``, ..., that :func:`sa_accept` certainly turns down without a
+    draw: the pair came decoded (``ok``) and lowers fc by more than 700 times
+    the temperature at ``step``, which is at least the later steps'.
+
+    With ``scan``, the first ``_SCAN`` take the scalar kernel one by one, so
+    that a short run costs less than its steps; the rest of the chunk takes
+    :meth:`ObjectiveTables.swap_deltas_block` at once.
+    """
+    start, arrays, (i, k, ok) = draws
+    end = min(_CHUNK, start + cfg.steps - step)
+    neg_alpha1, alpha2 = -tables.alpha1, tables.alpha2
+    limit = _CERTAIN_CUT * sa_temperature(step, cfg)
+    swap_deltas = tables.swap_deltas
+    scanned = min(end, start + _SCAN) if scan else start
+    for at in range(start, scanned):
+        if not ok[at]:
+            return at - start
+        d1, d2 = swap_deltas(current, i[at], k[at])
+        if not neg_alpha1 * d1 + alpha2 * d2 < limit:
+            return at - start
+    if scanned == end:
+        return end - start
+    i, k, ok = (a[scanned:end] for a in arrays)
+    d1, d2 = tables.swap_deltas_block(np.array(current), i, k)
+    certain = ok & (neg_alpha1 * d1 + alpha2 * d2 < limit)
+    return scanned - start + (ok.size if certain.all() else int(certain.argmin()))
+
+
 def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
                 trace_stride: int = 0) -> SAResult:
     """Swap-based simulated annealing maximizing the combined objective.
@@ -279,27 +362,48 @@ def sa_optimize(inst: Instance, start, cfg: SAConfig, obj_cfg: ObjectiveConfig,
     trace = []
     accepted_count = 0
 
-    for step in range(steps):
-        i, k = swap_pair()
-        d1, d2 = swap_deltas(current, i, k)
-        delta_fc = neg_alpha1 * d1 + alpha2 * d2
-        # sa_accept takes every move that does not lower fc; the temperature
-        # is computed only for the others
-        accepted = delta_fc >= 0 or sa_accept(-delta_fc, t_max * ratio ** (step / steps), rng)
-        if accepted:
-            current[i], current[k] = current[k], current[i]
-            current_fc += delta_fc
-            accepted_count += 1
-            if current_fc > best_fc:
-                # re-evaluate exactly so accumulated float drift cannot leak
-                # into the reported optimum
-                exact = tables.fc(current)
-                if exact > best_fc:
-                    best = np.array(current, dtype=np.int64)
-                    best_fc = exact
-                current_fc = exact
-        if trace_stride > 0 and step % trace_stride == 0:
-            trace.append((step, current_fc, accepted))
+    # _CERTAIN_CUT's margin covers pow's rounding where its results and the
+    # temperatures are normal numbers
+    screen = inst.n_jobs >= 3 and min(ratio, cfg.t_min) >= 2 * sys.float_info.min
+    step = run = 0
+    wait = 1 if screen else steps  # scalar steps before the next screen
+    while step < steps:
+        stop = min(step + wait, steps)
+        for step in range(step, stop):
+            i, k = swap_pair()
+            d1, d2 = swap_deltas(current, i, k)
+            delta_fc = neg_alpha1 * d1 + alpha2 * d2
+            # sa_accept takes every move that does not lower fc; the
+            # temperature is computed only for the others
+            accepted = delta_fc >= 0 or sa_accept(-delta_fc, t_max * ratio ** (step / steps), rng)
+            if accepted:
+                current[i], current[k] = current[k], current[i]
+                current_fc += delta_fc
+                accepted_count += 1
+                if current_fc > best_fc:
+                    # re-evaluate exactly so accumulated float drift cannot
+                    # leak into the reported optimum
+                    exact = tables.fc(current)
+                    if exact > best_fc:
+                        best = np.array(current, dtype=np.int64)
+                        best_fc = exact
+                    current_fc = exact
+            if trace_stride > 0 and step % trace_stride == 0:
+                trace.append((step, current_fc, accepted))
+        step = stop
+        draws = rng.pending() if screen else None
+        if draws is None:
+            continue
+        # a screen after one that committed a long run goes straight to the block
+        run = _rejected_run(tables, current, draws, step, cfg, run < _SCAN)
+        if run:
+            # those steps leave everything but the draws and the trace as is
+            rng.skip(run)
+            if trace_stride > 0:
+                trace.extend((s, current_fc, False)
+                             for s in range(step + -step % trace_stride, step + run, trace_stride))
+            step += run
+        wait = 1 if run else min(2 * wait, _SCREEN_WAIT_MAX)
 
     return SAResult(best_perm=best,
                     best_report=tables.reports(best[None])[0],

@@ -33,6 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dataclass_from(cls, data: dict, override_seed=None):
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
     names = {f.name for f in fields(cls)}
     unknown = set(data) - names
     if unknown:
@@ -97,8 +99,9 @@ def _objective(cfg: dict) -> ObjectiveConfig:
 
 def cmd_generate(cfg: dict, seed) -> int:
     gen = _dataclass_from(bench.GeneratorConfig, cfg["generator"], override_seed=seed)
-    manifest = bench.generate_instances(gen, cfg["out_dir"])
-    print(f"wrote {len(manifest['files'])} instance(s) to {cfg['out_dir']} "
+    out_dir = _path(cfg, "out_dir")
+    manifest = bench.generate_instances(gen, out_dir)
+    print(f"wrote {len(manifest['files'])} instance(s) to {out_dir} "
           f"(config digest {manifest['config_digest'][:12]})")
     return 0
 
@@ -127,12 +130,13 @@ def cmd_validate(cfg: dict, seed) -> int:
 def cmd_train(cfg: dict, seed) -> int:
     pool = bench.load_pool(_instance_files(cfg))
     obj_cfg = _objective(cfg)
-    net_raw = dict(cfg.get("net", {}))
-    net_raw.setdefault("d_in", 2 * pool[0].n_stations + 2)
+    net_raw = cfg.get("net", {})
+    if isinstance(net_raw, dict):
+        net_raw = {"d_in": 2 * pool[0].n_stations + 2, **net_raw}
     net_cfg = _dataclass_from(policynet.NetConfig, net_raw)
     ppo_cfg = _dataclass_from(ppo.PPOConfig, cfg.get("ppo", {}), override_seed=seed)
     ep_cfg = _dataclass_from(ppo.EpisodeConfig, cfg.get("episode", {}))
-    result = ppo.train(pool, net_cfg, ppo_cfg, ep_cfg, obj_cfg, cfg["out_dir"],
+    result = ppo.train(pool, net_cfg, ppo_cfg, ep_cfg, obj_cfg, _path(cfg, "out_dir"),
                        pool_digest=bench.pool_digest(pool),
                        resume_from=_path(cfg, "resume_from", None))
     print(f"trained {result.env_steps} env steps; final checkpoint {result.final_checkpoint}")
@@ -167,9 +171,10 @@ def cmd_bench(cfg: dict, seed) -> int:
                          f"got {cfg['splits']!r}")
     splits = {name: bench.load_pool(_instance_files(spec, f"bench split {name!r}"))
               for name, spec in cfg["splits"].items()}
+    out_dir = _path(cfg, "out_dir")
     bench.run_benchmark(splits, cfg["methods"], obj_cfg,
-                        seed if seed is not None else cfg.get("seed", 0), cfg["out_dir"])
-    print(Path(cfg["out_dir"], "table.txt").read_text(), end="")
+                        seed if seed is not None else cfg.get("seed", 0), out_dir)
+    print(Path(out_dir, "table.txt").read_text(), end="")
     return 0
 
 

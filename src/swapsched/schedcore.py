@@ -290,6 +290,7 @@ class ObjectiveTables:
         self.f1_ref = float(self.gt[self._pos, ref].sum())
         self.f2_ref = sequence_f2(inst.proc[ref])  # objective_f2's bits
         self._gt_rows = self._dist_rows = None  # see _rows
+        self._dist_pad = None  # see swap_deltas_block
 
     def _rows(self) -> tuple[list, list]:
         # nested lists for the swap deltas (scalar indexing is several times
@@ -331,6 +332,37 @@ class ObjectiveTables:
             before += row[b]
             after += row[a]
         return (gi[b] + gk[a]) - (gi[a] + gk[b]), after - before
+
+    def swap_deltas_block(self, perm: np.ndarray, i: np.ndarray, k: np.ndarray):
+        """:meth:`swap_deltas` of each pair ``(i[j], k[j])`` of two ``(B,)``
+        position arrays on one ``(N,)`` permutation array, as two ``(B,)``
+        vectors: the same expression in the same order, so bit for bit.
+
+        A term the scalar kernel skips (no outer neighbour, or no inner one
+        when the positions are adjacent) reads the zero distance of the
+        padding job N here, and adding a zero to a sum of distances (>= 0)
+        leaves its bits unchanged.
+        """
+        n = len(perm)
+        if self._dist_pad is None:  # dist, flat, and a padding job N at distance 0
+            self._dist_pad = np.zeros((n + 1, n + 1))
+            self._dist_pad[:n, :n] = self.dist
+            self._dist_pad = self._dist_pad.ravel()
+        lo, hi = np.minimum(i, k), np.maximum(i, k)
+        a, b = perm[lo], perm[hi]
+        gt = self.gt.ravel()
+        lo_row, hi_row = lo * n, hi * n
+        d1 = (gt[lo_row + b] + gt[hi_row + a]) - (gt[lo_row + a] + gt[hi_row + b])
+        padded = np.concatenate(([n], perm, [n]))  # perm[p] at p + 1, job N past either end
+        m = n + 1  # the padded row length
+        inner = hi - lo > 1
+        left, right = padded[lo] * m, padded[hi + 2] * m
+        left_in = np.where(inner, padded[lo + 2], n) * m
+        right_in = np.where(inner, padded[hi], n) * m
+        dist = self._dist_pad
+        before = ((dist[left + a] + dist[right + b]) + dist[left_in + a]) + dist[right_in + b]
+        after = ((dist[left + b] + dist[right + a]) + dist[left_in + b]) + dist[right_in + a]
+        return d1, after - before
 
     def swap_delta(self, perm, i: int, k: int) -> float:
         """fc after swapping positions i and k minus fc before (reference

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -10,7 +11,7 @@ import pytest
 from swapsched import baselines as bl
 from swapsched.bench import (GeneratorConfig, brute_force_best, generate_instance,
                              run_benchmark)
-from swapsched.schedcore import ObjectiveConfig, is_permutation, objective_f1
+from swapsched.schedcore import ObjectiveConfig, ObjectiveTables, is_permutation, objective_f1
 from tests.conftest import make_instance
 
 
@@ -206,6 +207,11 @@ def test_sa_config_validation():
         bl.SAConfig(t_max=1.0, t_min=2.0)
     with pytest.raises(ValueError):
         bl.SAConfig(t_min=0.0)
+    for t_min, t_max in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="< inf"):
+            bl.SAConfig(t_min=t_min, t_max=t_max)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        bl.SAConfig(t_min=1e-300, t_max=1e300)
 
 
 SA_GOLDEN_FILE = Path(__file__).parent / "data" / "sa_golden.json"
@@ -246,6 +252,115 @@ def sa_golden_record(tmp_path) -> str:
 
 def test_sa_matches_golden(tmp_path):
     assert sa_golden_record(tmp_path) == SA_GOLDEN_FILE.read_text()
+
+
+def reference_sa(inst, start, cfg, obj_cfg, trace_stride):
+    """``sa_optimize`` one proposal at a time, drawing through
+    ``np.random.default_rng(cfg.seed)`` itself: the result the screen that
+    commits runs of certain rejections must keep."""
+    rng, n = np.random.default_rng(cfg.seed), inst.n_jobs
+    tables = ObjectiveTables(inst, obj_cfg, start)
+    current, best = start.tolist(), start.copy()
+    current_fc = best_fc = tables.fc(start)
+    trace, accepted_count = [], 0
+    for step in range(cfg.steps):
+        i = int(rng.integers(n))
+        k = int(rng.integers(n - 1))
+        k += k >= i
+        delta_fc = tables.swap_delta(current, i, k)
+        accepted = delta_fc >= 0 or bl.sa_accept(-delta_fc, bl.sa_temperature(step, cfg), rng)
+        if accepted:
+            current[i], current[k] = current[k], current[i]
+            current_fc += delta_fc
+            accepted_count += 1
+            if current_fc > best_fc:
+                exact = tables.fc(current)
+                if exact > best_fc:
+                    best, best_fc = np.array(current), exact
+                current_fc = exact
+        if trace_stride > 0 and step % trace_stride == 0:
+            trace.append((step, current_fc, accepted))
+    return best.tolist(), asdict(tables.reports(best[None])[0]), trace, accepted_count
+
+
+def _sa_outcome(res):
+    return res.best_perm.tolist(), asdict(res.best_report), res.trace, res.accepted
+
+
+# cases the golden file leaves out: a near-zero temperature, whose runs of
+# rejections cross the 512-word chunks, t_min == t_max (at 1e-3 runs and
+# draws mix), step counts that are no multiple of a chunk, strides 1, 7 and
+# 13, N = 2, where no pair comes decoded and so no run is committed, and
+# N = 3, the smallest N with decoded pairs
+@pytest.mark.parametrize("n", [2, 3, 20])
+@pytest.mark.parametrize("temps", [{"t_max": 1e-300, "t_min": 1e-300},
+                                   {"t_max": 1e-3, "t_min": 1e-3}, {}],
+                         ids=["near-zero", "constant", "default"])
+@pytest.mark.parametrize("steps,stride", [(1500, 1), (777, 7), (1300, 13)])
+def test_sa_matches_the_one_proposal_at_a_time_reference(n, temps, steps, stride, obj_cfg):
+    inst = generate_instance(GeneratorConfig(n_jobs=n, seed=70 + n, count=1), 0)
+    cfg = bl.SAConfig(steps=steps, seed=steps, **temps)
+    res = bl.sa_optimize(inst, bl.edd_sort(inst), cfg, obj_cfg, trace_stride=stride)
+    assert _sa_outcome(res) == reference_sa(inst, bl.edd_sort(inst), cfg, obj_cfg, stride)
+
+
+def test_a_pair_that_needs_scalar_draws_ends_a_committed_run(monkeypatch, obj_cfg):
+    # flagging a decoded pair as not ok sends it through the scalar draws,
+    # which give the same pair from the same word: nothing may change
+    inst = generate_instance(GeneratorConfig(seed=72, count=1), 0)
+    cfg = bl.SAConfig(steps=3000, seed=4)
+    expected = _sa_outcome(bl.sa_optimize(inst, bl.edd_sort(inst), cfg, obj_cfg, 5))
+    decoder = bl._pair_decoder
+
+    def flagging(n):
+        decode = decoder(n)
+
+        def flagged(words):
+            i, k, ok = decode(words)
+            return i, k, ok & (np.arange(len(ok)) % 5 != 0)
+        return flagged
+
+    monkeypatch.setattr(bl, "_pair_decoder", flagging)
+    assert _sa_outcome(bl.sa_optimize(inst, bl.edd_sort(inst), cfg, obj_cfg, 5)) == expected
+
+
+def test_a_screen_stops_at_the_first_pair_that_is_not_ok(obj_cfg):
+    # such a pair draws further halves, so no run may pass it, in the scan
+    # or in the block
+    inst = generate_instance(GeneratorConfig(seed=72, count=1), 0)
+    cfg = bl.SAConfig(t_max=1e-300, t_min=1e-300, steps=10000, seed=0)
+    tables = ObjectiveTables(inst, obj_cfg)
+    peak = bl.sa_optimize(inst, bl.edd_sort(inst), cfg, obj_cfg).best_perm
+    i, k = np.array(list(itertools.permutations(range(inst.n_jobs), 2))).T
+    d1, d2 = tables.swap_deltas_block(peak, i, k)
+    assert (-tables.alpha1 * d1 + tables.alpha2 * d2 < 0).all()  # every swap is certainly rejected
+    draws = bl._RawDraws(1, inst.n_jobs)
+    draws.random()  # the first chunk, less one word
+    start, (i, k, ok), _ = draws.pending()
+    assert start == 1 and ok.all()
+    for stop, scan in ((start + 5, True), (start + 300, True), (start + 300, False)):
+        flagged = ok.copy()
+        flagged[stop] = False
+        chunk = (start, (i, k, flagged), (i.tolist(), k.tolist(), flagged.tolist()))
+        assert bl._rejected_run(tables, peak.tolist(), chunk, 0, cfg, scan) == stop - start
+    chunk = (start, (i, k, ok), (i.tolist(), k.tolist(), ok.tolist()))
+    assert bl._rejected_run(tables, peak.tolist(), chunk, 0, cfg, True) == bl._CHUNK - start
+
+
+def test_sa_commits_the_cold_tail_without_the_scalar_kernel(monkeypatch, obj_cfg):
+    # a count, not a timing: at the default temperatures most of SA-10000 is
+    # one run of certain rejections, which the scalar kernel must not evaluate
+    calls = []
+    scalar = ObjectiveTables.swap_deltas
+
+    def counted(self, perm, i, k):
+        calls.append(None)
+        return scalar(self, perm, i, k)
+
+    monkeypatch.setattr(ObjectiveTables, "swap_deltas", counted)
+    inst = generate_instance(GeneratorConfig(seed=60, count=1), 0)
+    bl.sa_optimize(inst, bl.edd_sort(inst), bl.SAConfig(steps=10000, seed=0), obj_cfg)
+    assert 0 < len(calls) < 2000
 
 
 # ranges numpy maps with Lemire's rule, plus its edge cases: 1 draws nothing,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -582,6 +583,17 @@ NUMBER = 999  # above any file descriptor a test holds open
     ("bench", None, {"methods": ["sa"]}, "bench method 1 must be an object, got 'sa'"),
     ("bench", None, {"methods": {"type": "sa", "steps": 30}},
      "methods must be a list of method objects"),
+    # non-finite temperatures, and a ratio the schedule would divide by
+    ("bench", None, {"methods": [{"type": "sa", "steps": 30, "t_max": math.inf}]},
+     "bench method 1 (sa): need 0 < t_min <= t_max < inf"),
+    ("bench", None, {"methods": [{"type": "sa", "steps": 30, "t_min": 1e-300, "t_max": 1e300}]},
+     "bench method 1 (sa): t_min / t_max underflows to 0"),
+    ("generate", None, {"out_dir": NUMBER}, "config: out_dir must be a file path"),
+    ("train", None, {"out_dir": NUMBER}, "config: out_dir must be a file path"),
+    ("bench", None, {"out_dir": NUMBER}, "config: out_dir must be a file path"),
+    ("train", None, {"ppo": 5}, "PPOConfig must be a JSON object, got 5"),
+    ("train", None, {"net": 5}, "NetConfig must be a JSON object, got 5"),
+    ("generate", None, {"generator": 5}, "GeneratorConfig must be a JSON object, got 5"),
 ], ids=["bench", "validate", "infer-mr", "infer-mpmr", "train-empty", "infer-empty",
         "bench-empty", "validate-empty-over-dir", "train-empty-over-dir", "validate-missing-dir",
         "infer-missing-dir", "validate-string", "infer-string", "infer-checkpoints-string",
@@ -592,7 +604,9 @@ NUMBER = 999  # above any file descriptor a test holds open
         "infer-checkpoint-number", "infer-checkpoint_dir-number", "bench-checkpoint-number",
         "bench-checkpoint_dir-number", "infer-out-number", "train-resume_from-number",
         "oracle-out-number", "heatmap-instance-number", "oracle-instance-number",
-        "bench-method-string", "bench-methods-object"])
+        "bench-method-string", "bench-methods-object", "sa-t_max-inf", "sa-ratio-underflow",
+        "generate-out_dir-number", "train-out_dir-number", "bench-out_dir-number",
+        "train-ppo-number", "train-net-number", "generate-generator-number"])
 def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys, command,
                                                    place, patch, message):
     if command == "validate":
