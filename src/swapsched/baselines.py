@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
-                        check_count, check_permutation, edd_sort)
+                        check_count, check_permutation, check_real, edd_sort)
 
 __all__ = ["edd_sort", "SHConfig", "sh_schedule", "SAConfig", "SAResult",
            "sa_accept", "sa_temperature", "sa_optimize"]
@@ -108,8 +108,10 @@ class SAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.t_min <= self.t_max < math.inf):
-            raise ValueError(f"need 0 < t_min <= t_max < inf, got t_min={self.t_min!r}, "
+        check_real("t_max", self.t_max)
+        check_real("t_min", self.t_min)
+        if not 0 < self.t_min <= self.t_max:
+            raise ValueError(f"need 0 < t_min <= t_max, got t_min={self.t_min!r}, "
                              f"t_max={self.t_max!r}")
         if self.t_min / self.t_max == 0:  # the schedule would divide by zero
             raise ValueError(f"t_min / t_max underflows to 0: t_min={self.t_min!r}, "

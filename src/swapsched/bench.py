@@ -27,7 +27,6 @@ import json
 import math
 import sys
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -496,6 +495,8 @@ def export_heatmap(inst: Instance, perm, csv_path, svg_path) -> np.ndarray:
     red-to-green linear scale (mid color when all values are equal) and axis
     labels for positions and workstations.
     """
+    import xml.etree.ElementTree as ET  # here: its pyexpat adds ~0.5 MB to every process
+
     perm = check_permutation(perm, inst.n_jobs)  # before any file is opened
     buf = inst.proc[perm] - inst.station_time  # (N, W), in permutation order
     n, w = buf.shape

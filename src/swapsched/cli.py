@@ -45,8 +45,8 @@ def _dataclass_from(cls, data: dict, override_seed=None):
     try:
         return cls(**kwargs)
     except TypeError as exc:  # JSON text or a list where a number belongs
-        wrong = [k for k, v in kwargs.items()
-                 if isinstance(v, (str, list, dict)) and not isinstance(getattr(cls, k, 0), str)]
+        wrong = [k for k, v in kwargs.items() if isinstance(v, (str, list, dict, bool))
+                 and not isinstance(getattr(cls, k, 0), (str, bool))]
         raise ValueError(f"{cls.__name__} field(s) {wrong}: {exc}") from exc
 
 

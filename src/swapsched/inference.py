@@ -112,8 +112,9 @@ def run_lanes(inst: Instance, params: dict | None, net_cfg: policynet.NetConfig 
     :func:`swapsched.policynet.uniform_pair_probs` (``net_cfg`` is unused),
     the distribution a network with all-zero parameters outputs, so the
     draws are the same without building features or running a network.
-    PPO rollout collection steps its episodes as lanes the same way
-    (:meth:`swapsched.ppo.RolloutWorker.collect`).
+    PPO collection steps its episode lanes as blocks too
+    (:meth:`swapsched.ppo.RolloutWorker.collect`), over the stacked tables
+    of several instances and from lanes at different steps.
     """
     tables = ObjectiveTables(inst, obj_cfg)  # reference: the due-date sort
     sigma0 = tables.ref

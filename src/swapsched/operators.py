@@ -13,15 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schedcore import Instance, ObjectiveConfig, ObjectiveTables, check_permutation
-
-
-def check_pair(n: int, i: int, k: int) -> None:
-    """Raise ValueError unless (i, k) are two distinct positions among ``n``."""
-    if not (0 <= i < n and 0 <= k < n):
-        raise ValueError(f"positions ({i}, {k}) out of range for {n} jobs")
-    if i == k:
-        raise ValueError(f"swap positions must differ, got ({i}, {k})")
+from .schedcore import Instance, ObjectiveConfig, ObjectiveTables, check_pair, check_permutation
 
 
 def swap(perm, action) -> np.ndarray:

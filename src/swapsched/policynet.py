@@ -45,6 +45,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -118,7 +119,16 @@ def _block_size(blocks) -> int:
     return sum(math.prod(shape) for _, shape in blocks)
 
 
-def flat_views(blocks, flat: np.ndarray) -> dict:
+class FlatViews(dict):
+    """``{name: view}`` of consecutive blocks of one vector, as only
+    :func:`flat_views` builds it; :func:`flat_buffer` gives the vector back."""
+
+    def __init__(self, views: dict, flat: np.ndarray):
+        super().__init__(views)
+        self._flat, self._views = flat, tuple(views.values())
+
+
+def flat_views(blocks, flat: np.ndarray) -> FlatViews:
     """``{name: view}`` of consecutive blocks of the 1-D contiguous ``flat``.
 
     ``blocks`` are ``(name, shape)`` pairs (:func:`canonical_blocks` for a
@@ -130,27 +140,20 @@ def flat_views(blocks, flat: np.ndarray) -> dict:
         size = math.prod(shape)
         out[name] = flat[pos:pos + size].reshape(shape)
         pos += size
-    if pos != flat.size:
-        raise ValueError(f"vector has {flat.size} entries, the blocks {pos}")
-    return out
+    if pos != flat.size or flat.ndim != 1 or not flat.flags.c_contiguous:
+        raise ValueError(f"need a contiguous vector of {pos} entries, got shape {flat.shape}")
+    return FlatViews(out, flat)
 
 
 def flat_buffer(tensors: dict) -> np.ndarray | None:
     """The vector the arrays of ``tensors`` are consecutive views of, in dict
-    order and covering it exactly (see :func:`flat_views`); None otherwise."""
-    # addresses come from .ctypes.data: reading __array_interface__ in a
-    # loop retained about 0.9 MB per process (numpy 2.4.6, CPython 3.11)
-    arrays = list(tensors.values())
-    base = arrays[0].base if arrays else None
-    if base is None or base.ndim != 1 or not base.flags.c_contiguous:
+    order and covering it exactly: that of a :func:`flat_views` result still
+    holding the views it was built with, known from its type without reading
+    an address; None for any other dict (a copy, a reordering, a replaced block)."""
+    if not isinstance(tensors, FlatViews) or len(tensors) != len(tensors._views) or not all(
+            map(operator.is_, tensors.values(), tensors._views)):
         return None
-    addr = end = base.ctypes.data
-    end += base.nbytes
-    for a in arrays:
-        if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != addr:
-            return None
-        addr += a.nbytes
-    return base if addr == end else None
+    return tensors._flat
 
 
 def init_params(cfg: NetConfig, seed: int = 0, dtype=np.float32) -> dict:
@@ -686,7 +689,7 @@ def checkpoint_digest(path) -> str:
 
 __all__ = [
     "LN_EPS", "NetConfig", "NetOutput", "canonical_blocks", "init_params",
-    "zero_params", "flat_views", "flat_buffer",
+    "zero_params", "FlatViews", "flat_views", "flat_buffer",
     "positional_encoding", "embed_jobs", "encoder_layer", "pool_and_integrate",
     "compatibility", "critic_value", "forward", "backward", "pick_actions",
     "sample_action", "uniform_pair_probs", "prob_entropy",

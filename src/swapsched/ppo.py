@@ -8,55 +8,42 @@ permutations. A sparser best-improvement reward is available for ablation.
 
 Training is single-process PPO. With several rollout workers, each owns an
 independent environment stream and generator, so results depend only on
-(seed, worker count). A collect steps every episode of every worker's slice
-as a lane of one lockstep (:meth:`RolloutWorker.collect`): a worker's
-generator draws do not depend on the policy, so they are made first, in the
-order a one-state loop makes them, and one batch-invariant forward per step
-serves all lanes; the result is bitwise that of collecting one state at a
-time, one worker after another. One update consumes exactly
-``train_batch_size`` transitions, computes GAE per worker slice (bootstrapping
-episodes cut at the slice end), normalizes advantages batch-wide and runs
-``epochs_per_batch`` epochs of minibatch Adam steps on the clipped surrogate
-loss. Gradients come from :func:`swapsched.policynet.backward`.
+(seed, worker count). A collect steps the episodes of all workers' slices as
+lanes, one block per job count (:meth:`RolloutWorker.collect`), bitwise as
+if one state were collected at a time, one worker after another. One update
+consumes exactly ``train_batch_size`` transitions, computes GAE per worker
+slice (bootstrapping episodes cut at the slice end), normalizes advantages
+batch-wide and runs ``epochs_per_batch`` epochs of minibatch Adam steps on
+the clipped surrogate loss.
 
-The per-step costs are kept out of the loop without changing a bit of the
-results. The environment builds each instance's
-:class:`~swapsched.schedcore.ObjectiveTables` once and scores every step with
-its ``fc``, the scorer the inference lanes and SA use too, bitwise the full
-objective. Parameters, gradients and both Adam moments each live in one flat
-float vector whose blocks the name-keyed dicts are views of, so an optimizer
-step is a few vector operations, and the clip norm squares that vector once.
-
-A ``train`` process keeps up to 64 MiB of freed heap (glibc ``mallopt``,
-set at the start of :func:`train`). Each minibatch frees its forward cache
-and gradients, about 1.4 MB at desk scale, at the top of the heap; glibc
-would hand that memory back to the kernel and the next minibatch would fault
-it in again, about 780 minor page faults per desk-scale minibatch step and
-5,100 per paper-scale one. With the heap kept, the steps after the first take
-next to none; ``resource.getrusage(RUSAGE_SELF).ru_minflt`` counts them. The
-gain needs glibc: where ``mallopt`` is missing (musl, macOS) memory is trimmed
-as before. Nothing computed changes either way.
-Checkpoints and their trainer-state sidecars are written to temporary names
-and moved into place, so a crash leaves no torn resume point.
+Each instance's :class:`~swapsched.schedcore.ObjectiveTables` is built once
+and scores every step, bitwise the full objective. Parameters, gradients
+(from :func:`swapsched.policynet.backward`) and both Adam moments each live in
+one flat vector that the name-keyed dicts are views of
+(:class:`~swapsched.policynet.FlatViews`): the clip norm squares the gradient
+vector once and an optimizer step is a few vector operations, neither looking
+at a view's address. A ``train`` process keeps up to 64 MiB of freed heap
+(:func:`_keep_freed_heap`). Checkpoints and their trainer-state sidecars are
+written to temporary names and moved into place, so a crash leaves no torn
+resume point.
 """
 
 from __future__ import annotations
 
 import copy
 import ctypes
+import itertools
 import json
 import logging
 import os
-from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import policynet
-from .operators import check_pair
 from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig, ObjectiveTables,
-                        check_count, check_permutation)
+                        check_count, check_pair, check_permutation, check_real)
 
 log = logging.getLogger(__name__)
 
@@ -71,10 +58,18 @@ class EpisodeConfig:
 
     def __post_init__(self):
         check_count("step_budget", self.step_budget, 1)
+        check_real("gamma", self.gamma)
         if not 0 <= self.gamma <= 1:
             raise ValueError("gamma must lie in [0, 1]")
         if self.reward_mode not in ("dense", "best_improvement"):
             raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
+
+    def reward(self, best_fc, fc):
+        """The reward of a step to fc ``fc`` against the incumbent ``best_fc``
+        (floats, or arrays of lanes)."""
+        if self.reward_mode == "dense":
+            return fc / self.step_budget
+        return best_improvement_reward(best_fc, fc)
 
 
 @dataclass(frozen=True)
@@ -138,9 +133,11 @@ def lr_schedule(step: int, cfg: PPOConfig) -> float:
     return lr
 
 
-def best_improvement_reward(best_fc: float, new_fc: float) -> float:
-    """Sparse alternative reward: positive only when the incumbent improves."""
-    return max(0.0, new_fc - best_fc)
+def best_improvement_reward(best_fc, new_fc):
+    """Sparse alternative reward: positive only when the incumbent improves
+    (``max(0.0, new_fc - best_fc)``, of each lane for arrays)."""
+    gain = np.subtract(new_fc, best_fc)
+    return np.where(gain > 0, gain, 0.0)[()]
 
 
 class SwapEnv:
@@ -149,7 +146,9 @@ class SwapEnv:
     ``reset`` draws an instance uniformly and starts from its due-date sort
     (combined objective 0 by construction); ``step`` applies one swap. The
     per-episode log of (action, fc) supports replay checks and the return
-    identity test.
+    identity test. ``reset``, ``step`` and the state methods are the
+    one-state reference: :meth:`RolloutWorker.collect` steps many episodes
+    as one block and leaves each worker's env as these would.
 
     Each instance's :class:`ObjectiveTables` (reference: its due-date sort)
     is built on its first episode and reused. A step checks only the action
@@ -191,6 +190,11 @@ class SwapEnv:
 
     def reset(self, rng: np.random.Generator) -> FeatureMatrix:
         """Start an episode on an instance drawn with one ``rng.integers`` call."""
+        self._begin(rng)
+        return self._state()
+
+    def _begin(self, rng: np.random.Generator) -> None:
+        """:meth:`reset` without building the start state's features."""
         self._select(int(rng.integers(len(self.pool))))
         self.perm = self.sigma0.copy()  # checked when its tables were built
         self.t = 0
@@ -198,7 +202,6 @@ class SwapEnv:
         self.best_perm = self.perm.copy()
         self.best_fc = 0.0  # fc of the reference against itself
         self.episode_log = []
-        return self._state()
 
     def _state(self) -> FeatureMatrix:
         return self.tables.state_features(self.perm, self.t, self.ep_cfg.step_budget)
@@ -212,17 +215,14 @@ class SwapEnv:
         perm[i], perm[k] = perm[k], perm[i]
         self.perm = perm
         fc = self.tables.fc(perm)
-        if self.ep_cfg.reward_mode == "dense":
-            reward = fc / self.ep_cfg.step_budget
-        else:
-            reward = best_improvement_reward(self.best_fc, fc)
+        reward = float(self.ep_cfg.reward(self.best_fc, fc))
         if fc > self.best_fc:
             self.best_fc = fc
             self.best_perm = perm.copy()
         self.t += 1
         self.done = self.t >= self.ep_cfg.step_budget
         self.episode_log.append({"action": (int(i), int(k)), "fc": fc, "reward": reward})
-        return self._state(), float(reward), self.done, {"fc": fc, "best_fc": self.best_fc}
+        return self._state(), reward, self.done, {"fc": fc, "best_fc": self.best_fc}
 
     def get_state(self) -> dict:
         return {
@@ -275,6 +275,13 @@ class TrajectoryBatch:
                    n_jobs=np.empty(n, np.int64), log_probs=np.empty(n), rewards=np.empty(n),
                    values=np.empty(n), dones=np.empty(n, bool), bootstrap_value=0.0)
 
+    @classmethod
+    def join(cls, parts: list[TrajectoryBatch]) -> TrajectoryBatch:
+        """The transitions and episode returns of ``parts``, in order."""
+        return cls([x for p in parts for x in p.features],
+                   *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)[1:8]),
+                   0.0, [r for p in parts for r in p.episode_returns])
+
 
 def compute_gae(rewards, values, dones, bootstrap_value, gamma, lam):
     """GAE recursion; returns raw advantages and value targets.
@@ -298,35 +305,60 @@ def compute_gae(rewards, values, dones, bootstrap_value, gamma, lam):
     return adv, adv + values
 
 
-# the episode log of a lane whose env a collect drops: appends to it vanish
-_NO_LOG = deque(maxlen=0)
-
-
 class _Lane:
-    """One episode segment of a worker's slice in a lockstep collect."""
+    """One episode segment of a worker's slice in a lockstep collect: the env
+    that holds its episode, the uniforms of its action draws, its first
+    transition's slot, the episode's rewards before the collect and, once
+    stepped, the fc after each of its steps."""
 
-    __slots__ = ("env", "state", "rec", "slot", "u", "prior")
+    __slots__ = ("env", "u", "slot", "prior", "fc")
 
-    def __init__(self, env: SwapEnv, state: FeatureMatrix, rec: TrajectoryBatch, slot: int,
-                 u: np.ndarray, prior: list):
-        self.env, self.state, self.rec = env, state, rec
-        self.slot = slot  # index of the lane's first transition in the slice
-        self.u = u  # the uniforms of its action draws, one per step
-        self.prior = prior  # the episode's rewards before this collect
-
-
-def _by_jobs(states) -> list[list[int]]:
-    """Indices of ``states`` grouped by job count, each group in order."""
-    groups: dict[int, list[int]] = {}
-    for idx, state in enumerate(states):
-        groups.setdefault(state.per_job.shape[0], []).append(idx)
-    return list(groups.values())
+    def __init__(self, env: SwapEnv, u: np.ndarray, slot: int, prior: list):
+        self.env, self.u, self.slot, self.prior = env, u, slot, prior
 
 
-def _forward(params, net_cfg, states):
-    """One batched forward over same-N states; row r is ``states[r]`` alone."""
-    return policynet.forward(params, net_cfg, np.stack([s.per_job for s in states]),
-                             np.array([s.general for s in states]))
+def _step_lanes(lanes: list[_Lane], params, net_cfg, ep_cfg: EpisodeConfig,
+                rec: TrajectoryBatch) -> None:
+    """Step same-N lanes, longest first, as one block; write each transition
+    into ``rec`` and leave each lane's env as :meth:`SwapEnv.step` would, its
+    episode log aside. Per step, on the active lanes' ``(L, N)`` permutations:
+    one feature build, one forward, each lane's pick with its own uniform,
+    one pair check, one swap and one :meth:`ObjectiveTables.fc` of the lanes'
+    stacked tables. Row r is bitwise lane r's one-state step.
+    """
+    envs, stacks = [lane.env for lane in lanes], {}  # stacks: of the first m lanes' tables
+    perms, best, best_fc, t0 = (np.array([getattr(env, a) for env in envs])
+                                for a in ("perm", "best_perm", "best_fc", "t"))
+    slots, lengths = np.array([(lane.slot, len(lane.u)) for lane in lanes]).T
+    u, n, budget = np.zeros((len(lanes), lengths[0])), perms.shape[1], ep_cfg.step_budget
+    for r, lane in enumerate(lanes):
+        u[r, :lengths[r]] = lane.u
+    fc_log = np.empty_like(u)
+    for s in range(lengths[0]):
+        m = int(np.count_nonzero(lengths > s))  # the active lanes are a prefix
+        at, p, t = slots[:m] + s, perms[:m], t0[:m] + s
+        if m not in stacks:
+            stacks[m] = ObjectiveTables.stack([env.tables for env in envs[:m]])
+        fm = stacks[m].state_features(p, t, budget)
+        out = policynet.forward(params, net_cfg, fm.per_job, fm.general)
+        i, k, rec.log_probs[at] = policynet.pick_actions(out.prob_matrix, u[:m, s])
+        for j, x in zip(at.tolist(), fm.per_job):
+            rec.features[j] = x
+        rec.generals[at], rec.values[at] = fm.general, out.value
+        rec.action_flat[at], rec.n_jobs[at] = i * n + k, n
+        check_pair(n, i, k)
+        rows = np.arange(m)
+        p[rows, i], p[rows, k] = p[rows, k], p[rows, i]
+        fc = fc_log[:m, s] = stacks[m].fc(p)
+        rec.rewards[at] = ep_cfg.reward(best_fc[:m], fc)
+        rec.dones[at] = t + 1 >= budget
+        better = fc > best_fc[:m]
+        best_fc[:m][better], best[:m][better] = fc[better], p[better]
+    for r, (lane, env) in enumerate(zip(lanes, envs)):  # rows no step writes any more
+        env.perm, env.best_perm, env.best_fc = perms[r], best[r], float(best_fc[r])
+        env.t += len(lane.u)
+        env.done = env.t >= budget
+        lane.fc = fc_log[r, :len(lane.u)]
 
 
 class RolloutWorker:
@@ -338,38 +370,40 @@ class RolloutWorker:
         self.state: FeatureMatrix | None = None
         self.ep_rewards: list[float] = []
 
-    def _lanes(self, rec: TrajectoryBatch) -> list[_Lane]:
-        """Split the slice ``rec`` into episode lanes, drawing as a one-state
-        loop would: per episode one ``integers`` call at the reset, then one
-        ``random`` call per step (the action's uniform, whatever the policy).
+    def _lanes(self, n_steps: int, base: int) -> list[_Lane]:
+        """Split the next ``n_steps`` transitions (slots ``base`` on) into
+        episode lanes, drawing as a one-state loop would: per episode one
+        ``integers`` call at the reset, then one ``random`` call per step (the
+        action's uniform, whatever the policy).
         """
-        env, budget, n_steps = self.env, self.env.ep_cfg.step_budget, len(rec.features)
+        env, budget = self.env, self.env.ep_cfg.step_budget
         lanes, slot = [], 0
         if n_steps and self.state is not None and not env.done:
             length = min(budget - env.t, n_steps)  # the episode carried in
-            lanes.append(_Lane(env, self.state, rec, 0, self.rng.random(length),
-                               self.ep_rewards))
+            lanes.append(_Lane(env, self.rng.random(length), base, self.ep_rewards))
             slot = length
         while slot < n_steps:
             lane_env = copy.copy(env)  # the same pool and table cache
-            state = lane_env.reset(self.rng)  # a new episode, log included
+            lane_env._begin(self.rng)  # a new episode
             length = min(budget, n_steps - slot)
-            lanes.append(_Lane(lane_env, state, rec, slot, self.rng.random(length), []))
+            lanes.append(_Lane(lane_env, self.rng.random(length), base + slot, []))
             slot += length
-        for lane in lanes[:-1]:  # only the last episode outlives the collect
-            lane.env.episode_log = _NO_LOG
         return lanes
 
-    def _finish(self, lanes, rec: TrajectoryBatch, gamma: float) -> None:
-        """Take over the last lane's episode; log the slice's episode returns."""
+    def _finish(self, lanes, every: TrajectoryBatch, rec: TrajectoryBatch) -> None:
+        """Log the slice's episode returns; take over the last lane's episode."""
         for lane in lanes:
-            end = lane.slot + len(lane.u)
-            self.ep_rewards = lane.prior + rec.rewards[lane.slot:end].tolist()
-            if rec.dones[end - 1]:
-                gamma_pows = gamma ** np.arange(len(self.ep_rewards))
+            span = slice(lane.slot, lane.slot + len(lane.u))
+            self.ep_rewards = lane.prior + every.rewards[span].tolist()
+            if every.dones[span][-1]:
+                gamma_pows = self.env.ep_cfg.gamma ** np.arange(len(self.ep_rewards))
                 rec.episode_returns.append(float(np.dot(gamma_pows, self.ep_rewards)))
-        if lanes:
-            self.env, self.state = lanes[-1].env, lanes[-1].state
+        if lanes:  # lane and span are the last lane's, whose log outlives the collect
+            i, k = np.divmod(every.action_flat[span], len(lane.env.perm))
+            lane.env.episode_log = lane.env.episode_log + [
+                {"action": pair, "fc": fc, "reward": reward} for pair, fc, reward in
+                zip(zip(i.tolist(), k.tolist()), lane.fc.tolist(), every.rewards[span].tolist())]
+            self.env, self.state = lane.env, lane.env._state()
 
     @staticmethod
     def collect(workers, params, net_cfg, n_steps: int) -> list[TrajectoryBatch]:
@@ -377,47 +411,37 @@ class RolloutWorker:
 
         Every episode segment of every worker's slice -- the episode carried
         in from the previous collect, the full ones, the one cut at the
-        slice end -- is a lane. All lanes step together: one batched
-        :func:`~swapsched.policynet.forward` per job count per step, each
-        action picked with the lane's own pre-drawn uniform
-        (:func:`~swapsched.policynet.pick_actions`), then each lane's
-        :meth:`SwapEnv.step`. The forward is batch-invariant and a worker's
-        draws do not depend on the policy, so the slices, generators,
-        environments, episode rewards and bootstrap values are bitwise those
-        of collecting one state at a time, one worker after another.
+        slice end -- is a lane. The lanes of one job count step as one block
+        (:func:`_step_lanes`): per step one feature build, one batched
+        :func:`~swapsched.policynet.forward`, each action picked with its
+        lane's own pre-drawn uniform (:func:`~swapsched.policynet.pick_actions`),
+        then one pair check, swap and score for the block; no
+        :meth:`SwapEnv.step` runs. The forward is batch-invariant, stacked
+        tables score each row as its own instance's do, and a worker's draws
+        do not depend on the policy, so the slices, generators, environments
+        (the carried episode's log included), episode rewards and bootstrap
+        values are bitwise those of collecting one state at a time, one
+        worker after another.
         """
-        recs = [TrajectoryBatch.empty(n_steps) for _ in workers]
-        plans = [w._lanes(rec) for w, rec in zip(workers, recs)]
-        lanes = [lane for plan in plans for lane in plan]
-        groups = [[lanes[j] for j in g] for g in _by_jobs([lane.state for lane in lanes])]
-        for s in range(max((len(lane.u) for lane in lanes), default=0)):
-            for group in groups:
-                active = [lane for lane in group if len(lane.u) > s]
-                if not active:
-                    continue
-                out = _forward(params, net_cfg, [lane.state for lane in active])
-                i, k, logp = policynet.pick_actions(out.prob_matrix,
-                                                    [lane.u[s] for lane in active])
-                n = active[0].state.per_job.shape[0]
-                for r, lane in enumerate(active):
-                    rec, t = lane.rec, lane.slot + s
-                    rec.features[t] = lane.state.per_job
-                    rec.generals[t] = lane.state.general
-                    rec.action_flat[t] = i[r] * n + k[r]
-                    rec.n_jobs[t] = n
-                    rec.log_probs[t] = logp[r]
-                    rec.values[t] = out.value[r]
-                    lane.state, rec.rewards[t], rec.dones[t], _ = lane.env.step(
-                        (int(i[r]), int(k[r])))
-
-        gamma = workers[0].env.ep_cfg.gamma
+        every = TrajectoryBatch.empty(len(workers) * n_steps)
+        plans = [w._lanes(n_steps, j * n_steps) for j, w in enumerate(workers)]
+        lanes = sorted((lane for plan in plans for lane in plan),
+                       key=lambda lane: (len(lane.env.perm), -len(lane.u)))
+        for _, group in itertools.groupby(lanes, key=lambda lane: len(lane.env.perm)):
+            _step_lanes(list(group), params, net_cfg, workers[0].env.ep_cfg, every)
+        recs = [TrajectoryBatch(*(getattr(every, f.name)[j * n_steps:(j + 1) * n_steps]
+                                  for f in fields(every)[:8]), bootstrap_value=0.0)
+                for j in range(len(workers))]  # views of each worker's slice
         for w, plan, rec in zip(workers, plans, recs):
-            w._finish(plan, rec, gamma)
-        cut = [(w, rec) for w, rec in zip(workers, recs) if not w.env.done]
-        for g in _by_jobs([w.state for w, _ in cut]):  # bootstrap from v(s_next)
-            out = _forward(params, net_cfg, [cut[j][0].state for j in g])
-            for r, j in enumerate(g):
-                cut[j][1].bootstrap_value = float(out.value[r])
+            w._finish(plan, every, rec)
+        cut = sorted(((w.state, rec) for w, rec in zip(workers, recs) if not w.env.done),
+                     key=lambda c: len(c[0].per_job))
+        for _, group in itertools.groupby(cut, key=lambda c: len(c[0].per_job)):
+            states, cut_recs = zip(*group)  # bootstrap from v(s_next)
+            out = policynet.forward(params, net_cfg, np.stack([s.per_job for s in states]),
+                                    np.array([s.general for s in states]))
+            for rec, value in zip(cut_recs, out.value.tolist()):
+                rec.bootstrap_value = value
         return recs
 
     def get_state(self) -> dict:
@@ -495,12 +519,12 @@ def ppo_loss_and_grads(params, net_cfg, features, generals, action_flat,
     return float(loss), grads, metrics
 
 
-def _accumulate(total: dict | None, grads: dict) -> dict:
-    if total is None:
-        return grads
-    for k in total:
-        total[k] += grads[k]
-    return total
+def _vector(tensors: dict, what: str) -> np.ndarray:
+    """The flat vector of ``tensors`` (:func:`swapsched.policynet.flat_buffer`)."""
+    flat = policynet.flat_buffer(tensors)
+    if flat is None:
+        raise ValueError(f"{what} are not views of one flat vector")
+    return flat
 
 
 def global_grad_norm(grads: dict) -> float:
@@ -511,10 +535,7 @@ def global_grad_norm(grads: dict) -> float:
     its own and the block sums are added in block order, bitwise the sum of
     the per-block ``np.sum(g.astype(np.float64) ** 2)``.
     """
-    flat = policynet.flat_buffer(grads)
-    if flat is None:
-        raise ValueError("grads are not views of one flat vector")
-    sq = flat.astype(np.float64)
+    sq = _vector(grads, "grads").astype(np.float64)
     sq *= sq
     total, pos = 0, 0
     for g in grads.values():
@@ -526,9 +547,7 @@ def global_grad_norm(grads: dict) -> float:
 def clip_grads_(grads: dict, max_norm: float | None) -> float:
     norm = global_grad_norm(grads)
     if max_norm is not None and norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        _vector(grads, "grads")[...] *= max_norm / norm
     return norm
 
 
@@ -546,23 +565,18 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         layout = [(k, np.shape(v)) for k, v in params.items()]
-        self._params = policynet.flat_buffer(params)
-        if self._params is None:
-            raise ValueError("params are not views of one flat vector")
-        self._names = list(params)
-        self._views = list(params.values())
+        self._params, self._names = _vector(params, "params"), list(params)
         self._m = np.zeros_like(self._params)
         self._v = np.zeros_like(self._params)
         self.m = policynet.flat_views(layout, self._m)
         self.v = policynet.flat_views(layout, self._v)
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
-        if len(params) != len(self._views) or any(
-                a is not b for a, b in zip(params.values(), self._views)):
+        if policynet.flat_buffer(params) is not self._params:
             raise ValueError("params are not the views this optimizer was built on")
-        g = policynet.flat_buffer(grads)
-        if g is None or list(grads) != self._names:
-            raise ValueError("grads are not views of one flat vector in parameter order")
+        g = _vector(grads, "grads")
+        if list(grads) != self._names:
+            raise ValueError("grads are not in parameter order")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1 ** self.t
@@ -611,7 +625,10 @@ def ppo_update(params, net_cfg, batch: TrajectoryBatch, adv, targets,
                     [batch.features[j] for j in sel], batch.generals[sel],
                     batch.action_flat[sel], batch.log_probs[sel],
                     adv[sel], targets[sel], cfg, denom)
-                grads_total = _accumulate(grads_total, grads)
+                if grads_total is None:
+                    grads_total = grads
+                else:
+                    _vector(grads_total, "grads")[...] += _vector(grads, "grads")
                 for key in ("policy_loss", "value_loss", "entropy"):
                     agg[key] += metrics[key]
                 for key in ("approx_kl", "clip_frac"):
@@ -764,8 +781,14 @@ def _keep_freed_heap() -> bool:
     """Have glibc malloc keep up to 64 MiB of freed heap instead of returning
     it to the kernel; True if both settings took effect.
 
-    Both thresholds are set: fixing only the trim threshold also switches off
-    the sliding mmap threshold, and large blocks go back to fresh mmaps.
+    Each minibatch frees its forward cache and gradients (about 1.4 MB at desk
+    scale) at the top of the heap. Trimmed, the next minibatch faults it in
+    again: about 780 minor page faults (``getrusage(...).ru_minflt``) per
+    desk-scale step and 5,100 per paper-scale one; kept, next to none. Both
+    thresholds are set: fixing only the trim threshold also switches off the
+    sliding mmap threshold, and large blocks go back to fresh mmaps. Without
+    glibc's ``mallopt`` (musl, macOS) memory is trimmed as usual. Nothing
+    computed changes either way.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -869,26 +892,10 @@ def train(pool: list[Instance], net_cfg: policynet.NetConfig, ppo_cfg: PPOConfig
     try:
         while env_step < ppo_cfg.total_env_steps:
             slices = RolloutWorker.collect(workers, params, net_cfg, quota)
-
-            adv_parts, tgt_parts = [], []
-            for slc in slices:
-                a, t = compute_gae(slc.rewards, slc.values, slc.dones,
-                                   slc.bootstrap_value, ep_cfg.gamma, ppo_cfg.gae_lambda)
-                adv_parts.append(a)
-                tgt_parts.append(t)
-            batch = TrajectoryBatch(
-                features=[f for s in slices for f in s.features],
-                generals=np.concatenate([s.generals for s in slices]),
-                action_flat=np.concatenate([s.action_flat for s in slices]),
-                n_jobs=np.concatenate([s.n_jobs for s in slices]),
-                log_probs=np.concatenate([s.log_probs for s in slices]),
-                rewards=np.concatenate([s.rewards for s in slices]),
-                values=np.concatenate([s.values for s in slices]),
-                dones=np.concatenate([s.dones for s in slices]),
-                bootstrap_value=0.0,
-                episode_returns=[r for s in slices for r in s.episode_returns])
-            adv = np.concatenate(adv_parts)
-            targets = np.concatenate(tgt_parts)
+            adv, targets = (np.concatenate(parts) for parts in zip(*(
+                compute_gae(s.rewards, s.values, s.dones, s.bootstrap_value, ep_cfg.gamma,
+                            ppo_cfg.gae_lambda) for s in slices)))
+            batch = TrajectoryBatch.join(slices)
             std = adv.std()
             adv_norm = (adv - adv.mean()) / (std if std > 0 else 1.0)
 

@@ -23,8 +23,10 @@ JSON file formats and log records use 1-based indices and say so.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,7 +122,7 @@ class FeatureMatrix:
     """Per-job feature rows plus the scalar progress feature ``t / T``."""
 
     per_job: np.ndarray  # (N, 2W + 2); (B, N, 2W + 2) from ObjectiveTables.state_features
-    general: float
+    general: float  # (B,) from a block with one step per row
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,26 @@ def check_count(name: str, value, minimum: int | None = None) -> None:
             or (minimum is not None and value < minimum)):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise TypeError naming ``name`` unless ``value`` is a real number (bool
+    and str are not), and ValueError unless it is finite: real-valued config
+    fields check this before their ranges, so ``"72"`` or ``true`` fails
+    under the field's name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_pair(n: int, i, k) -> None:
+    """Raise ValueError unless (i, k) are two distinct positions among ``n``;
+    for arrays ``i`` and ``k``, unless each ``(i[j], k[j])`` is."""
+    if not np.all((0 <= i) & (i < n) & (0 <= k) & (k < n)):
+        raise ValueError(f"positions ({i}, {k}) out of range for {n} jobs")
+    if np.any(i == k):
+        raise ValueError(f"swap positions must differ, got ({i}, {k})")
 
 
 def check_permutation(perm, n: int) -> np.ndarray:
@@ -274,7 +296,8 @@ class ObjectiveTables:
     results) read it, and so do the oracles in :mod:`swapsched.bench`.
     ``combined_objective`` stays the reference: a test oracle no other module calls.
     :meth:`state_features` builds the network input of search states from
-    the same ``gt`` table.
+    the same ``gt`` table. :meth:`stack` joins several instances' tables, so
+    one call scores or featurizes a block whose rows are of different instances.
     """
 
     def __init__(self, inst: Instance, cfg: ObjectiveConfig, ref_perm=None):
@@ -282,15 +305,36 @@ class ObjectiveTables:
         self.alpha1, self.alpha2 = cfg.alpha1, cfg.alpha2
         self.ref = ref.copy()
         self.ref.flags.writeable = False  # the reference values below rest on it
-        self._inst = inst
-        self.gt = _weighted_tardiness_from_raw(
-            completion_times(inst)[:, None] - inst.due[None, :], cfg)
+        done = completion_times(inst)
+        self.gt = _weighted_tardiness_from_raw(done[:, None] - inst.due[None, :], cfg)
         self.dist = np.abs(inst.proc[:, None, :] - inst.proc[None, :, :]).sum(axis=2)
         self._pos = np.arange(inst.n_jobs)
         self.f1_ref = float(self.gt[self._pos, ref].sum())
         self.f2_ref = sequence_f2(inst.proc[ref])  # objective_f2's bits
+        # what the block kernels read, one per table in a stack (see stack)
+        self._proc, self._due = inst.proc, inst.due
+        self._st, self._c_last = inst.station_time, done[-1]
+        self._offset = 0
         self._gt_rows = self._dist_rows = None  # see _rows
         self._dist_pad = None  # see swap_deltas_block
+
+    @classmethod
+    def stack(cls, tables: list[ObjectiveTables]) -> ObjectiveTables:
+        """Same-N tables under one objective config as one, whose :meth:`scores`,
+        :meth:`fc` and :meth:`state_features` treat row r of a ``(len(tables), N)``
+        block bit for bit as ``tables[r]`` alone would: table r's jobs are jobs
+        ``r*N`` to ``r*N + N - 1`` of the joined tables (``_offset``)."""
+        out, n = copy.copy(tables[0]), len(tables[0].ref)
+        if any((t.alpha1, t.alpha2, len(t.ref)) != (out.alpha1, out.alpha2, n) for t in tables):
+            raise ValueError("stacked tables need one objective config and one job count")
+        out._offset = n * np.arange(len(tables))[:, None]
+        out.gt = np.concatenate([t.gt for t in tables], axis=1)
+        out._proc, out._due = (np.concatenate([getattr(t, a) for t in tables])
+                               for a in ("_proc", "_due"))
+        out.f1_ref, out.f2_ref, st, c_last = (np.array([getattr(t, a) for t in tables])
+                                              for a in ("f1_ref", "f2_ref", "_st", "_c_last"))
+        out._st, out._c_last = st[:, None, None], c_last[:, None]
+        return out
 
     def _rows(self) -> tuple[list, list]:
         # nested lists for the swap deltas (scalar indexing is several times
@@ -376,8 +420,9 @@ class ObjectiveTables:
         :class:`ObjectiveReport` in order: summed in ``objective_f1`` /
         ``objective_f2`` order and combined as :func:`combined_objective`
         combines them, so each row is its report bit for bit."""
+        perms = perms + self._offset
         f1 = self.gt[self._pos, perms].sum(axis=-1)
-        f2 = sequence_f2(self._inst.proc[perms])
+        f2 = sequence_f2(self._proc[perms])
         d1 = self.f1_ref - f1
         d2 = f2 - self.f2_ref
         return f1, f2, d1, d2, self.alpha1 * d1 + self.alpha2 * d2
@@ -393,14 +438,18 @@ class ObjectiveTables:
         columns = (values.tolist() for values in self.scores(np.asarray(perms)))
         return [ObjectiveReport(*row) for row in zip(*columns)]
 
-    def state_features(self, perms, t: int, T: int) -> FeatureMatrix:
+    def state_features(self, perms, t, T: int) -> FeatureMatrix:
         """:func:`state_features` of an ``(N,)`` permutation or, row by row, a
         ``(B, N)`` block, bitwise, with the tardiness column gathered from ``gt``.
+        ``t`` is one step for every row or a ``(B,)`` array, one per row.
 
         The permutations are not validated: callers check them once (a
         search starts from the checked reference and swaps checked pairs).
         """
-        return FeatureMatrix(per_job=_feature_rows(self._inst, perms, self.gt[self._pos, perms]),
+        perms = perms + self._offset
+        return FeatureMatrix(per_job=_feature_rows(self._proc[perms], self._due[perms],
+                                                   self.gt[self._pos, perms], self._st,
+                                                   self._c_last),
                              general=general_feature(t, T))
 
 
@@ -418,26 +467,25 @@ def job_features(inst: Instance, perm, cfg: ObjectiveConfig) -> np.ndarray:
     time; the weighted tardiness is already O(1) and passes through unchanged.
     """
     perm = check_permutation(perm, inst.n_jobs)
-    gt = _weighted_tardiness_from_raw(completion_times(inst) - inst.due[perm], cfg)
-    return _feature_rows(inst, perm, gt)
+    done = completion_times(inst)
+    gt = _weighted_tardiness_from_raw(done - inst.due[perm], cfg)
+    return _feature_rows(inst.proc[perm], inst.due[perm], gt, inst.station_time, done[-1])
 
 
-def _feature_rows(inst: Instance, perm: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """:func:`job_features` of a valid permutation or ``(B, N)`` block whose
-    weighted tardiness column ``gt`` is known; the one place rows are assembled."""
-    seq = inst.proc[perm]  # (..., N, W)
+def _feature_rows(seq, due, gt, station_time, c_last) -> np.ndarray:
+    """:func:`job_features` from the jobs' processing-time rows ``(..., N, W)``,
+    due dates and weighted tardiness in sequence order, the station time and
+    the last completion; the one place rows are assembled."""
     diffs = np.zeros_like(seq)
     diffs[..., :-1, :] = seq[..., :-1, :] - seq[..., 1:, :]
-    c_last = inst.station_time * (inst.n_stations + inst.n_jobs - 1)  # the last completion
-    seq = seq / inst.station_time
-    diffs = diffs / inst.station_time
-    due = inst.due[perm] / c_last
-    return np.concatenate([seq, diffs, due[..., None], gt[..., None]], axis=-1)
+    seq = seq / station_time
+    diffs = diffs / station_time
+    return np.concatenate([seq, diffs, (due / c_last)[..., None], gt[..., None]], axis=-1)
 
 
-def general_feature(t: int, T: int) -> float:
-    """Episode progress t / T in [0, 1]."""
-    if T < 1 or not 0 <= t <= T:
+def general_feature(t, T: int):
+    """Episode progress t / T in [0, 1], of each step of an array ``t`` too."""
+    if T < 1 or not np.all((0 <= t) & (t <= T)):
         raise ValueError(f"need 0 <= t <= T and T >= 1, got t={t}, T={T}")
     return t / T
 
@@ -499,7 +547,8 @@ def edd_sort(inst: Instance) -> np.ndarray:
 __all__ = [
     "EXP_CLAMP", "Job", "Instance", "ObjectiveConfig", "ObjectiveReport",
     "FeatureMatrix", "Violation", "validate_instance", "is_permutation",
-    "check_count", "check_permutation", "completion_times", "weighted_tardiness_values",
+    "check_count", "check_real", "check_pair", "check_permutation", "completion_times",
+    "weighted_tardiness_values",
     "objective_f1", "objective_f2", "sequence_f2", "combined_objective", "job_features", "general_feature",
     "state_features", "instance_to_dict", "instance_from_dict",
     "save_instance", "load_instance", "edd_sort", "ObjectiveTables",

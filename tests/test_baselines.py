@@ -208,8 +208,11 @@ def test_sa_config_validation():
     with pytest.raises(ValueError):
         bl.SAConfig(t_min=0.0)
     for t_min, t_max in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(ValueError, match="< inf"):
+        with pytest.raises(ValueError, match="must be finite"):
             bl.SAConfig(t_min=t_min, t_max=t_max)
+    for field, value in (("t_max", "72"), ("t_max", True), ("t_min", False), ("t_min", None)):
+        with pytest.raises(TypeError, match=f"{field} must be a real number"):
+            bl.SAConfig(**{field: value})
     with pytest.raises(ValueError, match="underflows to 0"):
         bl.SAConfig(t_min=1e-300, t_max=1e300)
 

@@ -3,6 +3,9 @@ import importlib
 import importlib.util
 import itertools
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -576,6 +579,17 @@ def test_heatmap_uniform_grid_mid_color(tmp_path):
     root = ET.parse(tmp_path / "u.svg").getroot()
     fills = {e.get("fill") for e in root.iter() if e.tag.endswith("rect")}
     assert len(fills) == 1  # uniform mid-scale color
+
+
+def test_only_the_heatmap_export_loads_the_xml_writer():
+    # xml.etree loads pyexpat, about 0.5 MB of resident memory that no other
+    # command needs; a fresh interpreter shows whether the package imports it
+    code = ("import sys, swapsched.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('xml', 'pyexpat'))))")
+    src = str(Path(bench.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -585,7 +585,15 @@ NUMBER = 999  # above any file descriptor a test holds open
      "methods must be a list of method objects"),
     # non-finite temperatures, and a ratio the schedule would divide by
     ("bench", None, {"methods": [{"type": "sa", "steps": 30, "t_max": math.inf}]},
-     "bench method 1 (sa): need 0 < t_min <= t_max < inf"),
+     "bench method 1 (sa): t_max must be finite, got inf"),
+    # a real-valued field given as JSON text or a bool names the field
+    ("bench", None, {"methods": [{"type": "sa", "steps": 30, "t_max": "72"}]},
+     "bench method 1 (sa): t_max must be a real number, got '72'"),
+    ("bench", None, {"methods": [{"type": "sa", "steps": 30, "t_min": True}]},
+     "bench method 1 (sa): t_min must be a real number, got True"),
+    ("train", "episode", {"gamma": True},
+     "EpisodeConfig field(s) ['gamma']: gamma must be a real number, got True"),
+    ("train", "episode", {"gamma": math.nan}, "gamma must be finite, got nan"),
     ("bench", None, {"methods": [{"type": "sa", "steps": 30, "t_min": 1e-300, "t_max": 1e300}]},
      "bench method 1 (sa): t_min / t_max underflows to 0"),
     ("generate", None, {"out_dir": NUMBER}, "config: out_dir must be a file path"),
@@ -604,7 +612,8 @@ NUMBER = 999  # above any file descriptor a test holds open
         "infer-checkpoint-number", "infer-checkpoint_dir-number", "bench-checkpoint-number",
         "bench-checkpoint_dir-number", "infer-out-number", "train-resume_from-number",
         "oracle-out-number", "heatmap-instance-number", "oracle-instance-number",
-        "bench-method-string", "bench-methods-object", "sa-t_max-inf", "sa-ratio-underflow",
+        "bench-method-string", "bench-methods-object", "sa-t_max-inf", "sa-t_max-string",
+        "sa-t_min-bool", "gamma-bool", "gamma-nan", "sa-ratio-underflow",
         "generate-out_dir-number", "train-out_dir-number", "bench-out_dir-number",
         "train-ppo-number", "train-net-number", "generate-generator-number"])
 def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys, command,

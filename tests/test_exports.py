@@ -89,6 +89,45 @@ def test_only_schedcore_uses_the_reference_objectives(name):
     assert sorted(used & REFERENCE_NAMES) == []
 
 
+# ObjectiveTables' arrays and an instance's raw ones: schedcore's tables are
+# the one scorer and feature builder, so the PPO env and collect and the
+# inference lanes read neither, and no module outside schedcore reads the
+# tables, but bench's exact oracle, a dynamic program over gt and dist
+TABLE_ATTRS = {"gt", "dist", "f1_ref", "f2_ref", "_proc", "_due"}
+INSTANCE_ATTRS = {"proc", "due"}
+TABLE_READERS = {("bench", "held_karp_best"): {"gt", "dist"}}
+
+
+def _scorer_reads(name: str, source: str) -> list[str]:
+    """``definition: .attr`` for each read of a table array, and in ppo and
+    inference of an instance's ``proc``/``due``, by a top-level definition of
+    module ``name`` that may not make it; ``<module>`` at module level."""
+    banned = TABLE_ATTRS | (INSTANCE_ATTRS if name in ("ppo", "inference") else set())
+    reads = []
+    for stmt in ast.parse(source).body:
+        where = getattr(stmt, "name", "<module>")
+        allowed = TABLE_READERS.get((name, where), set())
+        reads += [f"{where}: .{node.attr}" for node in ast.walk(stmt)
+                  if isinstance(node, ast.Attribute) and node.attr in banned - allowed]
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "schedcore"])
+def test_only_schedcore_reads_the_objective_tables(name):
+    source = Path(swapsched.__file__).with_name(f"{name}.py").read_text()
+    assert _scorer_reads(name, source) == []
+
+
+def test_scorer_read_check_sees_table_and_instance_reads():
+    source = ("class Env:\n    def step(self):\n        return self.tables.f1_ref + self.inst.proc\n"
+              "def held_karp_best(t):\n    return t.gt + t.dist + t.f2_ref\n"
+              "DUE = inst.due\n")
+    assert _scorer_reads("ppo", source) == [
+        "<module>: .due", "Env: .f1_ref", "Env: .proc", "held_karp_best: .dist",
+        "held_karp_best: .f2_ref", "held_karp_best: .gt"]
+    assert _scorer_reads("bench", source) == ["Env: .f1_ref", "held_karp_best: .f2_ref"]
+
+
 # the config keys of the instance and checkpoint sets, the patterns that list
 # their directories, and the one reader of each set (with its listing helper)
 SET_KEYS = {"instances", "instance_dir", "checkpoint", "checkpoints", "checkpoint_dir", "*.json",

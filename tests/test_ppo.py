@@ -601,6 +601,7 @@ def test_lockstep_collect_equals_one_state_loop(obj_cfg, pool, net_cfg, ep_cfg,
 def test_lockstep_collect_runs_one_forward_per_step():
     # the benchmark's tracer: a 1000-step collect makes at most T + 1
     # batched forwards (one per lane-step, one for the cut episode's value)
+    # and steps its lanes as blocks, with no one-state env step
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -619,7 +620,7 @@ def test_lockstep_collect_runs_one_forward_per_step():
         assert calls["ppo.RolloutWorker.collect"] == 1
         assert calls["policynet.forward.b1"] == calls["policynet.sample_action"] == 0
         assert 1 <= calls["policynet.forward.batched"] <= 10 + 1
-        assert calls["ppo.SwapEnv.step"] == n_steps
+        assert calls["ppo.SwapEnv.step"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +780,35 @@ def test_desk_training_matches_golden(tmp_path):
     assert desk_training_record(tmp_path / "run") == TRAIN_GOLDEN.read_text()
 
 
+TRAIN_PAPER_GOLDEN = Path(__file__).parent / "data" / "train_golden_paper.json"
+
+
+def paper_training_record(out) -> str:
+    """``metrics.jsonl`` and final resume-point digests of one paper-scale update.
+
+    Eight generated N=20, W=12 instances, the paper's default net (d_h=128,
+    d_ff=512), 256 env steps, minibatch 32, 2 epochs. The update kills the
+    action head, so the record pins the redraw too. ``TRAIN_PAPER_GOLDEN``
+    holds the output of this function from the trainer whose env stepped
+    one state at a time and whose optimizer found the flat gradient by
+    walking its views.
+    """
+    pool = [generate_instance(GeneratorConfig(seed=3, count=8), i) for i in range(8)]
+    pcfg = ppo.PPOConfig(total_env_steps=256, train_batch_size=256, minibatch_size=32,
+                         epochs_per_batch=2, seed=0)
+    res = ppo.train(pool, pn.NetConfig(d_in=26), pcfg, ppo.EpisodeConfig(step_budget=10),
+                    ObjectiveConfig(), out)
+    base = res.final_checkpoint[: -len(".ckpt")]
+    record = {"metrics_jsonl": Path(res.metrics_path).read_text(),
+              "sha256": {s: hashlib.sha256(Path(base + s).read_bytes()).hexdigest()
+                         for s in (".ckpt", ".state.npz", ".state.json")}}
+    return json.dumps(record, sort_keys=True, indent=1) + "\n"
+
+
+def test_paper_training_matches_golden(tmp_path):
+    assert paper_training_record(tmp_path / "run") == TRAIN_PAPER_GOLDEN.read_text()
+
+
 def _set_blas_threads():
     """numpy's bundled scipy-openblas ``set_num_threads``, or None without it."""
     try:
@@ -791,9 +821,9 @@ def _set_blas_threads():
 
 
 def test_goldens_hold_with_one_blas_thread(tmp_path):
-    # the paper-scale bench golden and the short desk training golden give the
-    # same bytes with one OpenBLAS thread as with the default count; longer
-    # desk runs do not (see README, "Training reproducibility")
+    # the paper-scale bench and training goldens and the short desk training
+    # golden give the same bytes with one OpenBLAS thread as with the default
+    # count; longer desk runs do not (see README, "Training reproducibility")
     set_threads = _set_blas_threads()
     if set_threads is None:
         pytest.skip("numpy's bundled scipy-openblas is not loaded")
@@ -803,6 +833,7 @@ def test_goldens_hold_with_one_blas_thread(tmp_path):
         assert ppo._blas_threads() == 1
         assert paper_bench_record(tmp_path) == BENCH_GOLDEN.read_text()
         assert desk_training_record(tmp_path / "run") == TRAIN_GOLDEN.read_text()
+        assert paper_training_record(tmp_path / "paper") == TRAIN_PAPER_GOLDEN.read_text()
     finally:
         set_threads(before)
     assert ppo._blas_threads() == before
@@ -920,6 +951,11 @@ def test_ppo_config_validation():
         ppo.PPOConfig(train_batch_size=10, n_rollout_workers=3)
     with pytest.raises(ValueError):
         ppo.EpisodeConfig(reward_mode="nope")
+    for gamma in (True, "0.9", None):  # true used to train with gamma 1
+        with pytest.raises(TypeError, match="gamma must be a real number"):
+            ppo.EpisodeConfig(gamma=gamma)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        ppo.EpisodeConfig(gamma=float("nan"))
     assert ppo.PPOConfig(total_env_steps=100).effective_checkpoint_every() == 10
     assert ppo.PPOConfig(checkpoint_every=1).effective_checkpoint_every() == 1
 

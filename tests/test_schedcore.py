@@ -366,6 +366,40 @@ def test_table_features_equal_state_features(inst6, inst20, scale, rng):
                 assert one.tobytes() == want.per_job.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 6, 20])
+@pytest.mark.parametrize("w", [1, 3, 12])
+def test_stacked_tables_score_and_featurize_each_row_as_its_own(n, w):
+    # PPO collection scores and featurizes lanes on different instances as
+    # one block; row r must be bitwise what instance r's tables give alone
+    rng = np.random.default_rng([n, w])
+    cfg = sc.ObjectiveConfig(alpha1=float(rng.uniform(0.1, 2)), alpha2=float(rng.uniform(0, 0.1)))
+    insts = []
+    for j in range(5):
+        tw = float(rng.uniform(50, 300))
+        due = rng.uniform(1, tw * (w + n) * 1.2, size=n)
+        if j == 3:  # due dates a million hours late: every exponent hits EXP_CLAMP
+            due = due + 3600.0 * 1e6
+        insts.append(make_instance(rng.uniform(0, tw, size=(n, w)), due, tw))
+    tables = [sc.ObjectiveTables(inst, cfg) for inst in insts]
+    assert (tables[3].gt == np.exp(-sc.EXP_CLAMP)).all()
+    for b in (5, 3, 1):  # every table, then the first few
+        stacked = sc.ObjectiveTables.stack(tables[:b])
+        perms = np.array([rng.permutation(n) for _ in range(b)])
+        steps = rng.integers(0, 11, size=b)
+        scores = stacked.scores(perms)
+        fm = stacked.state_features(perms, steps, 10)
+        assert fm.per_job.shape == (b, n, 2 * w + 2)
+        for r, perm in enumerate(perms):
+            want = tables[r].scores(perm)
+            assert [float(v[r]).hex() for v in scores] == [float(v).hex() for v in want]
+            assert stacked.fc(perms)[r] == tables[r].fc(perm)
+            one = tables[r].state_features(perm, int(steps[r]), 10)
+            assert fm.per_job[r].tobytes() == one.per_job.tobytes()
+            assert fm.general[r] == one.general
+    with pytest.raises(ValueError, match="one objective config"):
+        sc.ObjectiveTables.stack([tables[0], sc.ObjectiveTables(insts[1], sc.ObjectiveConfig())])
+
+
 def test_job_features_shape_and_last_row(inst20, obj_cfg):
     perm = sc.edd_sort(inst20)
     rows = sc.job_features(inst20, perm, obj_cfg)
@@ -409,6 +443,18 @@ def test_general_feature():
     assert sc.general_feature(5, 10) == 0.5
     with pytest.raises(ValueError):
         sc.general_feature(11, 10)
+    # one step per row of a block, as a collect's lanes need
+    assert sc.general_feature(np.array([0, 3, 10]), 10).tolist() == [0.0, 0.3, 1.0]
+    with pytest.raises(ValueError):
+        sc.general_feature(np.array([3, 11]), 10)
+
+
+def test_check_pair_takes_one_pair_or_arrays_of_pairs():
+    sc.check_pair(5, 0, 4)
+    sc.check_pair(5, np.array([0, 3]), np.array([4, 1]))
+    for i, k in ((2, 2), (0, 5), (-1, 2), ([0, 3], [4, 3]), ([0, 5], [1, 1])):
+        with pytest.raises(ValueError):
+            sc.check_pair(5, np.asarray(i), np.asarray(k))
 
 
 # ---------------------------------------------------------------------------
