@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
-                        check_count, check_permutation, check_real, edd_sort)
+                        check_fields, check_permutation, edd_sort)
 
 __all__ = ["edd_sort", "SHConfig", "sh_schedule", "SAConfig", "SAResult",
            "sa_accept", "sa_temperature", "sa_optimize"]
@@ -51,8 +51,7 @@ class SHConfig:
     max_skip: int = 4
 
     def __post_init__(self):
-        check_count("window", self.window, 1)
-        check_count("max_skip", self.max_skip, 0)
+        check_fields(self, window=1, max_skip=0)
 
 
 def sh_schedule(inst: Instance, cfg: SHConfig) -> np.ndarray:
@@ -108,16 +107,13 @@ class SAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_real("t_max", self.t_max)
-        check_real("t_min", self.t_min)
+        check_fields(self, steps=0, seed=0)
         if not 0 < self.t_min <= self.t_max:
             raise ValueError(f"need 0 < t_min <= t_max, got t_min={self.t_min!r}, "
                              f"t_max={self.t_max!r}")
         if self.t_min / self.t_max == 0:  # the schedule would divide by zero
             raise ValueError(f"t_min / t_max underflows to 0: t_min={self.t_min!r}, "
                              f"t_max={self.t_max!r}")
-        check_count("steps", self.steps, 0)
-        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

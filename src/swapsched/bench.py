@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,8 @@ import numpy as np
 from . import inference
 from .baselines import SAConfig, SHConfig, sa_optimize, sh_schedule
 from .schedcore import (Instance, Job, ObjectiveConfig, ObjectiveTables, check_count,
-                        check_permutation, edd_sort, load_instance, save_instance)
+                        check_fields, check_permutation, edd_sort, load_instance,
+                        save_instance)
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,13 @@ class GeneratorConfig:
     count: int = 1
 
     def __post_init__(self):
-        check_count("n_jobs", self.n_jobs, 2)
-        check_count("n_stations", self.n_stations, 1)
+        check_fields(self, n_jobs=2, n_stations=1, seed=0, count=1)
         if not 0 <= self.p_min_frac <= 1:
             raise ValueError("p_min_frac must lie in [0, 1]")
         if self.station_time_s <= 0:
             raise ValueError("station_time_s must be positive")
         if self.due_noise_s < 0:
             raise ValueError("due_noise_s must be non-negative")
-        check_count("count", self.count, 1)
-        check_count("seed", self.seed, 0)
 
 
 def _config_digest(cfg: GeneratorConfig) -> str:
@@ -330,24 +328,15 @@ def _run_method_on_instance(method: dict, inst: Instance, obj_cfg: ObjectiveConf
     return res.best_perm, res.best_report, res.steps
 
 
-# the fields a method of each type cannot run without
+# the fields a method of each type cannot run without, and all it reads
+# besides type and name (any other is refused, so no method sets a seed)
 _METHOD_FIELDS = {"identity": (), "sh": ("window", "max_skip"), "sa": ("steps",),
                   "random_mr": (), "rl_mr": ("checkpoint",), "rl_mpmr": ()}
-
-
-def _method_config(m: dict):
-    """The config a method runs with, at seed 0 (each instance replaces the
-    seed); None for the due-date sort, which has none."""
-    t = m["type"]
-    if t == "identity":
-        return None
-    if t == "sh":
-        return SHConfig(window=m["window"], max_skip=m["max_skip"])
-    if t == "sa":
-        check_count("trace_stride", m.get("trace_stride", 0), 0)
-        return SAConfig(**{k: m[k] for k in ("t_max", "t_min", "steps") if k in m})
-    return inference.InferenceConfig(**{k: m[k] for k in ("runs_per_policy", "step_budget")
-                                        if k in m})
+_MR_KEYS = ("runs_per_policy", "step_budget")
+_METHOD_KEYS = {"identity": (), "sh": ("window", "max_skip"),
+                "sa": ("steps", "t_max", "t_min", "trace_stride"), "random_mr": _MR_KEYS,
+                "rl_mr": _MR_KEYS + ("checkpoint",),
+                "rl_mpmr": _MR_KEYS + ("checkpoints", "checkpoint_dir", "n_earlier")}
 
 
 def _resolve_methods(methods: list[dict]) -> list[dict]:
@@ -369,9 +358,17 @@ def _resolve_methods(methods: list[dict]) -> list[dict]:
         absent = [f for f in _METHOD_FIELDS[t] if f not in m]
         if absent:
             raise ValueError(f"{where} is missing field(s): {', '.join(absent)}")
-        try:
-            m["_cfg"] = _method_config(m)
-        except (TypeError, ValueError) as exc:  # a string where a number belongs
+        unknown = sorted(set(m) - {"type", "name", *_METHOD_KEYS[t]})
+        if unknown:
+            raise ValueError(f"{where} has unknown field(s): {', '.join(unknown)}")
+        if not isinstance(m.get("name", ""), str):
+            raise ValueError(f"{where}: name must be a string, got {m['name']!r}")
+        try:  # the config it runs with, at seed 0 (each instance replaces the seed)
+            check_count("trace_stride", m.get("trace_stride", 0), 0)  # an sa key
+            cls = {"identity": None, "sh": SHConfig, "sa": SAConfig}.get(
+                t, inference.InferenceConfig)
+            m["_cfg"] = cls and cls(**{f.name: m[f.name] for f in fields(cls) if f.name in m})
+        except ValueError as exc:  # a string where a number belongs
             raise ValueError(f"{where}: {exc}") from exc
         if t in ("rl_mr", "rl_mpmr"):
             m["_checkpoints"] = files = inference.checkpoint_files(m, where)

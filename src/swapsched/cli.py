@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, inference, policynet, ppo
-from .schedcore import (ObjectiveConfig, edd_sort, instance_from_dict, load_instance,
-                        validate_instance)
+from .schedcore import (FieldError, ObjectiveConfig, edd_sort, instance_from_dict,
+                        load_instance, validate_instance)
 
 USAGE_ERROR, DATA_ERROR, RUNTIME_ERROR = 1, 2, 3
 
@@ -44,10 +44,8 @@ def _dataclass_from(cls, data: dict, override_seed=None):
         kwargs["seed"] = override_seed
     try:
         return cls(**kwargs)
-    except TypeError as exc:  # JSON text or a list where a number belongs
-        wrong = [k for k, v in kwargs.items() if isinstance(v, (str, list, dict, bool))
-                 and not isinstance(getattr(cls, k, 0), (str, bool))]
-        raise ValueError(f"{cls.__name__} field(s) {wrong}: {exc}") from exc
+    except FieldError as exc:
+        raise ValueError(f"{cls.__name__} field(s) {[exc.field]}: {exc}") from exc
 
 
 def _load_config(path) -> dict:
@@ -189,7 +187,7 @@ def cmd_heatmap(cfg: dict, seed) -> int:
     else:  # a digit string, floats, bools, or integers other than 1..N once each
         raise ValueError(f"not a valid permutation of {inst.n_jobs} jobs: {perm_spec!r} "
                          '(use "edd" or a list of 1-based job indices)')
-    base = cfg["out_base"]
+    base = _path(cfg, "out_base")
     bench.export_heatmap(inst, perm, f"{base}.csv", f"{base}.svg")
     print(f"wrote {base}.csv and {base}.svg")
     return 0

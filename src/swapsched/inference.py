@@ -37,7 +37,7 @@ import numpy as np
 
 from . import policynet
 from .schedcore import (Instance, ObjectiveConfig, ObjectiveReport, ObjectiveTables,
-                        check_count)
+                        check_count, check_fields)
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,7 @@ class InferenceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.greedy, bool):
-            raise ValueError(f"greedy must be true or false, got {self.greedy!r}")
-        check_count("runs_per_policy", self.runs_per_policy, 1)
-        check_count("step_budget", self.step_budget, 1)
-        check_count("seed", self.seed, 0)
+        check_fields(self, runs_per_policy=1, step_budget=1, seed=0)
 
 
 @dataclass

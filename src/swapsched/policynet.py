@@ -50,6 +50,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .schedcore import check_fields
+
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"SWSCK001"
 
@@ -74,8 +76,7 @@ class NetConfig:
     compat_init_gain: float = 0.25
 
     def __post_init__(self):
-        if min(self.d_in, self.d_h, self.n_heads, self.n_layers, self.d_ff) < 1:
-            raise ValueError("all network dimensions must be >= 1")
+        check_fields(self, d_in=1, d_h=1, n_heads=1, n_layers=1, d_ff=1)
         if self.d_gen != 1:
             raise ValueError(f"d_gen must be 1 (the general feature is t/T), got {self.d_gen}")
         if self.d_h % self.n_heads:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import policynet
 from .schedcore import (FeatureMatrix, Instance, ObjectiveConfig, ObjectiveTables,
-                        check_count, check_pair, check_permutation, check_real)
+                        check_fields, check_pair, check_permutation)
 
 log = logging.getLogger(__name__)
 
@@ -57,8 +57,7 @@ class EpisodeConfig:
     reward_mode: str = "dense"  # "dense" | "best_improvement"
 
     def __post_init__(self):
-        check_count("step_budget", self.step_budget, 1)
-        check_real("gamma", self.gamma)
+        check_fields(self, step_budget=1)
         if not 0 <= self.gamma <= 1:
             raise ValueError("gamma must lie in [0, 1]")
         if self.reward_mode not in ("dense", "best_improvement"):
@@ -96,15 +95,10 @@ class PPOConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, train_batch_size=1, minibatch_size=1, epochs_per_batch=1,
+                     checkpoint_every=1, n_rollout_workers=1, seed=0)
         if not 0 < self.clip_param < 1:
             raise ValueError("clip_param must lie in (0, 1)")
-        for name in ("n_rollout_workers", "train_batch_size", "minibatch_size", "epochs_per_batch"):
-            check_count(name, getattr(self, name), 1)
-        for name in ("total_env_steps", "lr_warmup_env_steps", "entropy_warmup_env_steps"):
-            check_count(name, getattr(self, name))
-        if self.checkpoint_every is not None:
-            check_count("checkpoint_every", self.checkpoint_every, 1)
-        check_count("seed", self.seed, 0)
         if self.minibatch_size > self.train_batch_size:
             raise ValueError("minibatch_size must not exceed train_batch_size")
         if self.lr_end > self.lr_start:

@@ -28,7 +28,7 @@ import json
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,7 @@ class ObjectiveConfig:
     tardiness_scale: float = 3600.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("objective weights must be non-negative")
         if self.alpha1 == 0 and self.alpha2 == 0:
@@ -171,28 +172,43 @@ def is_permutation(order: np.ndarray, n: int) -> bool:
     return order.shape == (n,) and np.array_equal(np.sort(order), np.arange(n))
 
 
-def check_count(name: str, value, minimum: int | None = None) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer (bool,
-    float and str are not) of at least ``minimum``, if one is given.
+class FieldError(TypeError, ValueError):
+    """A named value of the wrong type or below its minimum, ``field`` its name;
+    a TypeError and a ValueError, as the checks it replaced raised either."""
 
-    Config fields that count something check themselves with this, so a
-    config file's ``2.5``, ``"300"`` or ``true`` fails where it is read.
-    """
+    def __init__(self, field: str, value, must_be: str):
+        super().__init__(f"{field} must be {must_be}, got {value!r}")
+        self.field = field
+
+
+def check_count(name: str, value, minimum: int | None = None) -> None:
+    """Raise FieldError naming ``name`` unless ``value`` is an integer (bool,
+    float and str are not) of at least ``minimum``, if one is given."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or (minimum is not None and value < minimum)):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+        raise FieldError(name, value, "an integer" + ("" if minimum is None else f" >= {minimum}"))
 
 
-def check_real(name: str, value) -> None:
-    """Raise TypeError naming ``name`` unless ``value`` is a real number (bool
-    and str are not), and ValueError unless it is finite: real-valued config
-    fields check this before their ranges, so ``"72"`` or ``true`` fails
-    under the field's name."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def check_fields(cfg, /, **minimum) -> None:
+    """Raise FieldError naming the first field of the dataclass ``cfg`` that its
+    annotation does not admit: ``int`` an integer (of at least ``minimum[name]``
+    if given), ``float`` a finite real number (an int too, not converted),
+    ``bool`` and ``str`` their type; ``X | None`` also None."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind, _, optional = f.type.partition(" | ")  # from __future__ import annotations
+        if value is None and optional:
+            continue
+        if kind == "int":
+            check_count(f.name, value, minimum.get(f.name))
+        elif kind == "bool" and not isinstance(value, bool):
+            raise FieldError(f.name, value, "true or false")
+        elif kind == "str" and not isinstance(value, str):
+            raise FieldError(f.name, value, "a string")
+        elif kind == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise FieldError(f.name, value, "a real number")
+        elif kind == "float" and not math.isfinite(value):
+            raise FieldError(f.name, value, "finite")
 
 
 def check_pair(n: int, i, k) -> None:
@@ -547,8 +563,8 @@ def edd_sort(inst: Instance) -> np.ndarray:
 __all__ = [
     "EXP_CLAMP", "Job", "Instance", "ObjectiveConfig", "ObjectiveReport",
     "FeatureMatrix", "Violation", "validate_instance", "is_permutation",
-    "check_count", "check_real", "check_pair", "check_permutation", "completion_times",
-    "weighted_tardiness_values",
+    "FieldError", "check_count", "check_fields", "check_pair", "check_permutation",
+    "completion_times", "weighted_tardiness_values",
     "objective_f1", "objective_f2", "sequence_f2", "combined_objective", "job_features", "general_feature",
     "state_features", "instance_to_dict", "instance_from_dict",
     "save_instance", "load_instance", "edd_sort", "ObjectiveTables",

@@ -553,7 +553,8 @@ NUMBER = 999  # above any file descriptor a test holds open
     ("train", "episode", {"gamma": "0.9"}, "EpisodeConfig field(s) ['gamma']"),
     ("generate", "generator", {"station_time_s": "208"},
      "GeneratorConfig field(s) ['station_time_s']"),
-    ("infer", "inference", {"greedy": "no"}, "greedy must be true or false"),
+    ("infer", "inference", {"greedy": "no"},
+     "InferenceConfig field(s) ['greedy']: greedy must be true or false"),
     ("generate", "array", {}, "config must be a JSON object"),
     ("bench", "array", {}, "config must be a JSON object"),
     ("heatmap", "array", {}, "config must be a JSON object"),
@@ -593,7 +594,8 @@ NUMBER = 999  # above any file descriptor a test holds open
      "bench method 1 (sa): t_min must be a real number, got True"),
     ("train", "episode", {"gamma": True},
      "EpisodeConfig field(s) ['gamma']: gamma must be a real number, got True"),
-    ("train", "episode", {"gamma": math.nan}, "gamma must be finite, got nan"),
+    ("train", "episode", {"gamma": math.nan},
+     "EpisodeConfig field(s) ['gamma']: gamma must be finite, got nan"),
     ("bench", None, {"methods": [{"type": "sa", "steps": 30, "t_min": 1e-300, "t_max": 1e300}]},
      "bench method 1 (sa): t_min / t_max underflows to 0"),
     ("generate", None, {"out_dir": NUMBER}, "config: out_dir must be a file path"),
@@ -602,6 +604,45 @@ NUMBER = 999  # above any file descriptor a test holds open
     ("train", None, {"ppo": 5}, "PPOConfig must be a JSON object, got 5"),
     ("train", None, {"net": 5}, "NetConfig must be a JSON object, got 5"),
     ("generate", None, {"generator": 5}, "GeneratorConfig must be a JSON object, got 5"),
+    # each field is checked against its annotation: an int, a finite real
+    # number (JSON NaN and Infinity are not), a bool or a string
+    ("train", "net", {"d_h": 8.0}, "NetConfig field(s) ['d_h']: d_h must be an integer >= 1"),
+    ("train", "net", {"n_heads": 2.0},
+     "NetConfig field(s) ['n_heads']: n_heads must be an integer >= 1, got 2.0"),
+    ("train", "net", {"n_layers": True},
+     "NetConfig field(s) ['n_layers']: n_layers must be an integer >= 1, got True"),
+    ("train", "net", {"compat_init_gain": math.nan},
+     "NetConfig field(s) ['compat_init_gain']: compat_init_gain must be finite, got nan"),
+    ("train", "ppo", {"lr_start": math.nan},
+     "PPOConfig field(s) ['lr_start']: lr_start must be finite, got nan"),
+    ("train", "ppo", {"adam_eps": math.nan},
+     "PPOConfig field(s) ['adam_eps']: adam_eps must be finite, got nan"),
+    ("train", "ppo", {"value_coeff": True},
+     "PPOConfig field(s) ['value_coeff']: value_coeff must be a real number, got True"),
+    ("train", "ppo", {"grad_clip_norm": math.inf},
+     "PPOConfig field(s) ['grad_clip_norm']: grad_clip_norm must be finite, got inf"),
+    ("train", "objective", {"alpha1": math.nan},
+     "ObjectiveConfig field(s) ['alpha1']: alpha1 must be finite, got nan"),
+    ("train", "objective", {"tardiness_scale": math.inf},
+     "ObjectiveConfig field(s) ['tardiness_scale']: tardiness_scale must be finite, got inf"),
+    ("generate", "generator", {"station_time_s": math.nan},
+     "GeneratorConfig field(s) ['station_time_s']: station_time_s must be finite, got nan"),
+    ("generate", "generator", {"due_noise_s": math.nan},
+     "GeneratorConfig field(s) ['due_noise_s']: due_noise_s must be finite, got nan"),
+    ("generate", "generator", {"station_time_s": True},
+     "GeneratorConfig field(s) ['station_time_s']: station_time_s must be a real number"),
+    ("generate", "generator", {"due_slack_s": math.inf},
+     "GeneratorConfig field(s) ['due_slack_s']: due_slack_s must be finite, got inf"),
+    ("generate", "generator", {"due_slack_s": "10"},
+     "GeneratorConfig field(s) ['due_slack_s']: due_slack_s must be a real number, got '10'"),
+    ("heatmap", None, {"out_base": NUMBER}, f"config: out_base must be a file path, got {NUMBER}"),
+    # a bench method reads only its type's keys; any other was ignored
+    ("bench", None, {"methods": [{"type": "sa", "steps": 10, "t_mx": 50}]},
+     "bench method 1 (sa) has unknown field(s): t_mx"),
+    ("bench", None, {"methods": [{"type": "rl_mr", "checkpoint": "a.ckpt", "n_earlier": 2}]},
+     "bench method 1 (rl_mr) has unknown field(s): n_earlier"),
+    ("bench", None, {"methods": [{"type": "identity", "name": 5}]},
+     "bench method 1 (identity): name must be a string, got 5"),
 ], ids=["bench", "validate", "infer-mr", "infer-mpmr", "train-empty", "infer-empty",
         "bench-empty", "validate-empty-over-dir", "train-empty-over-dir", "validate-missing-dir",
         "infer-missing-dir", "validate-string", "infer-string", "infer-checkpoints-string",
@@ -615,9 +656,15 @@ NUMBER = 999  # above any file descriptor a test holds open
         "bench-method-string", "bench-methods-object", "sa-t_max-inf", "sa-t_max-string",
         "sa-t_min-bool", "gamma-bool", "gamma-nan", "sa-ratio-underflow",
         "generate-out_dir-number", "train-out_dir-number", "bench-out_dir-number",
-        "train-ppo-number", "train-net-number", "generate-generator-number"])
-def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys, command,
-                                                   place, patch, message):
+        "train-ppo-number", "train-net-number", "generate-generator-number", "d_h-float",
+        "n_heads-float", "n_layers-bool", "compat_init_gain-nan", "lr_start-nan", "adam_eps-nan",
+        "value_coeff-bool", "grad_clip_norm-inf", "alpha1-nan", "tardiness_scale-inf",
+        "station_time_s-nan", "due_noise_s-nan", "station_time_s-bool", "due_slack_s-inf",
+        "due_slack_s-string", "heatmap-out_base-number", "bench-sa-unknown-key",
+        "bench-rl_mr-unknown-key", "bench-name-number"])
+def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys,
+                                                   monkeypatch, command, place, patch, message):
+    monkeypatch.chdir(tmp_path)  # where a path given as a number would be written
     if command == "validate":
         payload, out = {"instance_dir": str(inst_dir)}, None
     elif command in ("heatmap", "oracle"):
@@ -630,11 +677,14 @@ def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir,
              INST_DIR: str(inst_dir), CKPTS: sorted(str(p) for p in ckpt_dir.glob("*.ckpt"))}
     patch = {k: names.get(v, v) if isinstance(v, str) else v for k, v in patch.items()}
     payload = _patched(payload, place, patch)
-    assert cli.main([command, "--config", write_cfg(tmp_path, "bad.json", payload)]) == 2
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert f"data error: {message}" in captured.err
     assert captured.out == ""  # not one instance checked, not one record or table
     assert out is None or not any(tmp_path.glob(f"{out.name}*"))  # heatmap: out.csv, out.svg
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command,key", [("infer", "out"), ("infer", "checkpoint"),

@@ -202,6 +202,59 @@ def test_checkpoint_read_check_sees_reads_outside_multipolicy():
                                          "<module>: load_checkpoint", "f: checkpoint_digest"]
 
 
+# a config field's type is checked from its annotation by schedcore.check_fields,
+# the first statement of every dataclass __post_init__, which then checks only
+# ranges and relations
+TYPE_CHECKS = {"check_count", "check_real", "isinstance"}
+
+
+def _name(node) -> str:
+    """The name ``f`` of ``f``, ``m.f`` or a call of either."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", ""))
+
+
+def _post_init_type_checks(source: str) -> list[str]:
+    """``Class: problem`` for each dataclass ``__post_init__`` whose first
+    statement is not ``check_fields(self, ...)`` or that checks a type itself."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef)
+                and any(_name(d) == "dataclass" for d in cls.decorator_list)):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                continue
+            first = fn.body[0]
+            if not (isinstance(first, ast.Expr) and isinstance(first.value, ast.Call)
+                    and _name(first.value) == "check_fields"
+                    and [getattr(a, "id", None) for a in first.value.args] == ["self"]):
+                found.append(f"{cls.name}: check_fields(self, ...) is not first")
+            found += [f"{cls.name}: {_name(node)}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and _name(node) in TYPE_CHECKS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_config_fields_are_typed_by_check_fields_alone(name):
+    source = Path(swapsched.__file__).with_name(f"{name}.py").read_text()
+    assert _post_init_type_checks(source) == []
+
+
+def test_post_init_check_sees_late_or_missing_check_fields_and_own_type_checks():
+    source = ("@dataclass(frozen=True)\nclass A:\n    def __post_init__(self):\n"
+              "        check_fields(self, n=1)\n        sc.check_count('n', self.n)\n"
+              "@dataclass\nclass B:\n    def __post_init__(self):\n"
+              "        if not isinstance(self.g, bool):\n            raise ValueError\n"
+              "        check_fields(self)\n"
+              "@dataclasses.dataclass\nclass C:\n    def __post_init__(self):\n"
+              "        check_real('t', self.t)\n"
+              "class D:\n    def __post_init__(self):\n        isinstance(self, D)\n")
+    assert _post_init_type_checks(source) == [
+        "A: check_count", "B: check_fields(self, ...) is not first", "B: isinstance",
+        "C: check_fields(self, ...) is not first", "C: check_real"]
+
+
 def test_unused_import_check_sees_module_and_function_imports():
     source = ("import math\nimport os.path\nfrom x import a, b as c\n"
               "def f():\n    from y import d\n    return a + os.sep\n__all__ = ['c']\n")

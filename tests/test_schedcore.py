@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
+from swapsched import baselines, bench, inference, policynet, ppo
 from swapsched import schedcore as sc
 from tests.conftest import make_instance
 
@@ -468,6 +469,40 @@ def test_objective_config_rejects_bad_weights():
         sc.ObjectiveConfig(alpha1=0.0, alpha2=0.0)
     with pytest.raises(ValueError):
         sc.ObjectiveConfig(tardiness_scale=0.0)
+
+
+# the eight config dataclasses, each with what its defaults lack
+CONFIGS = [(sc.ObjectiveConfig, {}), (policynet.NetConfig, {"d_in": 8}),
+           (ppo.EpisodeConfig, {}), (ppo.PPOConfig, {}), (inference.InferenceConfig, {}),
+           (baselines.SHConfig, {}), (baselines.SAConfig, {}), (bench.GeneratorConfig, {})]
+
+
+@pytest.mark.parametrize("cls,base,field", [
+    pytest.param(cls, base, f, id=f"{cls.__name__}.{f.name}") for cls, base in CONFIGS
+    for f in fields(cls)])
+def test_every_config_field_refuses_what_its_annotation_does_not_admit(cls, base, field):
+    kind, _, optional = field.type.partition(" | ")
+    assert kind in ("int", "float", "bool", "str") and optional in ("", "None")
+    cls(**base)
+    bad = ([True, False] if kind != "bool" else []) + (["1"] if kind != "str" else [])
+    bad += {"int": [2.0, 1.5], "float": [math.nan, math.inf, -math.inf]}.get(kind, [])
+    bad += [[], {}] + ([None] if not optional else [])
+    for value in bad:
+        with pytest.raises(sc.FieldError, match=f"^{field.name} must be ") as caught:
+            cls(**{**base, field.name: value})
+        assert caught.value.field == field.name
+        assert isinstance(caught.value, ValueError) and isinstance(caught.value, TypeError)
+    if optional:
+        assert getattr(cls(**{**base, field.name: None}), field.name) is None
+
+
+def test_a_config_field_keeps_the_type_it_was_given():
+    # an int in a float field is not converted, so a config written back out
+    # (experiment_config.json, checkpoint headers) keeps its bytes
+    assert repr(ppo.EpisodeConfig(gamma=1).gamma) == "1"
+    assert repr(baselines.SAConfig(t_max=72).t_max) == "72"
+    with pytest.raises(sc.FieldError, match="^seed must be an integer >= 0, got -1$"):
+        baselines.SAConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
