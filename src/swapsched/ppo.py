@@ -96,6 +96,7 @@ class PPOConfig:
 
     def __post_init__(self):
         check_fields(self, train_batch_size=1, minibatch_size=1, epochs_per_batch=1,
+                     total_env_steps=1, lr_warmup_env_steps=0, entropy_warmup_env_steps=0,
                      checkpoint_every=1, n_rollout_workers=1, seed=0)
         if not 0 < self.clip_param < 1:
             raise ValueError("clip_param must lie in (0, 1)")
@@ -525,17 +526,12 @@ def global_grad_norm(grads: dict) -> float:
     """L2 norm over every block of ``grads``, views of one flat vector (as
     :func:`swapsched.policynet.backward` returns them).
 
-    The vector is squared once in float64; each block's slice is summed on
-    its own and the block sums are added in block order, bitwise the sum of
-    the per-block ``np.sum(g.astype(np.float64) ** 2)``.
+    The vector is squared once in float64 and summed by one ``np.add.reduce``
+    (numpy's pairwise sum over the whole vector, not block by block).
     """
     sq = _vector(grads, "grads").astype(np.float64)
     sq *= sq
-    total, pos = 0, 0
-    for g in grads.values():
-        total += float(np.add.reduce(sq[pos:pos + g.size]))
-        pos += g.size
-    return float(np.sqrt(total))
+    return float(np.sqrt(np.add.reduce(sq)))
 
 
 def clip_grads_(grads: dict, max_norm: float | None) -> float:

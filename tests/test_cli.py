@@ -636,6 +636,16 @@ NUMBER = 999  # above any file descriptor a test holds open
     ("generate", "generator", {"due_slack_s": "10"},
      "GeneratorConfig field(s) ['due_slack_s']: due_slack_s must be a real number, got '10'"),
     ("heatmap", None, {"out_base": NUMBER}, f"config: out_base must be a file path, got {NUMBER}"),
+    # a run of no env steps wrote an untrained checkpoint and exited 0
+    ("train", "ppo", {"total_env_steps": 0},
+     "PPOConfig field(s) ['total_env_steps']: total_env_steps must be an integer >= 1, got 0"),
+    ("train", "ppo", {"total_env_steps": -50},
+     "PPOConfig field(s) ['total_env_steps']: total_env_steps must be an integer >= 1, got -50"),
+    ("train", "ppo", {"lr_warmup_env_steps": -1},
+     "PPOConfig field(s) ['lr_warmup_env_steps']: lr_warmup_env_steps must be an integer >= 0"),
+    ("train", "ppo", {"entropy_warmup_env_steps": -1},
+     "PPOConfig field(s) ['entropy_warmup_env_steps']: entropy_warmup_env_steps must be an "
+     "integer >= 0"),
     # a bench method reads only its type's keys; any other was ignored
     ("bench", None, {"methods": [{"type": "sa", "steps": 10, "t_mx": 50}]},
      "bench method 1 (sa) has unknown field(s): t_mx"),
@@ -660,7 +670,9 @@ NUMBER = 999  # above any file descriptor a test holds open
         "n_heads-float", "n_layers-bool", "compat_init_gain-nan", "lr_start-nan", "adam_eps-nan",
         "value_coeff-bool", "grad_clip_norm-inf", "alpha1-nan", "tardiness_scale-inf",
         "station_time_s-nan", "due_noise_s-nan", "station_time_s-bool", "due_slack_s-inf",
-        "due_slack_s-string", "heatmap-out_base-number", "bench-sa-unknown-key",
+        "due_slack_s-string", "heatmap-out_base-number", "total_env_steps-0",
+        "total_env_steps-negative", "lr_warmup_env_steps-negative",
+        "entropy_warmup_env_steps-negative", "bench-sa-unknown-key",
         "bench-rl_mr-unknown-key", "bench-name-number"])
 def test_a_bad_config_value_exits_2_before_writing(tmp_path, inst_dir, ckpt_dir, capsys,
                                                    monkeypatch, command, place, patch, message):

@@ -406,20 +406,21 @@ def test_grad_norm_rejects_grads_that_are_not_one_vector():
             ppo.clip_grads_(grads, 1.0)
 
 
-def _per_block_grad_norm(grads):
-    """The per-block global norm that the one-pass norm replaced."""
-    return float(np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values())))
+def _one_reduction_grad_norm(grads):
+    """The global norm as one float64 sum over every block's squares, in block order."""
+    flat = np.concatenate([g.ravel() for g in grads.values()]).astype(np.float64)
+    return float(np.sqrt(np.sum(flat ** 2)))
 
 
 @pytest.mark.parametrize("net_cfg", [_desk_net(), pn.NetConfig(d_in=26)], ids=["desk", "paper"])
-def test_grad_norm_matches_per_block_formula_bitwise(net_cfg):
+def test_grad_norm_matches_one_reduction_formula_bitwise(net_cfg):
     blocks = pn.canonical_blocks(net_cfg)
     size = pn.flat_buffer(pn.zero_params(net_cfg)).size
     for seed in range(200):
         rng = np.random.default_rng(seed)
         flat = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 3, size)
         grads = pn.flat_views(blocks, flat.astype(np.float32))
-        assert ppo.global_grad_norm(grads) == _per_block_grad_norm(grads), seed
+        assert ppo.global_grad_norm(grads) == _one_reduction_grad_norm(grads), seed
 
 
 def _random_minibatch(net_cfg, b, n, seed):
@@ -757,9 +758,8 @@ TRAIN_GOLDEN = Path(__file__).parent / "data" / "train_golden_desk.json"
 def desk_training_record(out) -> str:
     """``metrics.jsonl`` and final resume-point digests of a two-update desk run.
 
-    ``TRAIN_GOLDEN`` holds the output of this function from the trainer
-    before the cached episode data and the flat parameter, gradient and
-    moment vectors.
+    ``TRAIN_GOLDEN`` holds the output of this function from the trainer whose
+    backward sums each gradient over all rows in one BLAS call.
     """
     net = pn.NetConfig(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64)
     pcfg = ppo.PPOConfig(total_env_steps=400, train_batch_size=200, minibatch_size=50,
@@ -789,9 +789,8 @@ def paper_training_record(out) -> str:
     Eight generated N=20, W=12 instances, the paper's default net (d_h=128,
     d_ff=512), 256 env steps, minibatch 32, 2 epochs. The update kills the
     action head, so the record pins the redraw too. ``TRAIN_PAPER_GOLDEN``
-    holds the output of this function from the trainer whose env stepped
-    one state at a time and whose optimizer found the flat gradient by
-    walking its views.
+    holds the output of this function from the trainer whose backward sums
+    each gradient over all rows in one BLAS call.
     """
     pool = [generate_instance(GeneratorConfig(seed=3, count=8), i) for i in range(8)]
     pcfg = ppo.PPOConfig(total_env_steps=256, train_batch_size=256, minibatch_size=32,
@@ -873,6 +872,34 @@ def test_paper_backward_matches_golden(threads):
         set_threads(before)
 
 
+def test_float32_paper_backward_stays_close_to_float64():
+    # the float64 finite-difference check runs at N=3; this bounds the float32
+    # rounding of every gradient block at the paper's shapes, on the inputs of
+    # the backward golden, against float64 arithmetic on the same values
+    golden = json.loads(BACKWARD_GOLDEN.read_text())
+    net = pn.NetConfig(d_in=golden["d_in"])
+    p32 = pn.init_params(net, seed=golden["param_seed"])
+    p64 = pn.flat_views(pn.canonical_blocks(net), pn.flat_buffer(p32).astype(np.float64))
+    rng = np.random.default_rng(golden["data_seed"])
+    b, n = golden["batch"], golden["n_jobs"]
+    x = rng.standard_normal((b, n, net.d_in)).astype(np.float32)
+    g = rng.random(b).astype(np.float32)
+    d_logits = rng.standard_normal((b, n, n)).astype(np.float32)
+    d_value = rng.standard_normal(b).astype(np.float32)
+
+    def grads(params):
+        dtype = params["input.w"].dtype
+        _, cache = pn.forward(params, net, x.astype(dtype), g.astype(dtype), want_cache=True)
+        return pn.backward(cache, d_logits, d_value, params, net)
+
+    g32s, g64s = grads(p32), grads(p64)
+    for name, g64 in g64s.items():
+        scale = np.linalg.norm(g64)
+        if name.endswith(".attn.bk"):  # exactly 0: a softmax row ignores a shift of its scores
+            scale = np.linalg.norm(g64s[name.replace(".bk", ".bq")])
+        assert np.linalg.norm(g32s[name] - g64) <= 1e-5 * scale, name
+
+
 WORKERS_GOLDEN = Path(__file__).parent / "data" / "train_golden_desk_workers.json"
 
 
@@ -882,8 +909,8 @@ def desk_workers_record(out, resume_from=None) -> str:
     Each worker's quota of 15 steps does not divide by the 10-step budget, so
     every collect carries an episode in or cuts one at the slice end, and the
     run writes a mid-run checkpoint at env step 60. ``WORKERS_GOLDEN`` holds
-    the output of this function from the trainer whose workers collected one
-    state at a time, one after another.
+    the output of this function from the trainer whose backward sums each
+    gradient over all rows in one BLAS call.
     """
     net = pn.NetConfig(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64)
     pcfg = ppo.PPOConfig(total_env_steps=120, train_batch_size=60, minibatch_size=20,
@@ -963,10 +990,12 @@ def test_ppo_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("checkpoint_every", -5), ("checkpoint_every", 0), ("n_rollout_workers", 0),
     ("n_rollout_workers", -2), ("epochs_per_batch", 0), ("minibatch_size", 0),
-    ("train_batch_size", 0)])
+    ("train_batch_size", 0), ("total_env_steps", 0), ("total_env_steps", -50),
+    ("lr_warmup_env_steps", -1), ("entropy_warmup_env_steps", -1)])
 def test_ppo_config_rejects_counts_below_one(field, value):
     # -5 made train's checkpoint loop spin forever; the rest crashed mid-run
-    # or fell back to the default
+    # or fell back to the default; a total_env_steps below 1 wrote an
+    # untrained checkpoint
     with pytest.raises(ValueError, match=field):
         ppo.PPOConfig(**{"total_env_steps": 100, "train_batch_size": 50,
                          "minibatch_size": 25, field: value})
