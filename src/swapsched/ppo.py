@@ -481,7 +481,8 @@ def ppo_loss_and_grads(params, net_cfg, features, generals, action_flat,
     value_loss = np.sum(verr ** 2) / denom
 
     p64 = prob.astype(np.float64)  # the one float64 copy of the (B, N, N) block
-    entropy = np.atleast_1d(policynet.prob_entropy(p64))
+    logp64 = np.log(np.where(p64 > 0, p64, 1.0))  # 0 where p is 0: prob_entropy's bits
+    entropy = -(p64 * logp64).sum(axis=(-2, -1))
     mean_entropy = np.sum(entropy) / denom
 
     loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * mean_entropy
@@ -505,7 +506,6 @@ def ppo_loss_and_grads(params, net_cfg, features, generals, action_flat,
     dz = dz_flat.reshape(b, n, n)
 
     if cfg.entropy_coeff != 0.0:
-        logp64 = np.where(p64 > 0, np.log(np.where(p64 > 0, p64, 1.0)), 0.0)
         dH_dz = -p64 * (logp64 + entropy[:, None, None])
         dz += (-cfg.entropy_coeff / denom) * dH_dz
 

@@ -701,6 +701,39 @@ def test_pool_argmax_routes_first_maximum():
     assert cache["argmax_idx"].tolist() == h.argmax(axis=1).tolist()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_row_max_matches_numpy_max(dtype):
+    # a max is exact in any order; only the sign of a +-0.0 maximum may differ,
+    # and the softmax built on it comes out bitwise the same either way
+    rng = np.random.default_rng(67)
+    values = np.array([-0.0, 0.0, -1.5, 2.0, 0.25, -3.0], dtype=dtype)
+    for n in range(2, 21):
+        for b in (1, 2, 7, 30, 100):
+            z = rng.choice(values, size=(b, 2, n, n))  # ties and +-0.0 throughout
+            z[:, :, -1] = z[:, :, 0]  # repeated rows
+            z[0, 0] = -0.0
+            z[-1, -1, 0] = rng.standard_normal(n)
+            want = z.max(axis=-1, keepdims=True)
+            got = pn._row_max(z)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got[want != 0].tobytes() == want[want != 0].tobytes()
+            soft = pn._softmax_lastaxis_(z.copy(), got)
+            assert soft.tobytes() == pn._softmax_lastaxis_(z.copy(), want).tobytes()
+
+
+@pytest.mark.parametrize("b, n, d", [(1, 2, 3), (7, 6, 32), (100, 6, 32), (30, 20, 128)])
+def test_pool_argmax_matches_argmax_of_transposed_copy(b, n, d):
+    # the cached route is the first position holding the max, as argmax picks it
+    rng = np.random.default_rng(68)
+    h = rng.integers(-2, 3, size=(b, n, d)).astype(np.float32)  # many ties
+    h[0, :, 0] = [-0.0 if i % 2 else 0.0 for i in range(n)]
+    cache = {}
+    pn.pool_and_integrate(h, pn.init_params(tiny_cfg(d_h=d, n_heads=1)), cache)
+    want = np.ascontiguousarray(h.transpose(0, 2, 1)).argmax(axis=-1)
+    assert cache["argmax_idx"].tolist() == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # flat parameter and gradient vectors
 

@@ -433,6 +433,23 @@ def _random_minibatch(net_cfg, b, n, seed):
             rng.standard_normal(b), rng.standard_normal(b))
 
 
+def test_loss_entropy_is_prob_entropy_bitwise():
+    # the loss takes one log of the probabilities for both the entropy and its
+    # gradient; entries at zero (the diagonal, and float32 underflow with a wide
+    # compatibility init) contribute exactly 0, as in prob_entropy
+    for gain in (0.25, 8.0):
+        net_cfg = pn.NetConfig(d_in=8, d_h=32, n_heads=2, n_layers=2, d_ff=64,
+                               compat_init_gain=gain)
+        params = pn.init_params(net_cfg, seed=5)
+        minibatch = _random_minibatch(net_cfg, 40, 6, 6)
+        _, _, metrics = ppo.ppo_loss_and_grads(params, net_cfg, *minibatch, ppo.PPOConfig(),
+                                               50, compute_grads=False)
+        prob = pn.forward(params, net_cfg, np.stack(minibatch[0]), minibatch[1]).prob_matrix
+        assert (prob == 0).sum() >= (40 * 6 if gain < 1 else 40 * 6 + 1)
+        want = np.sum(pn.prob_entropy(prob.astype(np.float64))) / 50
+        assert metrics["entropy"] == float(want)
+
+
 def test_minibatch_steps_keep_their_heap_resident():
     resource = pytest.importorskip("resource")
     if not ppo._keep_freed_heap():
